@@ -14,8 +14,7 @@ from .multigraph import (Block, Multigraph, blocks, bundle_replace,
                          edge_connectivity, is_connected, parse_graph,
                          spanning_tree_count)
 from .polynomials import (FVector, HVector, QComplex, RatPoly, f_from_rel,
-                          f_to_h, h_to_rel, parse_complex_rational, poly_add,
-                          poly_eval, poly_mul, rel_from_f, substitute_power)
+                          f_to_h, h_to_rel, parse_complex_rational, rel_from_f)
 from .reliability import (SplitSpec, f_vector, rel_auto, rel_bruteforce,
                           rel_deletion_contraction, rel_via_blocks, sprel)
 from .root_analysis import (Annulus, RootSet, check_modulus_bound,

@@ -9,6 +9,7 @@ other vertex exactly once.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
@@ -20,6 +21,10 @@ from .multigraph import Multigraph, is_connected
 from .polynomials import HVector
 
 DEFAULT_STATE_GUARD = 1 << 24
+# Stable configurations burned per vectorized pass of h_vector_chip.  Each
+# costs on the order of 150 bytes of arrays, so a chunk stays near 10 MB
+# however many states the guard admits.
+_CHUNK_STATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,22 @@ def _validate(g: Multigraph, sink: int) -> None:
         raise InputError("chip firing requires a connected graph")
 
 
+def _stable_space(g: Multigraph, sink: int,
+                  state_guard: int) -> tuple[list[int], list[int], int]:
+    """Degrees, non-sink vertices and the number of stable configurations.
+
+    Validates the input and raises :class:`GuardExceededError` when the
+    stable configurations, prod_{v != sink} deg(v), exceed the guard.
+    """
+    _validate(g, sink)
+    degrees = g.degrees()
+    others = [v for v in range(g.n) if v != sink]
+    states = math.prod(degrees[v] for v in others)
+    if states > state_guard:
+        raise GuardExceededError(f"{states} stable configurations exceed the guard {state_guard}")
+    return degrees, others, states
+
+
 def _mult_matrix(g: Multigraph) -> list[list[int]]:
     lam = [[0] * g.n for _ in range(g.n)]
     for u, v, mult in g.edges:
@@ -102,16 +123,8 @@ def critical_configs(g: Multigraph, sink: int,
     filters by the burning criterion; exponential in n, intended for
     gadget-sized graphs.
     """
-    _validate(g, sink)
-    degrees = g.degrees()
+    degrees, others, _ = _stable_space(g, sink, state_guard)
     lam = _mult_matrix(g)
-    others = [v for v in range(g.n) if v != sink]
-    states = 1
-    for v in others:
-        states *= degrees[v]
-    if states > state_guard:
-        raise GuardExceededError(f"{states} stable configurations exceed the guard {state_guard}")
-
     out: list[Configuration] = []
     for values in product(*(range(degrees[v]) for v in others)):
         theta = [0] * g.n
@@ -138,43 +151,37 @@ def h_vector_chip(g: Multigraph, sink: int,
                   state_guard: int = DEFAULT_STATE_GUARD) -> HVector:
     """H-vector from the chip-firing game: H_i = number of critical monomials of degree i.
 
-    The scan is vectorized: all stable configurations burn simultaneously,
-    one synchronous firing round per pass (the abelian property makes the
-    firing order irrelevant).
+    The scan is vectorized: each chunk of stable configurations burns
+    simultaneously, one synchronous firing round per pass (the abelian
+    property makes the firing order irrelevant), and the degree counts add
+    up across chunks.
     """
-    _validate(g, sink)
-    degrees = g.degrees()
-    others = [v for v in range(g.n) if v != sink]
-    states = 1
-    for v in others:
-        states *= degrees[v]
-    if states > state_guard:
-        raise GuardExceededError(f"{states} stable configurations exceed the guard {state_guard}")
-
+    degrees, others, states = _stable_space(g, sink, state_guard)
     deg_o = np.array([degrees[v] for v in others], dtype=np.int32)
     lam_full = _mult_matrix(g)
     lam_sub = np.array([[lam_full[u][v] for v in others] for u in others], dtype=np.int32)
     sink_row = np.array([lam_full[sink][v] for v in others], dtype=np.int32)
-
-    grids = np.meshgrid(*[np.arange(d, dtype=np.int32) for d in deg_o], indexing="ij")
-    theta = np.stack([a.reshape(-1) for a in grids], axis=1)  # states x (n-1)
-
-    chips = theta + sink_row
-    fired = np.zeros_like(chips, dtype=bool)
     transfer = (lam_sub - np.diag(deg_o)).astype(np.int32)
-    while True:
-        ready = (chips >= deg_o) & ~fired
-        if not ready.any():
-            break
-        chips = chips + ready.astype(np.int32) @ transfer
-        fired |= ready
-    critical = fired.all(axis=1)
 
-    mono_deg = ((deg_o - 1) - theta[critical]).sum(axis=1, dtype=np.int64)
     top = g.m - g.n + 1
-    counts = np.bincount(mono_deg, minlength=top + 1)
-    if len(counts) > top + 1:
-        raise InputError("monomial degree exceeded m-n+1; inconsistent input graph")
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for start in range(0, states, _CHUNK_STATES):
+        index = np.arange(start, min(start + _CHUNK_STATES, states), dtype=np.int64)
+        theta = np.stack(np.unravel_index(index, deg_o.tolist()), axis=1).astype(np.int32)
+        chips = theta + sink_row
+        fired = np.zeros_like(chips, dtype=bool)
+        while True:
+            ready = (chips >= deg_o) & ~fired
+            if not ready.any():
+                break
+            chips = chips + ready.astype(np.int32) @ transfer
+            fired |= ready
+        critical = fired.all(axis=1)
+        mono_deg = ((deg_o - 1) - theta[critical]).sum(axis=1, dtype=np.int64)
+        chunk_counts = np.bincount(mono_deg, minlength=top + 1)
+        if len(chunk_counts) > top + 1:
+            raise InputError("monomial degree exceeded m-n+1; inconsistent input graph")
+        counts += chunk_counts
     return HVector(values=tuple(int(c) for c in counts), n=g.n, m=g.m)
 
 

@@ -22,12 +22,12 @@ from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_g
 from .errors import IndeterminateError, InputError, ToolkitError
 from .multigraph import Multigraph, is_connected, parse_graph
 from .polynomials import RatPoly, f_to_h, parse_complex_rational
-from .reliability import f_vector, rel_bruteforce, rel_deletion_contraction
+from .reliability import f_vector, rel_auto, rel_bruteforce, rel_deletion_contraction
 from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
                             reliability_root_set)
 from .stability import (RATIO_BOX_K7, RATIO_BOX_K9, BASE_ROOT_BOX, ParamBox,
-                        certificate_pencil, kth_root_ratio_box, schur_cohn,
-                        schur_cohn_box)
+                        certificate_pencil, kth_root_ratio_box, mpf_to_fraction,
+                        schur_cohn, schur_cohn_box)
 from .substitution import substituted_two_clique_graph
 
 # Published max-modulus reliability roots of the two-clique graphs with
@@ -48,23 +48,12 @@ TABLE1_REFERENCE = {
 
 def format_decimal(x, digits: int) -> str:
     """Fixed-point decimal string, rounding half to even."""
-    fr = _to_fraction(x)
+    fr = mpf_to_fraction(x)
     with decimal.localcontext() as ctx:
         ctx.prec = 60
         ctx.rounding = decimal.ROUND_HALF_EVEN
         d = decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator)
         return str(d.quantize(decimal.Decimal(1).scaleb(-digits)))
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    x = mp.mpf(x)
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -val if sign else val
 
 
 def _sig(x, digits: int = 17) -> str:
@@ -149,9 +138,7 @@ def compute_rel(g: Multigraph, method: str = "auto", guard: int = 24,
     if method == "dc":
         return rel_deletion_contraction(g)
     if method == "auto":
-        if g.pair_count <= min(guard, 16):
-            return rel_bruteforce(g, guard)
-        return rel_deletion_contraction(g)
+        return rel_auto(g, guard)
     raise InputError(f"unknown method {method!r}")
 
 

@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import InputError
 from .multigraph import Multigraph
-from .polynomials import RatPoly
+from .polynomials import RatPoly, convolve
 
 
 def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
@@ -26,15 +26,6 @@ def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
     for i, c in enumerate(p):
         if c:
             acc[shift + i] += scale * c
-
-
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -90,7 +81,7 @@ def sprel_complete_minus_edge(n: int) -> RatPoly:
         raise InputError(f"split reliability of K_n minus an edge needs n >= 3, got {n}")
     acc: list[int] = [0]
     for i in range(1, n):
-        prod = _pmul(list(_rel_complete(i)), list(_rel_complete(n - i)))
+        prod = convolve(_rel_complete(i), _rel_complete(n - i))
         _padd_into(acc, prod, i * (n - i) - 1, comb(n - 2, i - 1))
     return RatPoly(acc)
 

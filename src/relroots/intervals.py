@@ -34,21 +34,6 @@ class QInterval:
         x = _frac(x)
         return cls(x, x)
 
-    @classmethod
-    def of(cls, lo, hi) -> "QInterval":
-        return cls(_frac(lo), _frac(hi))
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        x = _frac(x)
-        return self.lo <= x <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def sign(self) -> int:
         """+1 / -1 when the interval excludes zero, 0 when it straddles it."""
         if self.lo > 0:
@@ -62,9 +47,6 @@ class QInterval:
 
     def __sub__(self, other: "QInterval") -> "QInterval":
         return QInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "QInterval":
-        return QInterval(-self.hi, -self.lo)
 
     def __mul__(self, other: "QInterval") -> "QInterval":
         a = self.lo * other.lo
@@ -80,52 +62,11 @@ class QInterval:
             return QInterval(self.hi * self.hi, self.lo * self.lo)
         return QInterval(_ZERO, max(self.lo * self.lo, self.hi * self.hi))
 
-    def reciprocal(self) -> "QInterval":
-        if self.contains_zero():
-            raise ZeroDivisionError("reciprocal of an interval containing zero")
-        return QInterval(1 / self.hi, 1 / self.lo)
-
-    def __truediv__(self, other: "QInterval") -> "QInterval":
-        return self * other.reciprocal()
-
     def scale(self, c) -> "QInterval":
         c = _frac(c)
         if c >= 0:
             return QInterval(self.lo * c, self.hi * c)
         return QInterval(self.hi * c, self.lo * c)
-
-    def hull(self, other: "QInterval") -> "QInterval":
-        return QInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def outward_round(self, bits: int) -> "QInterval":
-        """Widen to dyadic endpoints with about ``bits`` significant bits.
-
-        Caps the denominator blowup of long exact computations at the price
-        of a relative widening of 2^-bits per call; the enclosure property
-        is preserved because lo rounds down and hi up.
-        """
-        mag = max(abs(self.lo), abs(self.hi))
-        if mag == 0:
-            return self
-        shift = bits - (mag.numerator.bit_length() - mag.denominator.bit_length())
-        return QInterval(_round_frac(self.lo, shift, up=False),
-                         _round_frac(self.hi, shift, up=True))
-
-    def __repr__(self):
-        return f"[{self.lo}, {self.hi}]"
-
-
-def _round_frac(x: Fraction, shift: int, up: bool) -> Fraction:
-    if shift >= 0:
-        num, den = x.numerator << shift, x.denominator
-        scale = Fraction(1, 1 << shift)
-    else:
-        num, den = x.numerator, x.denominator << -shift
-        scale = Fraction(1 << -shift)
-    q, r = divmod(num, den)
-    if up and r:
-        q += 1
-    return q * scale
 
 
 @dataclass(frozen=True)
@@ -139,23 +80,8 @@ class QComplexInterval:
     def point(cls, re, im=0) -> "QComplexInterval":
         return cls(QInterval.point(re), QInterval.point(im))
 
-    def __add__(self, other: "QComplexInterval") -> "QComplexInterval":
-        return QComplexInterval(self.re + other.re, self.im + other.im)
-
     def __sub__(self, other: "QComplexInterval") -> "QComplexInterval":
         return QComplexInterval(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "QComplexInterval":
-        return QComplexInterval(-self.re, -self.im)
-
-    def __mul__(self, other: "QComplexInterval") -> "QComplexInterval":
-        return QComplexInterval(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conjugate(self) -> "QComplexInterval":
-        return QComplexInterval(self.re, -self.im)
 
     def abs2(self) -> QInterval:
         return self.re.square() + self.im.square()
@@ -163,19 +89,5 @@ class QComplexInterval:
     def excludes_zero(self) -> bool:
         return self.abs2().sign() == 1
 
-    def __truediv__(self, other: "QComplexInterval") -> "QComplexInterval":
-        d = other.abs2()
-        if d.sign() != 1:
-            raise ZeroDivisionError("division by a complex interval that may contain zero")
-        num = self * other.conjugate()
-        inv = d.reciprocal()
-        return QComplexInterval(num.re * inv, num.im * inv)
-
     def scale(self, c) -> "QComplexInterval":
         return QComplexInterval(self.re.scale(c), self.im.scale(c))
-
-    def outward_round(self, bits: int) -> "QComplexInterval":
-        return QComplexInterval(self.re.outward_round(bits), self.im.outward_round(bits))
-
-    def __repr__(self):
-        return f"({self.re} + {self.im}i)"

@@ -13,19 +13,37 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError, InputError
+from .polynomials import bareiss_det
 
 Edge = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Loopless multigraph on vertices 0..n-1 with positive edge multiplicities."""
+    """Loopless multigraph on vertices 0..n-1 with positive edge multiplicities.
+
+    ``edges`` must be canonical: one (u, v, mult) entry per pair, u < v,
+    sorted by pair.  :meth:`from_edges` builds that form from any edge list.
+    Raises :class:`InputError` otherwise.
+    """
 
     n: int
     edges: tuple[Edge, ...]
     m: int = field(init=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {self.n}")
+        for u, v, mult in self.edges:
+            if u == v:
+                raise InputError(f"loop edge at vertex {u} is not allowed")
+            if not 0 <= u < v < self.n:
+                raise InputError(
+                    f"edge ({u}, {v}) is not a pair u < v of vertices in 0..{self.n - 1}")
+            if mult < 1:
+                raise InputError(f"edge ({u}, {v}) has multiplicity {mult} < 1")
+        if any(a[:2] >= b[:2] for a, b in zip(self.edges, self.edges[1:])):
+            raise InputError("edge pairs must be unique and sorted")
         object.__setattr__(self, "m", sum(mult for _, _, mult in self.edges))
 
     @classmethod
@@ -35,8 +53,6 @@ class Multigraph:
         Raises :class:`InputError` on loops, out-of-range vertex ids or
         non-positive multiplicities.
         """
-        if n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {n}")
         merged: dict[tuple[int, int], int] = {}
         for entry in edges:
             if len(entry) == 3:
@@ -48,11 +64,7 @@ class Multigraph:
                 raise InputError(f"edge entry must be [u, v, mult], got {entry!r}")
             if not all(isinstance(x, int) for x in (u, v, mult)):
                 raise InputError(f"edge entry must contain integers, got {entry!r}")
-            if u == v:
-                raise InputError(f"loop edge at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
-            if mult < 1:
+            if mult < 1:  # checked per entry: merging could hide it
                 raise InputError(f"edge ({u}, {v}) has multiplicity {mult} < 1")
             key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0) + mult
@@ -73,14 +85,6 @@ class Multigraph:
             deg[u] += mult
             deg[v] += mult
         return deg
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbour, multiplicity)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for u, v, mult in self.edges:
-            adj[u].append((v, mult))
-            adj[v].append((u, mult))
-        return adj
 
     def multiplicity(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
@@ -119,21 +123,29 @@ def is_connected(g: Multigraph) -> bool:
     """True iff every vertex is reachable from vertex 0 (n = 1 counts as connected)."""
     if g.n == 0:
         raise InputError("connectivity of the empty graph is undefined")
-    if g.n == 1:
+    return edges_connected(g.n, g.edges)
+
+
+def edges_connected(n: int, edges: Iterable[Edge]) -> bool:
+    """Connectivity of vertices 0..n-1 under (u, v, mult) edges; n <= 1 is connected."""
+    if n <= 1:
         return True
-    adj = g.adjacency()
-    seen = [False] * g.n
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
     seen[0] = True
     stack = [0]
     count = 1
     while stack:
         u = stack.pop()
-        for v, _ in adj[u]:
+        for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 count += 1
                 stack.append(v)
-    return count == g.n
+    return count == n
 
 
 def _require_connected(g: Multigraph) -> None:
@@ -332,31 +344,7 @@ def spanning_tree_count(g: Multigraph) -> int:
         if u > 0 and v > 0:
             lap[u - 1][v - 1] -= mult
             lap[v - 1][u - 1] -= mult
-    return int_det(lap)
-
-
-def int_det(matrix: list[list[int]]) -> int:
-    """Exact integer determinant (Bareiss fraction-free elimination)."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return bareiss_det([[(x, 0) for x in row] for row in lap])[0]
 
 
 def bundle_replace(g: Multigraph, k: int) -> Multigraph:

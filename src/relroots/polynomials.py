@@ -96,16 +96,7 @@ class RatPoly:
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return RatPoly(out)
+        return RatPoly(convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -195,20 +186,16 @@ class RatPoly:
             raise InputError(f"bad coefficient in polynomial JSON: {exc}") from exc
 
 
-def poly_add(p: RatPoly, r: RatPoly) -> RatPoly:
-    return p + r
-
-
-def poly_mul(p: RatPoly, r: RatPoly) -> RatPoly:
-    return p * r
-
-
-def poly_eval(p: RatPoly, x: Rat) -> Fraction:
-    return p(x)
-
-
-def substitute_power(p: RatPoly, k: int) -> RatPoly:
-    return p.substitute_power(k)
+def convolve(a: Sequence, b: Sequence) -> list:
+    """Ascending coefficient list of the product of two ascending coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,3 +422,55 @@ def parse_complex_rational(text: str) -> QComplex:
         else:
             re_part += Fraction(term)
     return QComplex(re_part, im_part)
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free determinants over the Gaussian integers
+# ---------------------------------------------------------------------------
+
+GInt = tuple[int, int]
+
+
+def bareiss_det(matrix: Sequence[Sequence[GInt]]) -> GInt:
+    """Exact determinant of a square matrix of Gaussian integers (re, im).
+
+    Bareiss elimination: each update is divided exactly by the previous
+    pivot, so entries stay Gaussian integers of moderate size; integer
+    matrices pass (x, 0) entries.  A zero pivot is swapped with a lower row,
+    and a column with no nonzero candidate makes the determinant zero.
+    """
+    n = len(matrix)
+    if n == 0:
+        return (1, 0)
+    m = [list(row) for row in matrix]
+    negate = False
+    pr, pi = 1, 0  # previous pivot
+    for k in range(n - 1):
+        if m[k][k] == (0, 0):
+            for r in range(k + 1, n):
+                if m[r][k] != (0, 0):
+                    m[k], m[r] = m[r], m[k]
+                    negate = not negate
+                    break
+            else:
+                return (0, 0)
+        row_k = m[k]
+        ar, ai = row_k[k]
+        norm = pr * pr + pi * pi
+        for i in range(k + 1, n):
+            row_i = m[i]
+            cr, ci = row_i[k]
+            for j in range(k + 1, n):
+                br, bi = row_i[j]
+                dr, di = row_k[j]
+                # a*b - c*d, times conj(prev), then divided exactly by |prev|^2
+                nr = ar * br - ai * bi - cr * dr + ci * di
+                ni = ar * bi + ai * br - cr * di - ci * dr
+                qr, rr = divmod(nr * pr + ni * pi, norm)
+                qi, ri = divmod(ni * pr - nr * pi, norm)
+                if rr or ri:
+                    raise NumericalError("fraction-free elimination hit a non-exact division")
+                row_i[j] = (qr, qi)
+        pr, pi = ar, ai
+    det = m[n - 1][n - 1]
+    return (-det[0], -det[1]) if negate else det

@@ -10,11 +10,12 @@ small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from .errors import DisconnectedGraphError, GuardExceededError, InputError
-from .multigraph import Multigraph, blocks, is_connected
-from .polynomials import FVector, RatPoly, rel_from_f
+from .multigraph import Multigraph, blocks, edges_connected, is_connected
+from .polynomials import FVector, RatPoly, convolve, rel_from_f
 
 DEFAULT_GUARD_PAIRS = 24
 DEFAULT_DC_BUDGET = 500_000
@@ -62,15 +63,6 @@ class _DSU:
             self.parent[rb] = ra
 
 
-def _int_pmul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
 def f_vector(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> FVector:
     """Exact F-vector by enumeration over subsets of distinct vertex pairs.
 
@@ -87,7 +79,7 @@ def f_vector(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> FVector:
     acc = [0] * (top + 1)
     simple = g.is_simple()
     # (1+z)^mult - z^mult per bundle, precomputed.
-    bundle_gen = [[_comb(mult, j) for j in range(mult)] for _, _, mult in pairs]
+    bundle_gen = [[comb(mult, j) for j in range(mult)] for _, _, mult in pairs]
     fail_weight = [mult for _, _, mult in pairs]
 
     for mask in range(1 << p):
@@ -106,19 +98,13 @@ def f_vector(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> FVector:
         prod = [1]
         for idx in range(p):
             if mask >> idx & 1:
-                prod = _int_pmul(prod, bundle_gen[idx])
+                prod = convolve(prod, bundle_gen[idx])
             else:
                 shift += fail_weight[idx]
         for j, c in enumerate(prod):
             if c:
                 acc[shift + j] += c
     return FVector(values=tuple(acc), n=g.n, m=g.m)
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def rel_bruteforce(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> RatPoly:
@@ -166,7 +152,7 @@ def sprel(g: Multigraph, spec: SplitSpec, guard_pairs: int = DEFAULT_GUARD_PAIRS
         shift = 0
         for idx in range(p):
             if mask >> idx & 1:
-                prod = _int_pmul(prod, survive[idx])
+                prod = convolve(prod, survive[idx])
             else:
                 shift += fail_deg[idx]
         padded = [0] * shift + prod
@@ -228,27 +214,6 @@ def _delete(edges: tuple[tuple[int, int, int], ...], idx: int):
     return edges[:idx] + edges[idx + 1:]
 
 
-def _connected_pairs(n: int, edges) -> bool:
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    cnt = 1
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                cnt += 1
-                stack.append(y)
-    return cnt == n
-
-
 def rel_deletion_contraction(g: Multigraph, max_expansions: int = DEFAULT_DC_BUDGET) -> RatPoly:
     """Rel(G;q) by the bundle factor/contract recursion with memoization.
 
@@ -281,7 +246,7 @@ def rel_deletion_contraction(g: Multigraph, max_expansions: int = DEFAULT_DC_BUD
             out[i] += c
             out[i + mult] -= c
         rest = _delete(edges, 0)
-        if _connected_pairs(n, rest):
+        if edges_connected(n, rest):
             deleted = solve(n, rest)
             need = mult + len(deleted)
             if len(out) < need:

@@ -190,104 +190,23 @@ def _aberth_machine(coeffs: np.ndarray, radius: float,
     return z, converged
 
 
-try:
-    import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - gmpy2 ships with this environment
-    _gmpy2 = None
-
-
-def _aberth_hp(coeffs: list[QComplex], radius: float, prec: int,
-               warm=None, max_iter: int = 600) -> list:
-    """High-precision Aberth sweep, warm-startable from machine estimates.
-
-    Big coefficient ranges defeat double precision outright (every Horner
-    value drowns in rounding noise near the roots), so this stage is the
-    real solver for high-degree reliability polynomials.  Runs on gmpy2
-    when available, which is an order of magnitude faster than the mpmath
-    equivalent; returns mpmath numbers either way.
-    """
-    if _gmpy2 is not None:
-        return _aberth_gmpy2(coeffs, radius, prec, warm, max_iter)
-    return _aberth_mpmath(coeffs, radius, prec, warm, max_iter)
-
-
 def _circle_starts_mp(d: int, radius: float) -> list:
     golden = mp.mpf(1) / ((1 + mp.sqrt(5)) / 2)
     return [mp.mpc(radius) * mp.expjpi(2 * (mp.mpf(k) + mp.mpf(1) / 2) / d + golden / mp.pi)
             for k in range(d)]
 
 
-def _aberth_gmpy2(coeffs: list[QComplex], radius: float, prec: int,
-                  warm, max_iter: int) -> list:
-    g = _gmpy2
-    ctx = g.get_context()
-    saved = ctx.precision
-    ctx.precision = prec + 30
-    try:
-        cs = [g.mpc(g.mpfr(g.mpq(c.re.numerator, c.re.denominator)),
-                    g.mpfr(g.mpq(c.im.numerator, c.im.denominator))) for c in coeffs]
-        d = len(cs) - 1
-        dcs = [k * cs[k] for k in range(1, d + 1)]
-        if warm is not None:
-            z = [g.mpc(complex(w)) for w in warm]
-        else:
-            z = [g.mpc(complex(w)) for w in _circle_starts_mp(d, radius)]
-        # The sweep only has to hand Newton a start inside its quadratic
-        # basin; chasing full precision here wastes whole passes on points
-        # that orbit a multiple root.
-        tol = g.mpfr(2) ** (-min(prec // 2, 60))
-        one = g.mpfr(1)
-        tiny = g.mpfr(2) ** (-prec)
-        for _ in range(max_iter):
-            moved = g.mpfr(0)
-            for k in range(d):
-                zk = z[k]
-                pv = cs[d]
-                for c in reversed(cs[:d]):
-                    pv = pv * zk + c
-                pd = dcs[d - 1]
-                for c in reversed(dcs[:d - 1]):
-                    pd = pd * zk + c
-                ssum = g.mpc(0)
-                for j in range(d):
-                    if j != k:
-                        delta = zk - z[j]
-                        if delta == 0:
-                            delta = tiny * (1 + abs(zk))
-                        ssum += 1 / delta
-                if pd == 0:
-                    pd = g.mpc(tiny)
-                w = pv / pd
-                denom = 1 - w * ssum
-                if denom == 0:
-                    denom = g.mpc(tiny)
-                dz = w / denom
-                z[k] = zk - dz
-                rel = abs(dz) / max(one, abs(z[k]))
-                if rel > moved:
-                    moved = rel
-            if moved <= tol:
-                break
-        # Even an unconverged sweep is a useful polish start; validation
-        # downstream decides whether it was good enough.
-        return [_gmpy2_to_mpc(w) for w in z]
-    finally:
-        ctx.precision = saved
-
-
-def _gmpy2_to_mpc(z):
-    """Exact gmpy2.mpc -> mpmath.mpc conversion via mantissa/exponent pairs."""
-    def part(x):
-        if x == 0:
-            return mp.mpf(0)
-        m, e = x.as_mantissa_exp()
-        return mp.ldexp(mp.mpf(int(m)), int(e))
-
-    return mp.mpc(part(z.real), part(z.imag))
-
-
 def _aberth_mpmath(coeffs: list[QComplex], radius: float, prec: int,
                    warm, max_iter: int) -> list:
+    """High-precision Aberth sweep, warm-startable from machine estimates.
+
+    Big coefficient ranges defeat double precision outright (every Horner
+    value drowns in rounding noise near the roots), so this stage is the
+    real solver for high-degree reliability polynomials.  The sweep only
+    has to hand Newton a start inside its quadratic basin; chasing full
+    precision here wastes whole passes on points that orbit a multiple
+    root, and even an unconverged sweep is a useful polish start.
+    """
     coeffs_mpc = [_to_mpc(c) for c in coeffs]
     d = len(coeffs_mpc) - 1
     dcoeffs = [k * coeffs_mpc[k] for k in range(1, d + 1)]
@@ -437,8 +356,8 @@ def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> Roo
                     starts = [mp.mpc(z) for z in machine_start]
                 else:
                     iters = 200 if machine_start is not None else 600
-                    starts = _aberth_hp(coeffs, radius, prec,
-                                        warm=machine_start, max_iter=iters)
+                    starts = _aberth_mpmath(coeffs, radius, prec,
+                                            warm=machine_start, max_iter=iters)
                 polished = [_polish(coeffs_mpc, dcoeffs_mpc, z0, prec) for z0 in starts]
                 roots = [z for z, _ in polished]
                 residuals = [r for _, r in polished]

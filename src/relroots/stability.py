@@ -1,11 +1,12 @@
 """Root counting relative to the unit circle, with certified box variants.
 
-The classical determinant test is evaluated two ways: exactly, for
-polynomials with complex-rational coefficients (fraction-free elimination
-over Gaussian integers after clearing denominators, which rescales every
-determinant by a positive factor); and in rational interval arithmetic,
-for polynomials whose coefficients depend on a complex parameter a+bi
-ranging over a rational box.  When an interval sign is undecided the box
+The classical determinant test is evaluated exactly for polynomials with
+complex-rational coefficients (fraction-free elimination over Gaussian
+integers after clearing denominators, which rescales every determinant by
+a positive factor).  For the certificate pencil, whose coefficients depend
+on a complex parameter a+bi ranging over a rational box, the determinants
+are exact bivariate polynomials in the parameter, bounded over the box in
+rational interval arithmetic.  When an interval sign is undecided the box
 is bisected along its longest side, and a certificate requires one uniform
 sign pattern across all leaves.
 """
@@ -15,16 +16,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Callable, Optional, Sequence
+from itertools import zip_longest
+from math import comb, lcm
+from typing import Iterator, Optional, Sequence
 
 import mpmath as mp
 
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
-from .errors import (IndeterminateError, InputError, NumericalError,
-                     SchurCohnHypothesisError)
+from .errors import InputError, NumericalError, SchurCohnHypothesisError
 from .intervals import QComplexInterval, QInterval
-from .polynomials import QComplex, RatPoly, cpoly_normalize
+from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
 
 
 @dataclass(frozen=True)
@@ -117,51 +118,6 @@ def _sign_changes(signs: Sequence[int]) -> int:
 # Exact path: Gaussian-integer fraction-free elimination
 # ---------------------------------------------------------------------------
 
-GInt = tuple[int, int]
-
-
-def _gmul(x: GInt, y: GInt) -> GInt:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gsub(x: GInt, y: GInt) -> GInt:
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _gdiv_exact(x: GInt, y: GInt) -> GInt:
-    norm = y[0] * y[0] + y[1] * y[1]
-    re = x[0] * y[0] + x[1] * y[1]
-    im = x[1] * y[0] - x[0] * y[1]
-    qr, rr = divmod(re, norm)
-    qi, ri = divmod(im, norm)
-    if rr or ri:
-        raise NumericalError("fraction-free elimination hit a non-exact division")
-    return (qr, qi)
-
-
-def _gint_det(matrix: list[list[GInt]]) -> GInt:
-    """Determinant by Bareiss elimination over the Gaussian integers."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev: GInt = (1, 0)
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            for r in range(k + 1, n):
-                if m[r][k] != (0, 0):
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return (0, 0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _gsub(_gmul(m[k][k], m[i][j]), _gmul(m[i][k], m[k][j]))
-                m[i][j] = _gdiv_exact(num, prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else (-det[0], -det[1])
-
 
 def _test_matrix_exact(coeffs: list[GInt], k: int) -> list[list[GInt]]:
     """The 2k x 2k block matrix [[B*, A],[A*, B]] for the degree-n input.
@@ -205,53 +161,60 @@ def schur_cohn(p) -> SchurCohnReport:
     if n < 1:
         raise InputError("root counting needs degree >= 1")
 
-    # Clear denominators: scaling by a positive rational multiplies each
-    # determinant by a positive factor, leaving every sign unchanged.
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.re.denominator // _gcd(denom, c.re.denominator)
-        denom = denom * c.im.denominator // _gcd(denom, c.im.denominator)
-    gcoeffs: list[GInt] = [(int(c.re * denom), int(c.im * denom)) for c in coeffs]
-
+    gcoeffs, _ = _clear_denominators(coeffs)
     signs: list[int] = []
     for k in range(1, n + 1):
-        det = _gint_det(_test_matrix_exact(gcoeffs, k))
-        if det[1] != 0:
-            raise NumericalError("test determinant came out non-real")
-        if det[0] == 0:
+        det = _real_det(gcoeffs, k)
+        if det == 0:
             raise SchurCohnHypothesisError(
                 f"determinant M_{k} is exactly zero; the test hypothesis fails")
-        signs.append(1 if det[0] > 0 else -1)
+        signs.append(1 if det > 0 else -1)
     return SchurCohnReport(
         signs=tuple("+" if s > 0 else "-" for s in signs),
         beta=_sign_changes(signs),
     )
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _clear_denominators(coeffs: Sequence[QComplex]) -> tuple[list[GInt], int]:
+    """Gaussian-integer coefficients times their least common denominator.
+
+    Scaling by a positive rational multiplies each determinant M_k by a
+    positive factor (denominator^(2k)), leaving every sign unchanged.
+    """
+    denom = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    return [(int(c.re * denom), int(c.im * denom)) for c in coeffs], denom
+
+
+def _real_det(gcoeffs: list[GInt], k: int) -> int:
+    """M_k of Gaussian-integer coefficients; the test matrix is Hermitian."""
+    re, im = bareiss_det(_test_matrix_exact(gcoeffs, k))
+    if im != 0:
+        raise NumericalError("test determinant came out non-real")
+    return re
+
+
+def _exact_mk(coeffs: Sequence[QComplex], k: int) -> Fraction:
+    """Exact M_k for complex-rational coefficients, via the scaled integer path."""
+    gcoeffs, denom = _clear_denominators(coeffs)
+    return Fraction(_real_det(gcoeffs, k), denom ** (2 * k))
 
 
 # ---------------------------------------------------------------------------
-# Interval path
+# Box path
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class BoxPoly:
-    """Polynomial whose coefficients are complex rational intervals.
+    """A certificate pencil's coefficients as complex rational intervals over a box.
 
-    When produced by a :class:`CertificatePencil`, ``box`` and ``rebuild``
-    allow sign certification to bisect the underlying parameter box, and
-    ``pencil`` unlocks the exact dependency-free determinant evaluation.
+    Sign certification evaluates the pencil's exact determinant polynomials
+    over ``box`` and bisects it when a sign is undecided.
     """
 
     coeffs: tuple[QComplexInterval, ...]
-    box: Optional[ParamBox] = None
-    rebuild: Optional[Callable[[ParamBox], "BoxPoly"]] = field(default=None, repr=False)
-    pencil: Optional["CertificatePencil"] = field(default=None, repr=False)
+    box: ParamBox
+    pencil: "CertificatePencil" = field(repr=False)
 
     def __post_init__(self):
         if not self.coeffs:
@@ -267,100 +230,20 @@ class BoxPoly:
         return self.coeffs[-1].excludes_zero()
 
 
-class _IndeterminatePivot(Exception):
-    pass
-
-
-_ROUND_BITS = 320
-
-
-def _interval_det(matrix: list[list[QComplexInterval]]) -> QComplexInterval:
-    """Fraction-free elimination on interval entries.
-
-    Every operation is inclusion monotone, so the result encloses the
-    determinant of every point matrix in the box.  Pivots must exclude
-    zero; otherwise the sign cannot be decided at this box size.  Entries
-    are outward rounded after each update, since interval divisions do not
-    cancel the way exact Bareiss divisions do and denominators would
-    otherwise explode.
-    """
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev: Optional[QComplexInterval] = None
-    for k in range(n - 1):
-        pivot_row = None
-        best = None
-        for r in range(k, n):
-            a2 = m[r][k].abs2()
-            if a2.sign() == 1 and (best is None or a2.lo > best):
-                best = a2.lo
-                pivot_row = r
-        if pivot_row is None:
-            raise _IndeterminatePivot
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                val = num / prev if prev is not None else num
-                m[i][j] = val.outward_round(_ROUND_BITS)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _test_matrix_interval(coeffs: Sequence[QComplexInterval], k: int):
-    n = len(coeffs) - 1
-    zero = QComplexInterval.point(0, 0)
-
-    def a_entry(i, j):
-        return coeffs[j - i] if j >= i else zero
-
-    def b_entry(i, j):
-        return coeffs[n - (j - i)].conjugate() if j >= i else zero
-
-    out = []
-    for i in range(k):
-        out.append([b_entry(j, i).conjugate() for j in range(k)]
-                   + [a_entry(i, j) for j in range(k)])
-    for i in range(k):
-        out.append([a_entry(j, i).conjugate() for j in range(k)]
-                   + [b_entry(i, j) for j in range(k)])
-    return out
-
-
 def _box_signs(bp: BoxPoly) -> list[str]:
-    if not bp.valid_degree:
-        return ["?"] * bp.degree
-    if bp.pencil is not None and bp.box is not None:
-        return _pencil_box_signs(bp.pencil, bp.box)
-    signs = []
-    for k in range(1, bp.degree + 1):
-        try:
-            det = _interval_det(_test_matrix_interval(bp.coeffs, k))
-        except _IndeterminatePivot:
-            signs.append("?")
-            continue
-        s = det.re.sign()
-        signs.append("+" if s > 0 else "-" if s < 0 else "?")
-    return signs
-
-
-def _pencil_box_signs(pencil: "CertificatePencil", box: ParamBox) -> list[str]:
     """Evaluate the exact determinant polynomials over the box.
 
-    Direct interval elimination ignores that every matrix entry shares the
-    one parameter a+bi, and its dependency blowup swamps the sign for the
-    larger gadgets; the precomputed bivariate polynomials evaluate tightly
-    with a single interval Horner pass each.
+    Interval elimination on the coefficient intervals would ignore that
+    every matrix entry shares the one parameter a+bi, and its dependency
+    blowup swamps the sign for the larger gadgets; the precomputed bivariate
+    polynomials evaluate tightly with a single interval Horner pass each.
     """
-    polys = _det_sign_polynomials(pencil.n)
-    t_iv = box.b.square()
+    if not bp.valid_degree:
+        return ["?"] * bp.degree
+    t_iv = bp.box.b.square()
     signs = []
-    for p in polys:
-        val = _eval_poly2_interval(p, box.a, t_iv)
+    for p in _det_sign_polynomials(bp.pencil.n):
+        val = _eval_poly2_interval(p, bp.box.a, t_iv)
         s = val.sign()
         signs.append("+" if s > 0 else "-" if s < 0 else "?")
     return signs
@@ -379,21 +262,18 @@ def _eval_poly2_interval(p, a_iv: QInterval, t_iv: QInterval) -> QInterval:
 def schur_cohn_box(bp: BoxPoly, max_depth: int = 12) -> SchurCohnReport:
     """Certified sign pattern over a parameter box.
 
-    If some determinant interval straddles zero and the polynomial carries a
-    rebuild hook, the box is bisected along its longest side (up to
-    ``max_depth``) and all leaves must agree on one sign pattern; otherwise
-    the report comes back indeterminate.
+    If some determinant interval straddles zero, the box is bisected along
+    its longest side (up to ``max_depth``) and all leaves must agree on one
+    sign pattern; otherwise the report comes back indeterminate.
     """
 
     def solve(poly: BoxPoly, depth: int) -> tuple[tuple[str, ...], int]:
         signs = tuple(_box_signs(poly))
-        if "?" not in signs:
-            return signs, depth
-        if poly.rebuild is None or poly.box is None or depth >= max_depth:
+        if "?" not in signs or depth >= max_depth:
             return signs, depth
         left, right = poly.box.split()
-        s1, d1 = solve(poly.rebuild(left), depth + 1)
-        s2, d2 = solve(poly.rebuild(right), depth + 1)
+        s1, d1 = solve(poly.pencil.box_poly(left), depth + 1)
+        s2, d2 = solve(poly.pencil.box_poly(right), depth + 1)
         if "?" in s1 or "?" in s2 or s1 != s2:
             return tuple("?" if a != b or a == "?" else a for a, b in zip(s1, s2)), max(d1, d2)
         return s1, max(d1, d2)
@@ -427,25 +307,18 @@ class CertificatePencil:
     def degree(self) -> int:
         return comb(self.n - 1, 2)
 
+    def _coeff_pairs(self) -> Iterator[tuple[Fraction, Fraction]]:
+        return zip_longest(self.split_reduced.coeffs, self.rel_reduced.coeffs,
+                           fillvalue=Fraction(0))
+
     def exact_poly(self, a, b) -> list[QComplex]:
-        w = QComplex(Fraction(a), Fraction(b))
-        d = max(self.split_reduced.degree, self.rel_reduced.degree)
-        out = []
-        for i in range(d + 1):
-            s = self.split_reduced.coeffs[i] if i <= self.split_reduced.degree else Fraction(0)
-            r = self.rel_reduced.coeffs[i] if i <= self.rel_reduced.degree else Fraction(0)
-            out.append(QComplex(s, Fraction(0)) - w * QComplex(r, Fraction(0)))
-        return out
+        a, b = Fraction(a), Fraction(b)
+        return [QComplex(s - a * r, -b * r) for s, r in self._coeff_pairs()]
 
     def box_poly(self, box: ParamBox) -> BoxPoly:
         w = QComplexInterval(box.a, box.b)
-        d = max(self.split_reduced.degree, self.rel_reduced.degree)
-        coeffs = []
-        for i in range(d + 1):
-            s = self.split_reduced.coeffs[i] if i <= self.split_reduced.degree else Fraction(0)
-            r = self.rel_reduced.coeffs[i] if i <= self.rel_reduced.degree else Fraction(0)
-            coeffs.append(QComplexInterval.point(s, 0) - w.scale(r))
-        return BoxPoly(coeffs=tuple(coeffs), box=box, rebuild=self.box_poly, pencil=self)
+        coeffs = tuple(QComplexInterval.point(s, 0) - w.scale(r) for s, r in self._coeff_pairs())
+        return BoxPoly(coeffs=coeffs, box=box, pencil=self)
 
 
 def _interp_1d(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
@@ -463,17 +336,6 @@ def _interp_1d(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
             new[dgr] -= c * xs[i]
         new[0] += coef[i]
         out = new
-    return out
-
-
-def _pencil_gint_coeffs(pencil: "CertificatePencil", a: int, b: int) -> list[GInt]:
-    """Pencil coefficients at an integer parameter point, as Gaussian integers."""
-    d = pencil.degree
-    out: list[GInt] = []
-    for i in range(d + 1):
-        s = int(pencil.split_reduced.coeffs[i]) if i <= pencil.split_reduced.degree else 0
-        r = int(pencil.rel_reduced.coeffs[i]) if i <= pencil.rel_reduced.degree else 0
-        out.append((s - a * r, -b * r))
     return out
 
 
@@ -499,15 +361,8 @@ def _det_sign_polynomials(n: int):
         a_nodes = [Fraction(v) for v in range(-k, k + 1)]
         b_nodes = list(range(0, k + 1))
         t_nodes = [Fraction(b * b) for b in b_nodes]
-        values = []
-        for a in range(-k, k + 1):
-            row = []
-            for b in b_nodes:
-                det = _gint_det(_test_matrix_exact(_pencil_gint_coeffs(pencil, a, b), k))
-                if det[1] != 0:
-                    raise NumericalError("test determinant came out non-real")
-                row.append(Fraction(det[0]))
-            values.append(row)
+        values = [[_exact_mk(pencil.exact_poly(a, b), k) for b in b_nodes]
+                  for a in range(-k, k + 1)]
         # Interpolate along t for each a-node, then along a per t-degree.
         t_coef_rows = [_interp_1d(t_nodes, row) for row in values]
         p = []
@@ -518,14 +373,7 @@ def _det_sign_polynomials(n: int):
             raise NumericalError("determinant polynomial interpolation went non-integral")
         # Spot check at an off-grid rational point.
         a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
-        probe = [QComplex(Fraction(int(pencil.split_reduced.coeffs[i])
-                                   if i <= pencil.split_reduced.degree else 0)
-                          - a_chk * Fraction(int(pencil.rel_reduced.coeffs[i])
-                                             if i <= pencil.rel_reduced.degree else 0),
-                          -b_chk * Fraction(int(pencil.rel_reduced.coeffs[i])
-                                            if i <= pencil.rel_reduced.degree else 0))
-                 for i in range(d + 1)]
-        direct = _exact_mk(probe, k)
+        direct = _exact_mk(pencil.exact_poly(a_chk, b_chk), k)
         t_chk = b_chk * b_chk
         interp = sum(p[i][j] * a_chk ** i * t_chk ** j
                      for i in range(len(p)) for j in range(len(p[i])))
@@ -535,19 +383,6 @@ def _det_sign_polynomials(n: int):
     result = tuple(polys)
     _det_poly_cache[n] = result
     return result
-
-
-def _exact_mk(coeffs: list[QComplex], k: int) -> Fraction:
-    """Exact M_k for complex-rational coefficients, via the scaled integer path."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.re.denominator // _gcd(denom, c.re.denominator)
-        denom = denom * c.im.denominator // _gcd(denom, c.im.denominator)
-    gcoeffs = [(int(c.re * denom), int(c.im * denom)) for c in coeffs]
-    det = _gint_det(_test_matrix_exact(gcoeffs, k))
-    if det[1] != 0:
-        raise NumericalError("test determinant came out non-real")
-    return Fraction(det[0], denom ** (2 * k))
 
 
 def certificate_pencil(n: int) -> CertificatePencil:
@@ -626,10 +461,10 @@ def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int,
         pad = mp.mpf(2) ** (-(precision_bits // 2))
         scale = max(1, *(abs(b) for b in bounds))
         return ParamBox(
-            a_lo=_mpf_to_fraction(bounds[0] - pad * scale),
-            a_hi=_mpf_to_fraction(bounds[1] + pad * scale),
-            b_lo=_mpf_to_fraction(bounds[2] - pad * scale),
-            b_hi=_mpf_to_fraction(bounds[3] + pad * scale),
+            a_lo=mpf_to_fraction(bounds[0] - pad * scale),
+            a_hi=mpf_to_fraction(bounds[1] + pad * scale),
+            b_lo=mpf_to_fraction(bounds[2] - pad * scale),
+            b_hi=mpf_to_fraction(bounds[3] + pad * scale),
         )
 
 
@@ -704,11 +539,13 @@ def _rect_reciprocal(re_rng, im_rng):
     return _polar_to_rect(r_lo, r_hi, t_lo, t_hi)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact conversion of a finite binary float to a rational."""
+def mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of a Fraction or of a finite binary float."""
+    if isinstance(x, Fraction):
+        return x
     x = mp.mpf(x)
     if not mp.isfinite(x):
-        raise NumericalError("non-finite value in box computation")
+        raise NumericalError("non-finite value has no exact rational")
     sign, man, exp, _ = x._mpf_
     if man == 0:
         return Fraction(0)

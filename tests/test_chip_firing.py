@@ -8,6 +8,7 @@ from relroots import (GuardExceededError, InputError, Multigraph,
                       critical_configs, f_to_h, f_vector, h_vector_chip,
                       ideal_check, monomials_of, recurrent_by_firing_search,
                       spanning_tree_count)
+from relroots import chip_firing
 from relroots.chip_firing import Configuration
 
 
@@ -46,6 +47,18 @@ def test_h_vector_chip_matches_transform():
     for _ in range(25):
         g = random_connected_multigraph(rng)
         assert h_vector_chip(g, 0) == f_to_h(f_vector(g))
+
+
+def test_h_vector_chip_spans_several_chunks():
+    # K5 with multiplicities 4..6 (every degree 20) has 20^4 = 160000 stable
+    # configurations at sink 0: more than one scan chunk, ending in a partial one.
+    g = Multigraph.from_edges(5, [(u, v, 4 + (u + v) % 3) for u in range(5)
+                                  for v in range(u + 1, 5)])
+    states = 1
+    for d in g.degrees()[1:]:
+        states *= d
+    assert states > chip_firing._CHUNK_STATES and states % chip_firing._CHUNK_STATES
+    assert h_vector_chip(g, 0) == f_to_h(f_vector(g))
 
 
 def test_h_vector_counts_spanning_trees():

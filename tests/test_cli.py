@@ -146,6 +146,14 @@ def test_format_decimal_half_even():
     assert format_decimal(Fraction(25, 1000), 2) == "0.02"
 
 
+def test_format_decimal_rejects_non_finite():
+    import mpmath as mp
+    from relroots import NumericalError
+    for x in (mp.inf, -mp.inf, mp.nan):
+        with pytest.raises(NumericalError):
+            format_decimal(x, 3)
+
+
 def test_run_certificate_dict_shape():
     cert = run_certificate(7, 4)
     assert cert["pass"] and cert["signs"] == ["+", "+", "-"]

@@ -38,6 +38,23 @@ def test_parse_rejects_bad_ids_and_mults():
         parse_graph('[1,2,3]')
 
 
+def test_constructor_rejects_noncanonical_edges():
+    bad = [
+        (2, ((0, 0, 1),)),               # loop
+        (2, ((0, 2, 1),)),               # vertex out of range
+        (2, ((-1, 1, 1),)),              # negative vertex
+        (2, ((0, 1, 0),)),               # zero multiplicity
+        (2, ((1, 0, 1),)),               # u > v
+        (3, ((0, 2, 1), (0, 1, 1))),     # unsorted pairs
+        (3, ((0, 1, 1), (0, 1, 2))),     # repeated pair
+        (-1, ()),                        # negative vertex count
+    ]
+    for n, edges in bad:
+        with pytest.raises(InputError):
+            Multigraph(n=n, edges=edges)
+    assert Multigraph(n=3, edges=((0, 1, 2), (1, 2, 1))).m == 3
+
+
 def test_json_round_trip():
     g = parse_graph('{"n":4,"edges":[[0,1,2],[1,2,1],[2,3,4]]}')
     assert parse_graph(g.to_json()) == g

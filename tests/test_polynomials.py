@@ -8,6 +8,7 @@ from relroots import (FVector, HVector, InputError, NumericalError, QComplex,
                       RatPoly, f_from_rel, f_to_h, f_vector, h_to_rel,
                       parse_complex_rational, rel_from_f)
 from relroots.multigraph import Multigraph
+from relroots.polynomials import bareiss_det
 
 
 def test_ring_arithmetic():
@@ -139,3 +140,43 @@ def test_parse_complex_rational():
     assert parse_complex_rational("-1/2+3i") == QComplex(Fraction(-1, 2), Fraction(3))
     assert parse_complex_rational("2i") == QComplex(Fraction(0), Fraction(2))
     assert parse_complex_rational("1-i") == QComplex(Fraction(1), Fraction(-1))
+
+
+def _elimination_det(matrix) -> QComplex:
+    """Textbook Gaussian elimination over exact complex rationals."""
+    m = [[QComplex.of(x) for x in row] for row in matrix]
+    det = QComplex.of(1)
+    for k in range(len(m)):
+        pivot = next((r for r in range(k, len(m)) if not m[r][k].is_zero()), None)
+        if pivot is None:
+            return QComplex.of(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def test_bareiss_det_against_elimination():
+    rng = random.Random(31)
+    fixed = [
+        [],
+        [[(0, 0), (1, 0)], [(1, 0), (0, 0)]],  # zero leading pivot: row swap
+        [[(0, 0), (2, 1), (1, 0)], [(0, 0), (1, 0), (3, -1)], [(1, 1), (0, 0), (2, 0)]],
+        [[(1, 2), (2, 4)], [(3, 0), (6, 0)]],  # singular
+        [[(0, 0), (1, 0)], [(0, 0), (5, 0)]],  # zero column
+    ]
+    randomized = []
+    for trial in range(120):
+        size = rng.randint(1, 6)
+        gaussian = trial % 2 == 1
+        randomized.append([[(rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0)
+                            for _ in range(size)] for _ in range(size)])
+    for matrix in fixed + randomized:
+        assert QComplex.of(bareiss_det(matrix)) == _elimination_det(matrix)
+    assert bareiss_det([]) == (1, 0)
+    assert bareiss_det(fixed[1]) == (-1, 0)
+    assert bareiss_det(fixed[3]) == (0, 0)

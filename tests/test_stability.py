@@ -6,10 +6,9 @@ import pytest
 from relroots import (InputError, QComplex, RatPoly, SchurCohnHypothesisError,
                       find_roots)
 from relroots.stability import (BASE_ROOT_BOX, RATIO_BOX_K7, RATIO_BOX_K9,
-                                BoxPoly, ParamBox, certificate_pencil,
-                                kth_root_ratio_box, schur_cohn,
-                                schur_cohn_box)
-from relroots.intervals import QComplexInterval, QInterval
+                                ParamBox, _det_sign_polynomials, _exact_mk,
+                                certificate_pencil, kth_root_ratio_box,
+                                schur_cohn, schur_cohn_box)
 
 
 def test_exact_linear_cases():
@@ -90,37 +89,31 @@ def test_box_subdivision_consistent_with_parent():
         assert rep_child.signs == rep_parent.signs
 
 
-def test_box_poly_direct_interval_path():
-    # a bare BoxPoly (no pencil attached) goes through interval elimination
-    coeffs = (QComplexInterval.point(-2, 0), QComplexInterval.point(1, 0))
-    rep = schur_cohn_box(BoxPoly(coeffs=coeffs))
-    assert rep.signs == ("-",) and rep.beta == 1
-
-    widened = (QComplexInterval(QInterval.of(-3, -2), QInterval.point(0)),
-               QComplexInterval.point(1, 0))
-    rep = schur_cohn_box(BoxPoly(coeffs=widened))
-    assert rep.signs == ("-",) and rep.beta == 1
-
-    # a coefficient interval allowing a root exactly on the circle must
-    # come back undecided
-    on_circle = (QComplexInterval(QInterval.of(-3, -1), QInterval.point(0)),
-                 QComplexInterval.point(1, 0))
-    rep = schur_cohn_box(BoxPoly(coeffs=on_circle))
-    assert not rep.determinate
+def _centre_and_corners(box):
+    yield (box.a_lo + box.a_hi) / 2, (box.b_lo + box.b_hi) / 2
+    for a in (box.a_lo, box.a_hi):
+        for b in (box.b_lo, box.b_hi):
+            yield a, b
 
 
-def test_interval_and_pencil_paths_agree():
-    # The direct elimination path overestimates (it cannot see that all
-    # coefficient intervals share one parameter), so compare only where it
-    # is determinate; on a bare BoxPoly there is no box to subdivide.
-    pen = certificate_pencil(4)
-    bp = pen.box_poly(RATIO_BOX_K7)
-    bare = BoxPoly(coeffs=bp.coeffs)  # strip the pencil shortcut
-    rep_direct = schur_cohn_box(bare)
-    rep_pencil = schur_cohn_box(bp)
-    assert rep_pencil.determinate
-    decided = [(s, p) for s, p in zip(rep_direct.signs, rep_pencil.signs) if s != "?"]
-    assert decided and all(s == p for s, p in decided)
+def test_box_signs_match_exact_points():
+    # The box path reads signs off the interpolated determinant polynomials;
+    # at exact points those must equal the kernel's determinants, and the
+    # exact test must agree with the certified box signs.
+    derived = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
+                                 BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, 6)
+    for n, box in ((3, RATIO_BOX_K9), (4, RATIO_BOX_K7), (5, derived), (6, derived)):
+        pen = certificate_pencil(n)
+        polys = _det_sign_polynomials(n)
+        box_signs = schur_cohn_box(pen.box_poly(box)).signs
+        assert "?" not in box_signs
+        for a, b in _centre_and_corners(box):
+            coeffs = pen.exact_poly(a, b)
+            for k, p in enumerate(polys, start=1):
+                value = sum(c * a ** i * (b * b) ** j
+                            for i, row in enumerate(p) for j, c in enumerate(row))
+                assert value == _exact_mk(coeffs, k)
+            assert schur_cohn(coeffs).signs == box_signs
 
 
 def test_ratio_boxes_contained_in_published():
