@@ -17,9 +17,9 @@ from .polynomials import (FVector, HVector, QComplex, RatPoly, f_from_rel,
                           f_to_h, h_to_rel, parse_complex_rational, rel_from_f)
 from .reliability import (SplitSpec, f_vector, rel_auto, rel_bruteforce,
                           rel_deletion_contraction, rel_via_blocks, sprel)
-from .root_analysis import (Annulus, RootSet, check_modulus_bound,
-                            enestrom_kakeya, find_roots, max_modulus_root,
-                            reliability_root_set)
+from .root_analysis import (Annulus, RootSet, SolverDiagnostics,
+                            check_modulus_bound, enestrom_kakeya, find_roots,
+                            max_modulus_root, reliability_root_set)
 from .stability import (BASE_ROOT_BOX, RATIO_BOX_K7, RATIO_BOX_K9, BoxPoly,
                         CertificatePencil, ParamBox, SchurCohnReport,
                         certificate_pencil, kth_root_ratio_box, schur_cohn,

@@ -5,10 +5,13 @@ import mpmath as mp
 import pytest
 
 from conftest import complete_graph, random_2connected_multigraph
-from relroots import (Annulus, InputError, Multigraph, RatPoly,
-                      TwoCliqueParams, check_modulus_bound, enestrom_kakeya,
-                      find_roots, max_modulus_root, rel_bruteforce,
-                      reliability_root_set, two_clique_reliability)
+from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
+                      RootFindingError, TwoCliqueParams, check_modulus_bound,
+                      enestrom_kakeya, find_roots, max_modulus_root,
+                      rel_bruteforce, reliability_root_set,
+                      two_clique_reliability)
+from relroots.cli import main
+from relroots.root_analysis import FixedHorner, _Solve
 
 
 def _close(z, re, im, tol=1e-12):
@@ -140,3 +143,109 @@ def test_check_modulus_bound_randomized():
         g = random_2connected_multigraph(rng)
         rep = check_modulus_bound(g, 128)
         assert rep.ok, (g.edges, rep)
+
+
+def _product(roots) -> RatPoly:
+    p = RatPoly([1])
+    for r in roots:
+        p = p * RatPoly([-Fraction(r), 1])
+    return p
+
+
+def _assert_matches(rs, exact, tol):
+    """Each exact root has its own computed root within ``tol``."""
+    assert len(rs) == len(exact)
+    unmatched = list(rs.roots)
+    for r in exact:
+        v = mp.mpf(r.numerator) / r.denominator
+        best = min(unmatched, key=lambda z: abs(z - v))
+        assert abs(best - v) <= tol, (r, best)
+        unmatched.remove(best)
+
+
+def test_table1_rows_need_no_multiprecision_sweep():
+    for n in range(3, 7):
+        rel = two_clique_reliability(TwoCliqueParams(n, n, 1, 6))
+        rs = reliability_root_set(rel, 256)
+        diag = rs.diagnostics
+        assert diag.reswept == 0 and diag.sweeps == 0 and diag.escalations == 0, (n, diag)
+        assert diag.direct == rel.deflate_unit_roots()[0].degree
+        assert diag.worst_residual_log2 <= -(256 // 2) + 10
+
+
+def test_fallback_resolves_wilkinson_30():
+    # Double precision cannot separate these roots: most starts stay
+    # unresolved after the capped polish and go through the fallback.
+    with mp.workprec(300):
+        rs = find_roots(_product(range(1, 31)))
+        _assert_matches(rs, [Fraction(k) for k in range(1, 31)], mp.mpf(2) ** -100)
+    # Per-root bookkeeping: the fallback finishes at the requested precision.
+    assert rs.diagnostics.reswept >= 1 and rs.diagnostics.escalations == 0
+    assert rs.diagnostics.direct + rs.diagnostics.reswept == 30
+
+
+def test_fallback_separates_a_tight_cluster():
+    exact = [1 + Fraction(j, 10 ** 6) for j in range(8)] + [Fraction(k) for k in range(2, 12)]
+    with mp.workprec(300):
+        rs = find_roots(_product(exact))
+        _assert_matches(rs, exact, mp.mpf(2) ** -100)
+    assert rs.diagnostics.reswept >= 1 and rs.diagnostics.escalations == 0
+
+
+def test_freeze_rejects_duplicates_beyond_multiplicity():
+    # Two starts polish to the simple root 1: the second is re-swept to 2.
+    solve = _Solve([QComplex(c) for c in _product([1, 2, 3]).coeffs],
+                   [1.0001, 1.0002, 2.9], 256)
+    assert solve.freeze([0, 1, 2]) == [1]
+    assert solve.sweep([1]) == []
+    assert [complex(z) for z in solve.roots()] == pytest.approx([1, 2, 3], abs=1e-30)
+    # A double root (as the polish measures it) may be found twice.
+    solve = _Solve([QComplex(c) for c in _product([1, 1, 3]).coeffs],
+                   [1.0001, 0.9998 + 1e-4j, 2.9], 256)
+    assert solve.freeze([0, 1, 2]) == []
+
+
+def test_fixed_horner_against_exact_evaluation():
+    rng = random.Random(2718)
+
+    def rand_frac(spread):
+        return Fraction(rng.randint(1, 2 ** 40) * rng.choice([-1, 1]),
+                        rng.randint(1, 2 ** 40)) * Fraction(2) ** rng.randint(-spread, spread)
+
+    for trial in range(60):
+        d = rng.randint(1, 40)
+        spread = 200 if trial % 2 else 8
+        coeffs = [QComplex(rand_frac(spread), rand_frac(spread) if trial % 3 else Fraction(0))
+                  for _ in range(d + 1)]
+        bits = rng.choice([83, 158, 286])
+        horner = FixedHorner(coeffs, bits)
+        for _ in range(4):
+            # A dyadic point, exactly representable at ``bits`` bits.
+            scale = rng.randint(0, 48)
+            zr = rng.randint(-2 ** 50, 2 ** 50) << (bits - scale)
+            zi = rng.randint(-2 ** 50, 2 ** 50) << (bits - scale)
+            z = QComplex(Fraction(zr, 2 ** bits), Fraction(zi, 2 ** bits))
+            p, dp = QComplex(Fraction(0)), QComplex(Fraction(0))
+            for c in reversed(coeffs):
+                dp = dp * z + p
+                p = p * z + c
+            pr, pi, dr, di, err_p, err_dp, t = horner.evaluate(zr, zi)
+            unit = Fraction(2) ** -t
+            p_err2 = (QComplex(pr * unit, pi * unit) - p).abs2()
+            dp_err2 = (QComplex(dr * unit, di * unit) - dp).abs2()
+            assert p_err2 <= (err_p * unit) ** 2
+            assert dp_err2 <= (err_dp * unit) ** 2
+            # The scale keeps the bound below 2^-bits of the largest term.
+            top2 = max((c.abs2() * z.abs2() ** k for k, c in enumerate(coeffs)))
+            assert (err_dp * unit * 2 ** bits) ** 2 <= top2
+
+
+def test_triple_roots_fail_at_the_precision_cap(tmp_path, capsys):
+    q2 = RatPoly([1, 1, 1])
+    p = q2 * q2 * q2 * RatPoly([-2, 1])
+    with pytest.raises(RootFindingError):
+        find_roots(p)
+    f = tmp_path / "triple.json"
+    f.write_text(p.to_json())
+    assert main(["roots", str(f)]) == 4
+    capsys.readouterr()
