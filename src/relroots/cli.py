@@ -62,10 +62,12 @@ def _sig(x, digits: int = 17) -> str:
 
 def roots_csv(root_set) -> str:
     """CSV with 17 significant digits, sorted by descending modulus then real part."""
-    rows = sorted(root_set.roots, key=lambda z: (-abs(z), -z.real, -z.imag))
+    with mp.workprec(root_set.precision_bits):
+        rows = sorted(((abs(z), z) for z in root_set.roots),
+                      key=lambda mz: (-mz[0], -mz[1].real, -mz[1].imag))
     lines = ["re,im,modulus"]
-    for z in rows:
-        lines.append(f"{_sig(z.real)},{_sig(z.imag)},{_sig(abs(z))}")
+    for modulus, z in rows:
+        lines.append(f"{_sig(z.real)},{_sig(z.imag)},{_sig(modulus)}")
     return "\n".join(lines) + "\n"
 
 
@@ -138,7 +140,7 @@ def compute_rel(g: Multigraph, method: str = "auto", guard: int = 24,
     if method == "dc":
         return rel_deletion_contraction(g)
     if method == "auto":
-        return rel_auto(g, guard)
+        return rel_auto(g)
     raise InputError(f"unknown method {method!r}")
 
 
@@ -152,8 +154,10 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
         rel = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6))
         rs = reliability_root_set(rel, precision_bits)
         z = max_modulus_root(rs)
+        with mp.workprec(rs.precision_bits):
+            modulus = abs(z)
         rows.append((n, format_decimal(z.real, digits), format_decimal(z.imag, digits),
-                     format_decimal(abs(z), digits)))
+                     format_decimal(modulus, digits)))
     return rows
 
 

@@ -259,9 +259,10 @@ def rel_deletion_contraction(g: Multigraph, max_expansions: int = DEFAULT_DC_BUD
     return RatPoly(solve(g.n, g.edges))
 
 
-def rel_auto(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS,
-             max_expansions: int = DEFAULT_DC_BUDGET) -> RatPoly:
-    """Pick brute force when the guard admits it, else deletion-contraction."""
-    if g.pair_count <= min(guard_pairs, 16):
-        return rel_bruteforce(g, guard_pairs)
+def rel_auto(g: Multigraph, max_expansions: int = DEFAULT_DC_BUDGET) -> RatPoly:
+    """Rel(G;q) by the default route, deletion-contraction.
+
+    Subset enumeration (``rel_bruteforce``) costs 2^pairs connectivity
+    tests and is kept only as an independent oracle.
+    """
     return rel_deletion_contraction(g, max_expansions)

@@ -6,9 +6,13 @@ integers after clearing denominators, which rescales every determinant by
 a positive factor).  For the certificate pencil, whose coefficients depend
 on a complex parameter a+bi ranging over a rational box, the determinants
 are exact bivariate polynomials in the parameter, bounded over the box in
-rational interval arithmetic.  When an interval sign is undecided the box
-is bisected along its longest side, and a certificate requires one uniform
-sign pattern across all leaves.
+exact rational interval arithmetic.  When an interval sign is undecided the
+box is bisected along its longest side, and a certificate requires one
+uniform sign pattern across all leaves.
+
+Parameter boxes derived from a root enclosure are transported in mpmath's
+interval arithmetic, which rounds every endpoint outward, and returned as
+exact rational hulls.
 """
 
 from __future__ import annotations
@@ -21,11 +25,59 @@ from math import comb, lcm
 from typing import Iterator, Optional, Sequence
 
 import mpmath as mp
+from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import fzero
 
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
 from .errors import InputError, NumericalError, SchurCohnHypothesisError
-from .intervals import QComplexInterval, QInterval
 from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
+
+
+@dataclass(frozen=True)
+class QInterval:
+    """Closed interval with exact rational endpoints.
+
+    Ring operations on exact endpoints are exact set enclosures, so no
+    rounding is ever needed; only dependency between repeated variables
+    widens results.
+    """
+
+    lo: Fraction
+    hi: Fraction
+
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise InputError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+
+    @classmethod
+    def point(cls, x) -> "QInterval":
+        x = Fraction(x)
+        return cls(x, x)
+
+    def sign(self) -> int:
+        """+1 / -1 when the interval excludes zero, 0 when it straddles it."""
+        if self.lo > 0:
+            return 1
+        if self.hi < 0:
+            return -1
+        return 0
+
+    def __add__(self, other: "QInterval") -> "QInterval":
+        return QInterval(self.lo + other.lo, self.hi + other.hi)
+
+    def __mul__(self, other: "QInterval") -> "QInterval":
+        a = self.lo * other.lo
+        b = self.lo * other.hi
+        c = self.hi * other.lo
+        d = self.hi * other.hi
+        return QInterval(min(a, b, c, d), max(a, b, c, d))
+
+    def square(self) -> "QInterval":
+        if self.lo >= 0:
+            return QInterval(self.lo * self.lo, self.hi * self.hi)
+        if self.hi <= 0:
+            return QInterval(self.hi * self.hi, self.lo * self.lo)
+        return QInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
 
 @dataclass(frozen=True)
@@ -206,28 +258,32 @@ def _exact_mk(coeffs: Sequence[QComplex], k: int) -> Fraction:
 
 @dataclass
 class BoxPoly:
-    """A certificate pencil's coefficients as complex rational intervals over a box.
+    """A certificate pencil with its parameter ranging over a rational box.
 
     Sign certification evaluates the pencil's exact determinant polynomials
     over ``box`` and bisects it when a sign is undecided.
     """
 
-    coeffs: tuple[QComplexInterval, ...]
     box: ParamBox
     pencil: "CertificatePencil" = field(repr=False)
 
-    def __post_init__(self):
-        if not self.coeffs:
-            raise InputError("box polynomial needs at least one coefficient")
-
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.pencil.degree
 
     @property
     def valid_degree(self) -> bool:
-        """The degree claim needs a leading coefficient interval excluding zero."""
-        return self.coeffs[-1].excludes_zero()
+        """Whether the leading coefficient is nonzero everywhere on the box.
+
+        The leading coefficient s_d - (a+bi) r_d is a nonzero constant when
+        r_d = 0, and otherwise vanishes only at the real parameter
+        a = s_d/r_d, b = 0; the test is exact.
+        """
+        s_d, r_d = list(self.pencil._coeff_pairs())[-1]
+        if r_d == 0:
+            return s_d != 0
+        box = self.box
+        return not (box.a_lo <= s_d / r_d <= box.a_hi and box.b_lo <= 0 <= box.b_hi)
 
 
 def _box_signs(bp: BoxPoly) -> list[str]:
@@ -316,9 +372,7 @@ class CertificatePencil:
         return [QComplex(s - a * r, -b * r) for s, r in self._coeff_pairs()]
 
     def box_poly(self, box: ParamBox) -> BoxPoly:
-        w = QComplexInterval(box.a, box.b)
-        coeffs = tuple(QComplexInterval.point(s, 0) - w.scale(r) for s, r in self._coeff_pairs())
-        return BoxPoly(coeffs=coeffs, box=box, pencil=self)
+        return BoxPoly(box=box, pencil=self)
 
 
 def _interp_1d(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
@@ -411,18 +465,24 @@ def certificate_pencil(n: int) -> CertificatePencil:
 # Rigorous image box of z/(1-z) over k-th roots of a root enclosure
 # ---------------------------------------------------------------------------
 
+# Cells per side of the grid the input box is cut into.  Interval
+# arithmetic over a cell overestimates the image by an amount that shrinks
+# with the cell, so the hull of the cell images is tighter than the image
+# of the whole box.
+_GRID = 16
+
 
 def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int,
-                       precision_bits: int = 256, grid: int = 16) -> ParamBox:
+                       precision_bits: int = 256) -> ParamBox:
     """Enclose { z/(1-z) : z principal k-th root of w, w in the input box }.
 
-    The box is cut into a grid of cells and each cell runs through polar
-    enclosures whose corner extremes are rigorous for rectangles confined
-    to a half plane off the negative real axis; the hull of the cell images
-    is returned.  Everything is evaluated in big-float arithmetic with an
-    outward pad that dwarfs the accumulated rounding, so the rational box
-    is guaranteed to contain the true image (the wrapping slack of the
-    polar detour shrinks linearly with the grid).
+    The box is cut into a 16 x 16 grid.  Each cell, with its exact rational
+    endpoints rounded outward, is mapped through z = exp(log(w)/k) and
+    -1 + 1/(1-z) in mpmath's interval arithmetic, which rounds every
+    operation outward.  The arithmetic runs in a private interval context
+    at ``precision_bits``, so it neither reads nor changes mpmath's
+    process-wide precision.  The exact rational hull of the cell images is
+    returned, so it contains the true image without any pad.
     """
     if k < 1:
         raise InputError("root index k must be >= 1")
@@ -434,120 +494,55 @@ def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int,
         raise InputError("input box contains 1, a pole of z/(1-z)")
     if k > 1 and re_lo <= 0 <= re_hi and im_lo <= 0 <= im_hi:
         raise InputError("input box contains 0; k-th root enclosure is ambiguous")
-    # Corner-extreme arguments need the box inside one open half plane
-    # avoiding the branch cut.
+    # The principal logarithm jumps across the negative real axis; an
+    # interval argument straddling it widens to [-pi, pi].
     if k > 1 and not (re_lo > 0 or im_lo > 0 or im_hi < 0):
         raise InputError("input box must avoid the negative real axis for k > 1")
 
-    with mp.workprec(precision_bits):
-        bounds = None
-        re_step = (re_hi - re_lo) / grid
-        im_step = (im_hi - im_lo) / grid
-        for i in range(grid):
-            for j in range(grid):
-                cell = _map_ratio_cell(
-                    re_lo + i * re_step, re_lo + (i + 1) * re_step if re_step else re_hi,
-                    im_lo + j * im_step, im_lo + (j + 1) * im_step if im_step else im_hi,
-                    k)
-                if bounds is None:
-                    bounds = list(cell)
-                else:
-                    bounds = [min(bounds[0], cell[0]), max(bounds[1], cell[1]),
-                              min(bounds[2], cell[2]), max(bounds[3], cell[3])]
-                if im_step == 0:
-                    break
-            if re_step == 0:
-                break
-        pad = mp.mpf(2) ** (-(precision_bits // 2))
-        scale = max(1, *(abs(b) for b in bounds))
-        return ParamBox(
-            a_lo=mpf_to_fraction(bounds[0] - pad * scale),
-            a_hi=mpf_to_fraction(bounds[1] + pad * scale),
-            b_lo=mpf_to_fraction(bounds[2] - pad * scale),
-            b_hi=mpf_to_fraction(bounds[3] + pad * scale),
-        )
+    iv = MPIntervalContext()
+    iv.prec = precision_bits
+
+    def enclose(lo: Fraction, hi: Fraction):
+        return iv.mpf((iv.mpf(lo.numerator) / lo.denominator,
+                       iv.mpf(hi.numerator) / hi.denominator))
+
+    a_ends, b_ends = [], []
+    for re_cell in _grid_cells(re_lo, re_hi):
+        for im_cell in _grid_cells(im_lo, im_hi):
+            z = iv.mpc(enclose(*re_cell), enclose(*im_cell))
+            if k > 1:
+                z = iv.exp(iv.log(z) / k)
+            (a_lo, a_hi), (b_lo, b_hi) = (-1 + 1 / (1 - z))._mpci_
+            a_ends += (_exact_fraction(a_lo), _exact_fraction(a_hi))
+            b_ends += (_exact_fraction(b_lo), _exact_fraction(b_hi))
+    return ParamBox(min(a_ends), max(a_ends), min(b_ends), max(b_ends))
 
 
-def _map_ratio_cell(re_lo, re_hi, im_lo, im_hi, k: int):
-    """Image bounds of one rectangle cell under z/(1-z) of the k-th root."""
-    if k == 1:
-        z_re = (mp.mpmathify(re_lo), mp.mpmathify(re_hi))
-        z_im = (mp.mpmathify(im_lo), mp.mpmathify(im_hi))
-    else:
-        corners = [mp.mpc(mp.mpmathify(re), mp.mpmathify(im))
-                   for re in (re_lo, re_hi) for im in (im_lo, im_hi)]
-        # Polar enclosure of the cell; the principal k-th root then maps it
-        # monotonically in both coordinates.
-        r_lo, r_hi = _modulus_range(corners, re_lo, re_hi, im_lo, im_hi)
-        args = [mp.arg(c) for c in corners]
-        t_lo, t_hi = min(args) / k, max(args) / k
-        z_re, z_im = _polar_to_rect(mp.root(r_lo, k), mp.root(r_hi, k), t_lo, t_hi)
-    # w = z/(1-z) = -1 + 1/(1-z)
-    one_minus_re = (1 - z_re[1], 1 - z_re[0])
-    one_minus_im = (-z_im[1], -z_im[0])
-    inv_re, inv_im = _rect_reciprocal(one_minus_re, one_minus_im)
-    return (inv_re[0] - 1, inv_re[1] - 1, inv_im[0], inv_im[1])
+def _grid_cells(lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """[lo, hi] cut into _GRID equal pieces, or the point itself."""
+    if lo == hi:
+        return [(lo, hi)]
+    step = (hi - lo) / _GRID
+    return [(lo + i * step, lo + (i + 1) * step) for i in range(_GRID)]
 
 
-def _modulus_range(corners, re_lo, re_hi, im_lo, im_hi):
-    mods = [abs(c) for c in corners]
-    lo, hi = min(mods), max(mods)
-    # The closest point of a rectangle to the origin may be an edge
-    # projection rather than a corner.
-    if re_lo <= 0 <= re_hi:
-        lo = min(lo, abs(mp.mpmathify(min(abs(im_lo), abs(im_hi)))))
-    if im_lo <= 0 <= im_hi:
-        lo = min(lo, abs(mp.mpmathify(min(abs(re_lo), abs(re_hi)))))
-    if re_lo <= 0 <= re_hi and im_lo <= 0 <= im_hi:
-        lo = mp.mpf(0)
-    return lo, hi
-
-
-def _polar_to_rect(r_lo, r_hi, t_lo, t_hi):
-    """Rectangle enclosing { r e^(it) : r in [r_lo,r_hi], t in [t_lo,t_hi] }."""
-    ts = [t_lo, t_hi]
-    for axis in (0, mp.pi / 2, -mp.pi / 2, mp.pi, -mp.pi):
-        if t_lo <= axis <= t_hi:
-            ts.append(axis)
-    res = []
-    ims = []
-    for t in ts:
-        c, s = mp.cos(t), mp.sin(t)
-        for r in (r_lo, r_hi):
-            res.append(r * c)
-            ims.append(r * s)
-    return (min(res), max(res)), (min(ims), max(ims))
-
-
-def _rect_reciprocal(re_rng, im_rng):
-    """Rectangle enclosing 1/w for w in the given rectangle (0 excluded)."""
-    if re_rng[0] <= 0 <= re_rng[1] and im_rng[0] <= 0 <= im_rng[1]:
-        raise InputError("reciprocal of a rectangle containing 0")
-    corners = [mp.mpc(re, im) for re in re_rng for im in im_rng]
-    mods = [abs(c) for c in corners]
-    lo = min(mods)
-    if re_rng[0] <= 0 <= re_rng[1]:
-        lo = min(lo, min(abs(im_rng[0]), abs(im_rng[1])))
-    if im_rng[0] <= 0 <= im_rng[1]:
-        lo = min(lo, min(abs(re_rng[0]), abs(re_rng[1])))
-    hi = max(mods)
-    args = [mp.arg(c) for c in corners]
-    if max(args) - min(args) > mp.pi:
-        raise InputError("rectangle too wide for a single-branch reciprocal")
-    r_lo, r_hi = 1 / hi, 1 / lo
-    t_lo, t_hi = -max(args), -min(args)
-    return _polar_to_rect(r_lo, r_hi, t_lo, t_hi)
-
-
-def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a Fraction or of a finite binary float."""
-    if isinstance(x, Fraction):
-        return x
-    x = mp.mpf(x)
-    if not mp.isfinite(x):
-        raise NumericalError("non-finite value has no exact rational")
-    sign, man, exp, _ = x._mpf_
+def _exact_fraction(raw) -> Fraction:
+    """Exact rational value of a raw mpmath float (sign, mantissa, exponent, bits)."""
+    sign, man, exp, _ = raw
     if man == 0:
+        if raw != fzero:
+            raise NumericalError("non-finite value has no exact rational")
         return Fraction(0)
     val = Fraction(int(man)) * Fraction(2) ** int(exp)
     return -val if sign else val
+
+
+def mpf_to_fraction(x) -> Fraction:
+    """Exact rational value of a Fraction or of a finite binary float.
+
+    An mpf is read at the precision it carries, not at mpmath's working
+    precision.
+    """
+    if isinstance(x, Fraction):
+        return x
+    return _exact_fraction((x if hasattr(x, "_mpf_") else mp.mpf(x))._mpf_)

@@ -95,7 +95,7 @@ def substituted_reliability(g: Multigraph, gadget: Gadget,
     connected.
     """
     f = f_vector(g, guard_pairs)
-    rel_h = rel_auto(gadget.graph, guard_pairs)
+    rel_h = rel_auto(gadget.graph)
     sp_h = sprel(gadget.graph, SplitSpec.of((gadget.u, gadget.v)), guard_pairs)
     total = RatPoly.zero()
     rel_pow = [RatPoly.one()]
@@ -123,7 +123,7 @@ def substituted_root_poly(r, gadget: Gadget,
     if r.re == 1 and r.im == 0:
         raise InputError("base root r = 1 has no F-polynomial image")
     ratio = r / (QComplex.of(1) - r)
-    rel_h = rel_auto(gadget.graph, guard_pairs)
+    rel_h = rel_auto(gadget.graph)
     sp_h = sprel(gadget.graph, SplitSpec.of((gadget.u, gadget.v)), guard_pairs)
     d = max(rel_h.degree, sp_h.degree)
     out = []

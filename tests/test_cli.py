@@ -134,6 +134,16 @@ def test_table1_command(capsys):
     assert lines[1] == "3," + ",".join(TABLE1_REFERENCE[3])
 
 
+def test_table1_digits_beyond_double_precision(capsys):
+    # Checked against mpmath.polyroots at 120 digits: every printed digit
+    # comes from the 256-bit root, none from a 53-bit rounding.
+    code, out = run(capsys, "table1", "3", "--digits", "30")
+    assert code == 0
+    assert out.splitlines()[1] == ("3,0.696597809364082419277710868395,"
+                                   "0.773934477491224279225101547629,"
+                                   "1.041260334143413365031437602639")
+
+
 def test_digits_capacity_check(capsys):
     assert main(["--digits", "100", "table1", "3"]) == 1
     capsys.readouterr()

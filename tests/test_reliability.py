@@ -5,9 +5,10 @@ import pytest
 from conftest import (complete_graph, oracle_rel, oracle_sprel,
                       random_connected_multigraph)
 from relroots import (DisconnectedGraphError, GuardExceededError, Multigraph,
-                      RatPoly, SplitSpec, f_vector, rel_bruteforce,
+                      RatPoly, SplitSpec, f_vector, rel_auto, rel_bruteforce,
                       rel_complete, rel_deletion_contraction, rel_via_blocks,
                       spanning_tree_count, sprel)
+from relroots import reliability
 from relroots.errors import InputError
 
 
@@ -124,3 +125,15 @@ def test_bundle_rel_plus_sprel_is_one():
     for k in range(1, 7):
         b = Multigraph.from_edges(2, [(0, 1, k)])
         assert rel_bruteforce(b) + sprel(b, SplitSpec.of((0, 1))) == RatPoly.one()
+
+
+def test_rel_auto_never_enumerates(monkeypatch):
+    # Subset enumeration is an oracle only, even for a 6-pair graph.
+    g = Multigraph.from_edges(4, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 3), (2, 3, 1)])
+    expected = oracle_rel(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rel_auto enumerated edge subsets")
+
+    monkeypatch.setattr(reliability, "f_vector", refuse)
+    assert rel_auto(g) == expected

@@ -133,6 +133,47 @@ def test_ratio_box_point_and_errors():
         kth_root_ratio_box(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 3)
 
 
+def test_ratio_box_point_images_are_tight():
+    # A point box maps to a box around the exact image that is only as
+    # wide as the outward rounding of a few 256-bit interval operations.
+    z1 = QComplex(Fraction(1, 3), Fraction(1, 5))
+    z2 = QComplex(Fraction(1, 2), Fraction(1, 3))
+    for w, z, k in ((z1, z1, 1), (z2 * z2, z2, 2)):
+        box = kth_root_ratio_box(w.re, w.re, w.im, w.im, k)
+        image = z / (QComplex.of(1) - z)
+        assert box.a_lo <= image.re <= box.a_hi and box.b_lo <= image.im <= box.b_hi
+        assert box.a_hi - box.a_lo < Fraction(1, 2 ** 200)
+        assert box.b_hi - box.b_lo < Fraction(1, 2 ** 200)
+
+
+def test_ratio_box_ignores_global_precision():
+    import mpmath as mp
+    args = (BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi, BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi)
+    reference = kth_root_ratio_box(*args, 6)
+    saved = mp.iv.prec
+    try:
+        mp.iv.prec = 20
+        with mp.workprec(53):
+            assert kth_root_ratio_box(*args, 6) == reference
+            assert mp.mp.prec == 53
+        assert mp.iv.prec == 20
+    finally:
+        mp.iv.prec = saved
+
+
+def test_box_degree_check_is_exact():
+    # For n = 3 the leading coefficient 2 + (a+bi) vanishes only at (-2, 0),
+    # while M_1 = 4a+4 is negative on all of these boxes.
+    pen = certificate_pencil(3)
+    rep = schur_cohn_box(pen.box_poly(ParamBox.of(-2, Fraction(-3, 2), 0, 1)), max_depth=4)
+    assert rep.signs == ("?",)
+    near = Fraction(1, 10 ** 6)
+    for box in (ParamBox.of(-2 + near, Fraction(-3, 2), 0, 1),
+                ParamBox.of(-2, Fraction(-3, 2), near, 1)):
+        assert pen.box_poly(box).valid_degree
+        assert schur_cohn_box(pen.box_poly(box)).signs == ("-",)
+
+
 def test_ratio_box_encloses_sampled_images():
     import mpmath as mp
     args = (BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi, BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi)
