@@ -20,7 +20,7 @@ from .chip_firing import h_vector_chip
 from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_graph, \
     two_clique_reliability
 from .errors import IndeterminateError, InputError, ToolkitError
-from .multigraph import Multigraph, is_connected, parse_graph
+from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
 from .polynomials import RatPoly, f_to_h, parse_complex_rational
 from .reliability import f_vector, rel_auto, rel_bruteforce, rel_deletion_contraction
 from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
@@ -169,7 +169,8 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
     Uses the published parameter boxes for (k, n) = (9, 3) and (7, 4) so the
     sign determination is float-free; other (k, n) derive their box from the
     base-root enclosure.  Also re-verifies that the gadget's own deflated
-    roots stay strictly inside the unit circle.
+    roots stay strictly inside the unit circle, and that the graph's edge
+    connectivity is n-1.
     """
     if box is None:
         if (k, n) == (9, 3):
@@ -181,6 +182,7 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
                                      BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, k,
                                      precision_bits=max(precision_bits, 256))
     graph = substituted_two_clique_graph(k, n)
+    lam = edge_connectivity(graph, upper_bound=n)
     pencil = certificate_pencil(n)
     report = schur_cohn_box(pencil.box_poly(box))
 
@@ -191,13 +193,15 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
     else:
         inside = True
 
-    passed = report.determinate and report.beta is not None and report.beta >= 1 and inside
+    passed = (report.determinate and report.beta is not None and report.beta >= 1 and inside
+              and lam == n - 1)
     return {
         "k": k,
         "n": n,
         "vertices": graph.n,
         "edges": graph.m,
         "simple": graph.is_simple(),
+        "edge_connectivity": lam,
         "box": box.to_dict(),
         "signs": list(report.signs),
         "beta": report.beta,

@@ -238,61 +238,72 @@ def blocks(g: Multigraph) -> list[Block]:
     return out
 
 
-def edge_connectivity(g: Multigraph, *, upper_bound: int | None = None,
-                      targets: Iterable[int] | None = None) -> int:
+def edge_connectivity(g: Multigraph, *, upper_bound: int | None = None) -> int:
     """Minimum number of single edges (with multiplicity) whose removal disconnects g.
 
-    Computed as the minimum s-t max-flow from vertex 0 to every other vertex,
-    with edge capacities equal to multiplicities.  ``upper_bound`` caps each
-    flow computation (useful when a vertex of that degree is known to exist);
-    ``targets`` restricts the sweep, in which case the result is only an upper
-    bound certified to be >= min(true connectivity, upper_bound) on the
-    sampled pairs.
+    Matula's dominating-set reduction: lambda = min(delta, lambda(d0, d) for
+    d in D), with delta the minimum degree, D a dominating set that also
+    holds every endpoint of a bundle (multiplicity >= 2) and d0 its first
+    vertex; each lambda(d0, d) is a max-flow with edge capacities equal to
+    multiplicities.  Exact: take a cut below delta with a shore S that
+    misses D.  Each x in S has only simple edges, so at least delta-|S|+1
+    of them cross, and a neighbour in D, so at least one crosses; the cut
+    is then >= |S|*max(1, delta-|S|+1) >= delta.  So both shores of such a
+    cut meet D.  Without the bundle rule the first bound fails.
+
+    With ``upper_bound`` the result is min(lambda, upper_bound), and every
+    flow stops at that bound (useful when a vertex of that degree is known
+    to exist).
     """
     if g.n < 2:
         raise InputError("edge connectivity needs at least two vertices")
+    if upper_bound is not None and upper_bound < 0:
+        raise InputError(f"upper bound must be nonnegative, got {upper_bound}")
     _require_connected(g)
 
-    # Static arc arrays; capacities are reset for every target.
-    head: list[int] = []
+    # Paired arcs: a ^ 1 is the reverse of arc a; capacities reset per flow.
     to: list[int] = []
-    nxt: list[int] = [-1] * 0
+    nxt: list[int] = []
     first = [-1] * g.n
     caps0: list[int] = []
-
-    def add_arc(u: int, v: int, c: int) -> None:
-        to.append(v)
-        caps0.append(c)
-        nxt.append(first[u])
-        first[u] = len(to) - 1
-
     for u, v, mult in g.edges:
-        add_arc(u, v, mult)
-        add_arc(v, u, mult)
+        for a, b in ((u, v), (v, u)):
+            to.append(b)
+            caps0.append(mult)
+            nxt.append(first[a])
+            first[a] = len(to) - 1
 
-    best: int | None = None
-    target_list = list(targets) if targets is not None else list(range(1, g.n))
-    for t in target_list:
-        if t == 0:
-            continue
-        stop = upper_bound if upper_bound is not None else None
-        if best is not None:
-            stop = best if stop is None else min(stop, best)
-        flow = _max_flow(first, to, nxt, caps0, 0, t, stop)
-        best = flow if best is None else min(best, flow)
-        if best == 0:
-            break
-    assert best is not None
+    in_d = [False] * g.n
+    dominated = [False] * g.n
+
+    def join(x: int) -> None:
+        in_d[x] = dominated[x] = True
+        a = first[x]
+        while a != -1:
+            dominated[to[a]] = True
+            a = nxt[a]
+
+    for x in {x for u, v, mult in g.edges if mult > 1 for x in (u, v)}:
+        join(x)
+    deg = g.degrees()
+    for x in sorted(range(g.n), key=deg.__getitem__, reverse=True):  # stable: ties by label
+        if not dominated[x]:
+            join(x)
+
+    best = min(deg) if upper_bound is None else min(min(deg), upper_bound)
+    d0, *rest = [x for x in range(g.n) if in_d[x]]
+    for d in rest:
+        best = _max_flow(first, to, nxt, caps0, d0, d, best)
     return best
 
 
 def _max_flow(first: list[int], to: list[int], nxt: list[int], caps0: list[int],
-              s: int, t: int, stop_at: int | None) -> int:
-    """BFS augmenting-path max flow, stopping early once ``stop_at`` is reached."""
+              s: int, t: int, stop_at: int) -> int:
+    """BFS augmenting-path max flow, stopping once ``stop_at`` is reached."""
     caps = list(caps0)
     n = len(first)
     flow = 0
-    while stop_at is None or flow < stop_at:
+    while flow < stop_at:
         parent_arc = [-1] * n
         parent_arc[s] = -2
         q = deque([s])
@@ -307,15 +318,12 @@ def _max_flow(first: list[int], to: list[int], nxt: list[int], caps0: list[int],
                 a = nxt[a]
         if parent_arc[t] == -1:
             break
-        # Bottleneck along the path; arcs are paired (a ^ 1 is the reverse).
-        bottleneck = None
+        bottleneck = stop_at - flow
         v = t
         while v != s:
             a = parent_arc[v]
-            bottleneck = caps[a] if bottleneck is None else min(bottleneck, caps[a])
+            bottleneck = min(bottleneck, caps[a])
             v = to[a ^ 1]
-        if stop_at is not None:
-            bottleneck = min(bottleneck, stop_at - flow)
         v = t
         while v != s:
             a = parent_arc[v]

@@ -98,8 +98,7 @@ def test_criterion_05_constructions():
     details = []
     for (k, n), (ev, ee, lam_expect) in expected.items():
         g = substituted_two_clique_graph(k, n)
-        # capped max-flow sweep over every target; the two largest could be
-        # sampled instead, but the cap keeps even the full sweep cheap
+        # max-flows from one base vertex to the other five, each capped at n
         lam = edge_connectivity(g, upper_bound=n)
         good = (g.n, g.m) == (ev, ee) and g.is_simple() and lam == lam_expect
         ok = ok and good

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relroots import cli
 from relroots.cli import (TABLE1_REFERENCE, format_decimal, main,
                           run_certificate, table1_rows)
 
@@ -118,6 +119,7 @@ def test_certify_command(capsys):
     doc = json.loads(out)
     assert doc["pass"] and doc["beta"] == 1 and doc["signs"] == ["-"]
     assert (doc["vertices"], doc["edges"]) == (546, 1080)
+    assert doc["edge_connectivity"] == 2
 
 
 def test_certify_indeterminate_exit(capsys):
@@ -164,8 +166,11 @@ def test_format_decimal_rejects_non_finite():
             format_decimal(x, 3)
 
 
-def test_run_certificate_dict_shape():
+def test_run_certificate_dict_shape(monkeypatch):
     cert = run_certificate(7, 4)
     assert cert["pass"] and cert["signs"] == ["+", "+", "-"]
-    assert cert["gadget_roots_inside"]
+    assert cert["gadget_roots_inside"] and cert["edge_connectivity"] == 3
     assert set(cert["box"]) == {"a_lo", "a_hi", "b_lo", "b_hi"}
+    # the connectivity claim is part of the pass
+    monkeypatch.setattr(cli, "edge_connectivity", lambda g, upper_bound: 2)
+    assert not run_certificate(7, 4)["pass"]

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import complete_graph, oracle_spanning_trees, random_connected_multigraph
 from relroots import (DisconnectedGraphError, InputError, Multigraph, blocks,
-                      bundle_replace, edge_connectivity, is_connected,
-                      parse_graph, spanning_tree_count)
+                      bundle_replace, edge_connectivity, is_connected, multigraph,
+                      parse_graph, spanning_tree_count, substituted_two_clique_graph)
 
 
 def test_parse_basic():
@@ -129,6 +129,66 @@ def test_edge_connectivity_scales_with_bundles():
         lam = edge_connectivity(g)
         for k in (2, 3):
             assert edge_connectivity(bundle_replace(g, k)) == k * lam
+
+
+def _min_cut_oracle(g: Multigraph) -> int:
+    """Smallest edge cut over every vertex subset holding vertex 0."""
+    cuts = []
+    for mask in range((1 << (g.n - 1)) - 1):
+        shore = {0} | {i + 1 for i in range(g.n - 1) if mask >> i & 1}
+        cuts.append(sum(mult for u, v, mult in g.edges if (u in shore) != (v in shore)))
+    return min(cuts)
+
+
+def _two_cluster_graph(rng: random.Random, mults: list[int]) -> Multigraph:
+    # Dense clusters joined by few edges give cuts below the minimum degree.
+    while True:
+        n = rng.randint(2, 9)
+        side = [rng.random() < 0.5 for _ in range(n)]
+        p_in, p_out = rng.uniform(0.7, 1.0), rng.uniform(0.0, 0.25)
+        edges = [(u, v, rng.choice(mults)) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < (p_in if side[u] == side[v] else p_out)]
+        g = Multigraph.from_edges(n, edges)
+        if is_connected(g):
+            return g
+
+
+@pytest.mark.parametrize("mults", [[1], [1, 1, 1, 2, 3]], ids=["simple", "multi"])
+def test_edge_connectivity_against_cut_oracle(mults):
+    rng = random.Random(505)
+    below_min_degree = 0
+    for _ in range(300):
+        g = _two_cluster_graph(rng, mults)
+        lam = _min_cut_oracle(g)
+        below_min_degree += lam < min(g.degrees())
+        assert edge_connectivity(g) == lam
+        bound = rng.randint(0, lam + 2)
+        assert edge_connectivity(g, upper_bound=bound) == min(lam, bound)
+    assert below_min_degree >= 10
+
+
+def test_edge_connectivity_bundle_endpoints_join_the_dominating_set():
+    # Vertex 2 alone dominates this graph, but the cut around the 3-bundle
+    # pair {8, 9} has two edges, below the minimum degree 4.
+    k8 = [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
+    g = Multigraph.from_edges(10, k8 + [(8, 9, 3), (2, 8, 1), (2, 9, 1)])
+    assert edge_connectivity(g) == 2
+    with pytest.raises(InputError):
+        edge_connectivity(g, upper_bound=-1)
+
+
+def test_edge_connectivity_flow_count(monkeypatch):
+    # The dominating set is the 6 base vertices: 5 flows, not one per vertex.
+    flows = []
+    max_flow = multigraph._max_flow
+
+    def counted(*args):
+        flows.append(args)
+        return max_flow(*args)
+
+    monkeypatch.setattr(multigraph, "_max_flow", counted)
+    assert edge_connectivity(substituted_two_clique_graph(6, 6)) == 5
+    assert len(flows) <= 5
 
 
 def test_spanning_tree_count_known_values():
