@@ -21,8 +21,9 @@ from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_g
     two_clique_reliability
 from .errors import IndeterminateError, InputError, ToolkitError
 from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
-from .polynomials import RatPoly, f_to_h, parse_complex_rational
-from .reliability import f_vector, rel_auto, rel_bruteforce, rel_deletion_contraction
+from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
+from .reliability import (DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce,
+                          rel_deletion_contraction)
 from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
                             reliability_root_set)
 from .stability import (RATIO_BOX_K7, RATIO_BOX_K9, BASE_ROOT_BOX, ParamBox,
@@ -127,7 +128,7 @@ def _check_digits(digits: int, precision_bits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def compute_rel(g: Multigraph, method: str = "auto", guard: int = 24,
+def compute_rel(g: Multigraph, method: str = "auto", guard: int = DEFAULT_GUARD_PAIRS,
                 family: TwoCliqueParams | None = None) -> RatPoly:
     if method == "family" or (method == "auto" and family is not None):
         if family is None:
@@ -230,7 +231,9 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--precision-bits", type=int,
                         **(kw or {"default": DEFAULT_PRECISION_BITS}))
     parser.add_argument("--digits", type=int, **(kw or {"default": 10}))
-    parser.add_argument("--guard-m", type=int, **(kw or {"default": 24}))
+    parser.add_argument("--guard-m", type=int,
+                        help="distinct vertex pairs that rel --method brute may enumerate",
+                        **(kw or {"default": DEFAULT_GUARD_PAIRS}))
     parser.add_argument("--out", type=str, **(kw or {"default": None}))
 
 
@@ -362,7 +365,7 @@ def _dispatch(args) -> int:
         if args.via == "chip":
             h = h_vector_chip(g, args.sink)
         else:
-            h = f_to_h(f_vector(g, args.guard_m))
+            h = f_to_h(f_from_rel(rel_auto(g), g.n))
         doc = {"n": h.n, "m": h.m, "H": [str(v) for v in h.values]}
         _emit(json.dumps(doc) + "\n", args.out)
         return 0
@@ -377,7 +380,7 @@ def _dispatch(args) -> int:
         g = parse_graph(_read(args.graph))
         gadget = Gadget(graph=parse_graph(_read(args.gadget)), u=args.u, v=args.v)
         if args.poly:
-            _emit(substituted_reliability(g, gadget, args.guard_m).to_json() + "\n", args.out)
+            _emit(substituted_reliability(g, gadget).to_json() + "\n", args.out)
         else:
             _emit(substitute_edges(g, gadget).to_json() + "\n", args.out)
         return 0

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError, NumericalError
@@ -49,10 +50,6 @@ class RatPoly:
     @classmethod
     def one(cls) -> "RatPoly":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: Rat = 1) -> "RatPoly":
-        return cls([0] * degree + [coeff])
 
     # -- structure ----------------------------------------------------
 
@@ -198,6 +195,30 @@ def convolve(a: Sequence, b: Sequence) -> list:
     return out
 
 
+Q = (0, 1)
+ONE_MINUS_Q = (1, -1)
+ONE_PLUS_Q = (1, 1)
+
+
+def compose_homogeneous(c: Sequence, d: int, s: Sequence, t: Sequence) -> list:
+    """Ascending coefficient list of sum_j c_j s^j t^(d-j), for len(c) <= d+1.
+
+    Horner in s: acc <- acc*s + c_j t^(d-j) for j = d..0, keeping one
+    running power of t.  Every F/Rel/H transform and the substitution
+    formula are this sum; with integer inputs it stays in integers.
+    """
+    acc: list = []
+    t_pow: list = [1]
+    for j in range(d, -1, -1):
+        acc = convolve(acc, s)
+        if j < len(c) and c[j]:
+            term = [c[j] * x for x in t_pow]
+            acc = [x + y for x, y in zip_longest(acc, term, fillvalue=0)]
+        if j:
+            t_pow = convolve(t_pow, t)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # F-vectors and H-vectors of the cographic matroid
 # ---------------------------------------------------------------------------
@@ -263,19 +284,13 @@ class HVector:
 def f_to_h(f: FVector) -> HVector:
     """Convert an F-vector to the unique H-vector with the same reliability polynomial.
 
-    Expands sum_i F_i q^i (1-q)^(m-i) and strips (1-q)^(n-1) by repeated
-    synthetic division, demanding a zero remainder each pass; a nonzero
-    remainder signals a corrupt F-vector.
+    Rel = sum_i F_i q^i (1-q)^(m-i), and a validated F-vector has entries
+    only for i <= m-n+1, where m-i >= n-1.  So every term keeps the factor
+    (1-q)^(n-1), and H = sum_i F_i q^i (1-q)^(m-n+1-i) has integer
+    coefficients with nothing left over.  A corrupt F-vector shows as a
+    nonpositive H entry.
     """
-    rel = rel_from_f(f)
-    p = rel
-    for _ in range(f.n - 1):
-        p, rem = p.divide_one_minus_q()
-        if rem != 0:
-            raise NumericalError("F-vector is not divisible by (1-q)^(n-1); corrupt input")
-    if any(c != int(c) for c in p.coeffs):
-        raise NumericalError("H-vector came out non-integral; corrupt F-vector")
-    values = tuple(int(c) for c in p.coeffs)
+    values = tuple(compose_homogeneous(f.values, f.m - f.n + 1, Q, ONE_MINUS_Q))
     if any(v <= 0 for v in values):
         raise NumericalError("H-vector entries must be strictly positive; corrupt F-vector")
     return HVector(values=values, n=f.n, m=f.m)
@@ -289,36 +304,26 @@ def h_to_rel(h: HVector) -> RatPoly:
 
 def rel_from_f(f: FVector) -> RatPoly:
     """Expand sum_i F_i q^i (1-q)^(m-i)."""
-    one_minus_q = RatPoly([1, -1])
-    total = RatPoly.zero()
-    for i, fi in enumerate(f.values):
-        if fi:
-            total = total + RatPoly.monomial(i, fi) * (one_minus_q ** (f.m - i))
-    return total
+    return RatPoly(compose_homogeneous(f.values, f.m, Q, ONE_MINUS_Q))
 
 
 def f_from_rel(rel: RatPoly, n: int) -> FVector:
     """Recover the F-vector from an expanded reliability polynomial.
 
     Uses F(t) = (1+t)^m Rel(t/(1+t)) = sum_j c_j t^j (1+t)^(m-j); entries
-    beyond degree m-n+1 must vanish, which doubles as a sanity check.
+    beyond degree m-n+1 must vanish, which doubles as a sanity check.  The
+    map is unimodular, so F is integral exactly when Rel is.
     """
     if rel.is_zero():
         raise InputError("cannot take the F-vector of the zero polynomial")
-    m = rel.degree
-    one_plus_t = RatPoly([1, 1])
-    f_poly = RatPoly.zero()
-    for j, c in enumerate(rel.coeffs):
-        if c:
-            f_poly = f_poly + RatPoly.monomial(j, c) * (one_plus_t ** (m - j))
-    top = m - n + 1
-    if f_poly.degree > top:
-        raise NumericalError("reliability polynomial is inconsistent with the claimed vertex count")
-    values = [int(c) for c in f_poly.coeffs]
-    if any(c != int(c) for c in f_poly.coeffs):
+    if any(c.denominator != 1 for c in rel.coeffs):
         raise NumericalError("non-integral F-vector recovered")
-    values += [0] * (top + 1 - len(values))
-    return FVector(values=tuple(values), n=n, m=m)
+    m = rel.degree
+    f = compose_homogeneous([c.numerator for c in rel.coeffs], m, Q, ONE_PLUS_Q)
+    top = m - n + 1
+    if top < 0 or any(f[top + 1:]):
+        raise NumericalError("reliability polynomial is inconsistent with the claimed vertex count")
+    return FVector(values=tuple(f[:top + 1]), n=n, m=m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Ground-truth reliability computations.
 
-Two independent routes to Rel(G;q) live here: subset enumeration with
-per-bundle binomial weighting, and a memoized factor/contract recursion.
-Split reliability (each surviving component holds exactly one vertex of a
-target set K) is enumeration-only; the gadget graphs it is needed for are
-small.
+Two independent routes to Rel(G;q) live here: a memoized factor/contract
+recursion, the default, and subset enumeration with per-bundle binomial
+weighting, kept only as an oracle.  One enumeration scan serves the
+oracles ``f_vector``, ``rel_bruteforce`` and ``sprel`` (split reliability:
+each surviving component holds exactly one vertex of a target set K).
+Outside the oracles split reliability for two terminals comes from the
+recursion, as spRel(H; u, v) = Rel(H/uv) - Rel(H) with ``contract``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Iterable
 
 from .errors import DisconnectedGraphError, GuardExceededError, InputError
 from .multigraph import Multigraph, blocks, edges_connected, is_connected
-from .polynomials import FVector, RatPoly, convolve, rel_from_f
+from .polynomials import (ONE_MINUS_Q, Q, FVector, RatPoly, compose_homogeneous, convolve,
+                          rel_from_f)
 
 DEFAULT_GUARD_PAIRS = 24
 DEFAULT_DC_BUDGET = 500_000
@@ -38,12 +41,6 @@ class SplitSpec:
         return cls(tuple(vertices))
 
 
-def _check_guard(g: Multigraph, guard_pairs: int) -> None:
-    if g.pair_count > guard_pairs:
-        raise GuardExceededError(
-            f"graph has {g.pair_count} distinct pairs; enumeration guard is {guard_pairs}")
-
-
 class _DSU:
     __slots__ = ("parent",)
 
@@ -57,42 +54,51 @@ class _DSU:
             x = p[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the classes of a and b; True iff they were different."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
 
-def f_vector(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> FVector:
-    """Exact F-vector by enumeration over subsets of distinct vertex pairs.
+def _split_failure_counts(g: Multigraph, targets: tuple[int, ...], guard_pairs: int) -> list[int]:
+    """c_i = number of i-edge subsets whose failure leaves every surviving
+    component holding exactly one vertex of ``targets``, by enumeration.
 
-    Connectivity after removal depends only on which bundles are removed
-    entirely, so each surviving bundle contributes a binomial generating
-    factor (1+z)^mult - z^mult and the 2^m blowup reduces to 2^pairs.
+    One target vertex makes this the F-vector count (the survivors connect
+    the graph).  A state has n - unions components, so it qualifies iff
+    that is |K| and the targets sit in distinct components.  Whether a
+    state qualifies depends only on which bundles are removed entirely, so
+    each surviving bundle contributes a binomial generating factor
+    (1+z)^mult - z^mult and the 2^m blowup reduces to 2^pairs.
     """
-    if not is_connected(g):
-        raise DisconnectedGraphError("F-vector requires a connected graph")
-    _check_guard(g, guard_pairs)
     p = g.pair_count
+    if p > guard_pairs:
+        raise GuardExceededError(
+            f"graph has {p} distinct pairs; enumeration guard is {guard_pairs}")
     pairs = g.edges
-    top = g.m - g.n + 1
-    acc = [0] * (top + 1)
+    need = g.n - len(targets)
+    acc = [0] * (g.m + 1)
     simple = g.is_simple()
     # (1+z)^mult - z^mult per bundle, precomputed.
     bundle_gen = [[comb(mult, j) for j in range(mult)] for _, _, mult in pairs]
-    fail_weight = [mult for _, _, mult in pairs]
 
     for mask in range(1 << p):
+        survivors = mask.bit_count()
+        if survivors < need:  # each union takes a surviving pair
+            continue
         dsu = _DSU(g.n)
+        unions = 0
         for idx in range(p):
             if mask >> idx & 1:
                 u, v, _ = pairs[idx]
-                dsu.union(u, v)
-        root = dsu.find(0)
-        if any(dsu.find(v) != root for v in range(1, g.n)):
+                unions += dsu.union(u, v)
+        if unions != need or len({dsu.find(x) for x in targets}) != len(targets):
             continue
         if simple:
-            acc[p - bin(mask).count("1")] += 1
+            acc[p - survivors] += 1
             continue
         shift = 0
         prod = [1]
@@ -100,20 +106,28 @@ def f_vector(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> FVector:
             if mask >> idx & 1:
                 prod = convolve(prod, bundle_gen[idx])
             else:
-                shift += fail_weight[idx]
+                shift += pairs[idx][2]
         for j, c in enumerate(prod):
-            if c:
-                acc[shift + j] += c
-    return FVector(values=tuple(acc), n=g.n, m=g.m)
+            acc[shift + j] += c
+    return acc
+
+
+def f_vector(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> FVector:
+    """Exact F-vector by enumeration over subsets of distinct vertex pairs (an oracle)."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("F-vector requires a connected graph")
+    counts = _split_failure_counts(g, (0,), guard_pairs)
+    return FVector(values=tuple(counts[:g.m - g.n + 2]), n=g.n, m=g.m)
 
 
 def rel_bruteforce(g: Multigraph, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> RatPoly:
-    """Rel(G;q) = sum_i F_i q^i (1-q)^(m-i), from the enumerated F-vector."""
+    """Rel(G;q) = sum_i F_i q^i (1-q)^(m-i), from the enumerated F-vector (an oracle)."""
     return rel_from_f(f_vector(g, guard_pairs))
 
 
 def sprel(g: Multigraph, spec: SplitSpec, guard_pairs: int = DEFAULT_GUARD_PAIRS) -> RatPoly:
-    """Split reliability: every surviving component contains exactly one vertex of K.
+    """Split reliability by enumeration (an oracle): every surviving
+    component contains exactly one vertex of K.
 
     With |K| = 1 this collapses to all-terminal reliability.  The graph may
     be disconnected; states where some component misses K entirely simply
@@ -124,43 +138,8 @@ def sprel(g: Multigraph, spec: SplitSpec, guard_pairs: int = DEFAULT_GUARD_PAIRS
     for v in spec.vertices:
         if not (0 <= v < g.n):
             raise InputError(f"split vertex {v} outside 0..{g.n - 1}")
-    _check_guard(g, guard_pairs)
-    p = g.pair_count
-    pairs = g.edges
-    in_k = [False] * g.n
-    for v in spec.vertices:
-        in_k[v] = True
-
-    # Per bundle: survives with probability 1-q^mult, fails with q^mult.
-    survive = [[1] + [0] * (mult - 1) + [-1] for _, _, mult in pairs]  # 1 - q^mult
-    fail_deg = [mult for _, _, mult in pairs]
-
-    total: list[int] = [0]
-    for mask in range(1 << p):
-        dsu = _DSU(g.n)
-        for idx in range(p):
-            if mask >> idx & 1:
-                u, v, _ = pairs[idx]
-                dsu.union(u, v)
-        counts: dict[int, int] = {}
-        for v in range(g.n):
-            r = dsu.find(v)
-            counts[r] = counts.get(r, 0) + (1 if in_k[v] else 0)
-        if any(c != 1 for c in counts.values()):
-            continue
-        prod = [1]
-        shift = 0
-        for idx in range(p):
-            if mask >> idx & 1:
-                prod = convolve(prod, survive[idx])
-            else:
-                shift += fail_deg[idx]
-        padded = [0] * shift + prod
-        if len(padded) > len(total):
-            total += [0] * (len(padded) - len(total))
-        for i, c in enumerate(padded):
-            total[i] += c
-    return RatPoly(total)
+    counts = _split_failure_counts(g, spec.vertices, guard_pairs)
+    return RatPoly(compose_homogeneous(counts, g.m, Q, ONE_MINUS_Q))
 
 
 def rel_via_blocks(g: Multigraph) -> RatPoly:
@@ -194,8 +173,12 @@ def _canonical(n: int, edges: tuple[tuple[int, int, int], ...]) -> tuple:
     return (n, tuple(sorted(out)))
 
 
-def _contract(n: int, edges: tuple[tuple[int, int, int], ...], u: int, v: int):
-    """Merge v into u, dropping loops and merging parallel bundles."""
+def contract(n: int, edges: tuple[tuple[int, int, int], ...], u: int, v: int):
+    """Merge v into u, dropping loops and merging parallel bundles.
+
+    Takes and returns (vertex count, canonical edge tuple), so
+    ``Multigraph(*contract(g.n, g.edges, u, v))`` is G/uv.
+    """
     merged: dict[tuple[int, int], int] = {}
     for a, b, mult in edges:
         a2 = u if a == v else a
@@ -239,7 +222,7 @@ def rel_deletion_contraction(g: Multigraph, max_expansions: int = DEFAULT_DC_BUD
             raise GuardExceededError("deletion-contraction expansion budget exceeded")
         u, v, mult = edges[0]
         # 1 - q^mult and q^mult as coefficient lists.
-        cn, ce = _contract(n, edges, u, v)
+        cn, ce = contract(n, edges, u, v)
         contracted = solve(cn, ce)
         out = [0] * (mult + len(contracted))
         for i, c in enumerate(contracted):

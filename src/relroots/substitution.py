@@ -3,8 +3,10 @@
 Replacing every edge of a base graph by a copy of a two-terminal gadget
 composes reliabilities: each gadget copy is either fully connected
 (an operational base edge) or split between its terminals (a failed one),
-so Rel of the substituted graph is a polynomial in Rel(H) and the
-{u,v}-split reliability of H weighted by the base F-vector.
+so Rel of the substituted graph is the base's Rel, homogenized, evaluated
+at the {u,v}-split reliability spRel(H) and Rel(H).  Every gadget
+polynomial comes from deletion-contraction, spRel(H) through the
+contraction identity spRel(H; u, v) = Rel(H/uv) - Rel(H).
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from fractions import Fraction
 from .closed_forms import TwoCliqueParams, two_clique_graph
 from .errors import InputError, NumericalError
 from .multigraph import Multigraph, is_connected
-from .polynomials import QComplex, RatPoly
-from .reliability import (DEFAULT_GUARD_PAIRS, SplitSpec, f_vector, rel_auto,
-                          sprel)
+from .polynomials import QComplex, RatPoly, compose_homogeneous
+from .reliability import contract, rel_auto
 
 
 @dataclass(frozen=True)
@@ -86,32 +87,31 @@ def substitute_edges(g: Multigraph, gadget: Gadget,
     return Multigraph.from_edges(next_label, out_edges)
 
 
-def substituted_reliability(g: Multigraph, gadget: Gadget,
-                            guard_pairs: int = DEFAULT_GUARD_PAIRS) -> RatPoly:
+def _terminal_reliabilities(gadget: Gadget) -> tuple[RatPoly, RatPoly]:
+    """(spRel(H; u, v), Rel(H/uv)) by deletion-contraction.
+
+    H/uv is connected exactly when H is connected or splits into a u-part
+    and a v-part, so spRel(H; u, v) = Rel(H/uv) - Rel(H).
+    """
+    h = gadget.graph
+    rel_contracted = rel_auto(Multigraph(*contract(h.n, h.edges, gadget.u, gadget.v)))
+    return rel_contracted - rel_auto(h), rel_contracted
+
+
+def substituted_reliability(g: Multigraph, gadget: Gadget) -> RatPoly:
     """Rel of the substituted graph from the composition formula.
 
-    sum_i F_i(G) Rel(H)^(m-i) spRel(H)^i, where i counts split gadgets and
-    the F-vector counts the base edge subsets whose failure keeps the base
-    connected.
+    sum_i F_i(G) Rel(H)^(m-i) spRel(H)^i, where i counts split gadgets.
+    Homogenized, Rel(G) = sum_j a_j x^j (x+y)^(m-j) = sum_i F_i x^i y^(m-i)
+    with x = q, y = 1-q; putting x = spRel(H) and y = Rel(H), whose sum is
+    Rel(H/uv), gives sum_j a_j spRel(H)^j Rel(H/uv)^(m-j).
     """
-    f = f_vector(g, guard_pairs)
-    rel_h = rel_auto(gadget.graph)
-    sp_h = sprel(gadget.graph, SplitSpec.of((gadget.u, gadget.v)), guard_pairs)
-    total = RatPoly.zero()
-    rel_pow = [RatPoly.one()]
-    sp_pow = [RatPoly.one()]
-    for _ in range(g.m):
-        rel_pow.append(rel_pow[-1] * rel_h)
-    for _ in range(len(f.values) - 1):
-        sp_pow.append(sp_pow[-1] * sp_h)
-    for i, fi in enumerate(f.values):
-        if fi:
-            total = total + (rel_pow[g.m - i] * sp_pow[i]).scale(fi)
-    return total
+    a, sp_h, rel_contracted = ([c.numerator for c in p.coeffs]
+                               for p in (rel_auto(g), *_terminal_reliabilities(gadget)))
+    return RatPoly(compose_homogeneous(a, g.m, sp_h, rel_contracted))
 
 
-def substituted_root_poly(r, gadget: Gadget,
-                          guard_pairs: int = DEFAULT_GUARD_PAIRS) -> list[QComplex]:
+def substituted_root_poly(r, gadget: Gadget) -> list[QComplex]:
     """The polynomial spRel(H;q) - (r/(1-r)) Rel(H;q) for a base root r.
 
     Its solutions are reliability roots of the substituted graph except
@@ -123,8 +123,8 @@ def substituted_root_poly(r, gadget: Gadget,
     if r.re == 1 and r.im == 0:
         raise InputError("base root r = 1 has no F-polynomial image")
     ratio = r / (QComplex.of(1) - r)
-    rel_h = rel_auto(gadget.graph)
-    sp_h = sprel(gadget.graph, SplitSpec.of((gadget.u, gadget.v)), guard_pairs)
+    sp_h, rel_contracted = _terminal_reliabilities(gadget)
+    rel_h = rel_contracted - sp_h
     d = max(rel_h.degree, sp_h.degree)
     out = []
     for i in range(d + 1):

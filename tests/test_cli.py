@@ -1,13 +1,15 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from relroots import cli
+from relroots import RatPoly, cli, rel_complete
 from relroots.cli import (TABLE1_REFERENCE, format_decimal, main,
                           run_certificate, table1_rows)
 
 K3 = '{"n":3,"edges":[[0,1,1],[1,2,1],[0,2,1]]}'
 P3 = '{"n":3,"edges":[[0,1,1],[1,2,1]]}'
+K8 = json.dumps({"n": 8, "edges": [[i, j, 1] for i in range(8) for j in range(i + 1, 8)]})
 
 
 def run(capsys, *argv):
@@ -47,9 +49,8 @@ def test_rel_tree_and_errors(tmp_path, capsys):
 
 
 def test_guard_exit_code(tmp_path, capsys):
-    k8 = {"n": 8, "edges": [[i, j, 1] for i in range(8) for j in range(i + 1, 8)]}
     f = tmp_path / "k8.json"
-    f.write_text(json.dumps(k8))
+    f.write_text(K8)
     assert main(["rel", str(f), "--method", "brute", "--guard-m", "20"]) == 2
     capsys.readouterr()
 
@@ -61,6 +62,12 @@ def test_hvector_both_routes(tmp_path, capsys):
     assert code == 0 and json.loads(out)["H"] == ["1", "2"]
     code, out = run(capsys, "hvector", str(f), "--via", "chip", "--sink", "2")
     assert code == 0 and json.loads(out)["H"] == ["1", "2"]
+
+    # 28 pairs, past the enumeration guard: H(1) is Cayley's 8^6 spanning trees
+    k8 = tmp_path / "k8.json"
+    k8.write_text(K8)
+    code, out = run(capsys, "hvector", str(k8))
+    assert code == 0 and sum(int(v) for v in json.loads(out)["H"]) == 8 ** 6
 
 
 def test_family_then_roots(tmp_path, capsys):
@@ -99,6 +106,18 @@ def test_substitute_command(tmp_path, capsys):
     code, out = run(capsys, "substitute", str(base), str(gadget), "0", "2", "--poly")
     assert code == 0
     assert json.loads(out)["coeffs"] == ["1/1", "0/1", "-15/1", "40/1", "-45/1", "24/1", "-5/1"]
+
+    # K8 (28 pairs) with the path gadget: a path survives with T = 1-q^2 and
+    # splits with S = 2q(1-q), so the result is T^28 Rel(K8; S/T)
+    k8 = tmp_path / "k8.json"
+    k8.write_text(K8)
+    code, out = run(capsys, "substitute", str(k8), str(gadget), "0", "2", "--poly")
+    assert code == 0
+    poly = RatPoly.from_json(out)
+    for q in (Fraction(1, 3), Fraction(2, 7)):
+        s = 2 * q * (1 - q)
+        t = (1 - q) ** 2 + s
+        assert poly(q) == t ** 28 * rel_complete(8)(s / t)
 
 
 def test_schur_cohn_command(capsys, tmp_path):

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import (complete_graph, oracle_rel, oracle_sprel,
                       random_connected_multigraph)
-from relroots import (DisconnectedGraphError, GuardExceededError, Multigraph,
-                      RatPoly, SplitSpec, f_vector, rel_auto, rel_bruteforce,
-                      rel_complete, rel_deletion_contraction, rel_via_blocks,
-                      spanning_tree_count, sprel)
+from relroots import (DisconnectedGraphError, Gadget, GuardExceededError,
+                      Multigraph, RatPoly, SplitSpec, f_from_rel, f_to_h,
+                      f_vector, rel_auto, rel_bruteforce, rel_complete,
+                      rel_deletion_contraction, rel_via_blocks,
+                      spanning_tree_count, sprel, substitute_edges,
+                      substituted_reliability, substituted_root_poly)
 from relroots import reliability
 from relroots.errors import InputError
 
@@ -128,12 +131,25 @@ def test_bundle_rel_plus_sprel_is_one():
 
 
 def test_rel_auto_never_enumerates(monkeypatch):
-    # Subset enumeration is an oracle only, even for a 6-pair graph.
+    # Subset enumeration is an oracle only, even for a 6-pair graph; the
+    # transforms and the substitution formula run on deletion-contraction.
     g = Multigraph.from_edges(4, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 3), (2, 3, 1)])
     expected = oracle_rel(g)
+    expected_h = f_to_h(f_vector(g))
+    # terminals joined by a 2-bundle: the contraction drops it as a loop
+    gadget = Gadget(graph=Multigraph.from_edges(3, [(0, 1, 2), (0, 2, 1), (1, 2, 1)]), u=0, v=1)
+    base = complete_graph(3)
+    expected_sub = oracle_rel(substitute_edges(base, gadget))
+    expected_pencil = oracle_sprel(gadget.graph, (0, 1)) - oracle_rel(gadget.graph)
 
     def refuse(*args, **kwargs):
         raise AssertionError("rel_auto enumerated edge subsets")
 
-    monkeypatch.setattr(reliability, "f_vector", refuse)
+    monkeypatch.setattr(reliability, "_split_failure_counts", refuse)
     assert rel_auto(g) == expected
+    assert f_to_h(f_from_rel(rel_auto(g), g.n)) == expected_h
+    assert substituted_reliability(base, gadget) == expected_sub
+    # r = 1/2 makes r/(1-r) = 1, so the pencil is spRel - Rel
+    pencil = substituted_root_poly(Fraction(1, 2), gadget)
+    assert all(c.im == 0 for c in pencil)
+    assert RatPoly([c.re for c in pencil]) == expected_pencil
