@@ -352,7 +352,7 @@ def spanning_tree_count(g: Multigraph) -> int:
         if u > 0 and v > 0:
             lap[u - 1][v - 1] -= mult
             lap[v - 1][u - 1] -= mult
-    return bareiss_det([[(x, 0) for x in row] for row in lap])[0]
+    return bareiss_det(lap)[0]
 
 
 def bundle_replace(g: Multigraph, k: int) -> Multigraph:

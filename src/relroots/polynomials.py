@@ -434,32 +434,63 @@ def parse_complex_rational(text: str) -> QComplex:
 # ---------------------------------------------------------------------------
 
 GInt = tuple[int, int]
+Entry = Union[int, GInt]
 
 
-def bareiss_det(matrix: Sequence[Sequence[GInt]]) -> GInt:
-    """Exact determinant of a square matrix of Gaussian integers (re, im).
+def bareiss_det(matrix: Sequence[Sequence[Entry]]) -> tuple[Entry, list[Entry]]:
+    """Exact determinant of a square matrix, with the leading principal
+    minors that the elimination meets on the way.
 
+    Entries are all Gaussian integers (re, im) or all plain ints; results
+    come back in the same form (an empty matrix counts as Gaussian).
     Bareiss elimination: each update is divided exactly by the previous
-    pivot, so entries stay Gaussian integers of moderate size; integer
-    matrices pass (x, 0) entries.  A zero pivot is swapped with a lower row,
-    and a column with no nonzero candidate makes the determinant zero.
+    pivot, so entries stay integers of moderate size.  When every imaginary
+    part is zero the elimination runs over plain ints, with two products
+    and one exact division per update instead of a Gaussian cross product
+    and a division through the pivot's norm.
+
+    Until the first row swap, the pivot at step s is the leading principal
+    minor of order s + 1 (Sylvester's identity, which also makes every
+    division exact), and the last diagonal entry is the determinant.  The
+    second result lists these minors for orders 1, 2, ...: all n of them
+    when no swap happens, otherwise up to and including the zero pivot that
+    forced the first swap.  A zero pivot is swapped with a lower row, and a
+    column with no nonzero candidate makes the determinant zero.
     """
     n = len(matrix)
-    if n == 0:
-        return (1, 0)
-    m = [list(row) for row in matrix]
-    negate = False
+    pairs = n == 0 or isinstance(matrix[0][0], tuple)
+    real = not pairs or all(im == 0 for row in matrix for _, im in row)
+    m = [[re for re, _ in row] if pairs and real else list(row) for row in matrix]
+    zero, det = (0, 1) if real else ((0, 0), (1, 0))
+    minors: list[Entry] = []
+    negate = swapped = False
     pr, pi = 1, 0  # previous pivot
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            for r in range(k + 1, n):
-                if m[r][k] != (0, 0):
-                    m[k], m[r] = m[r], m[k]
-                    negate = not negate
-                    break
-            else:
-                return (0, 0)
+    for k in range(n):
+        if not swapped:
+            minors.append(m[k][k])
+        if k == n - 1:
+            det = m[k][k]
+            break
+        if m[k][k] == zero:
+            r = next((r for r in range(k + 1, n) if m[r][k] != zero), None)
+            if r is None:
+                det = zero
+                break
+            m[k], m[r] = m[r], m[k]
+            negate, swapped = not negate, True
         row_k = m[k]
+        if real:
+            a = row_k[k]
+            for i in range(k + 1, n):
+                row_i = m[i]
+                c = row_i[k]
+                for j in range(k + 1, n):
+                    q, rem = divmod(a * row_i[j] - c * row_k[j], pr)
+                    if rem:
+                        raise NumericalError("fraction-free elimination hit a non-exact division")
+                    row_i[j] = q
+            pr = a
+            continue
         ar, ai = row_k[k]
         norm = pr * pr + pi * pi
         for i in range(k + 1, n):
@@ -477,5 +508,8 @@ def bareiss_det(matrix: Sequence[Sequence[GInt]]) -> GInt:
                     raise NumericalError("fraction-free elimination hit a non-exact division")
                 row_i[j] = (qr, qi)
         pr, pi = ar, ai
-    det = m[n - 1][n - 1]
-    return (-det[0], -det[1]) if negate else det
+    if negate:
+        det = -det if real else (-det[0], -det[1])
+    if pairs and real:
+        return (det, 0), [(x, 0) for x in minors]
+    return det, minors

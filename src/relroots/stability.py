@@ -214,13 +214,12 @@ def schur_cohn(p) -> SchurCohnReport:
         raise InputError("root counting needs degree >= 1")
 
     gcoeffs, _ = _clear_denominators(coeffs)
-    signs: list[int] = []
-    for k in range(1, n + 1):
-        det = _real_det(gcoeffs, k)
+    dets = _nested_dets(gcoeffs)
+    for k, det in enumerate(dets, start=1):
         if det == 0:
             raise SchurCohnHypothesisError(
                 f"determinant M_{k} is exactly zero; the test hypothesis fails")
-        signs.append(1 if det > 0 else -1)
+    signs = [1 if det > 0 else -1 for det in dets]
     return SchurCohnReport(
         signs=tuple("+" if s > 0 else "-" for s in signs),
         beta=_sign_changes(signs),
@@ -237,18 +236,50 @@ def _clear_denominators(coeffs: Sequence[QComplex]) -> tuple[list[GInt], int]:
     return [(int(c.re * denom), int(c.im * denom)) for c in coeffs], denom
 
 
-def _real_det(gcoeffs: list[GInt], k: int) -> int:
-    """M_k of Gaussian-integer coefficients; the test matrix is Hermitian."""
-    re, im = bareiss_det(_test_matrix_exact(gcoeffs, k))
+def _real(det: GInt) -> int:
+    """A test determinant as an int; the test matrix is Hermitian."""
+    re, im = det
     if im != 0:
         raise NumericalError("test determinant came out non-real")
     return re
+
+
+def _real_det(gcoeffs: list[GInt], k: int) -> int:
+    """M_k of Gaussian-integer coefficients, from its own elimination."""
+    return _real(bareiss_det(_test_matrix_exact(gcoeffs, k))[0])
+
+
+def _nested_dets(gcoeffs: list[GInt]) -> list[int]:
+    """M_1..M_n of Gaussian-integer coefficients, from one elimination.
+
+    The entries of ``_test_matrix_exact(g, k)`` depend only on their row
+    and column indices and on g, not on k, so it is the submatrix of
+    ``_test_matrix_exact(g, n)`` on rows and columns {0..k-1} and
+    {n..n+k-1}.  With the rows and columns of the latter taken in the order
+    0, n, 1, n+1, ... (one permutation on both sides, which keeps every
+    determinant), M_k is its leading principal minor of order 2k, which
+    ``bareiss_det`` reports until its first row swap.  Each M_k past that
+    swap comes from its own determinant.
+    """
+    n = len(gcoeffs) - 1
+    full = _test_matrix_exact(gcoeffs, n)
+    order = [r for k in range(n) for r in (k, n + k)]
+    _, minors = bareiss_det([[full[r][c] for c in order] for r in order])
+    return [_real(minors[2 * k - 1]) if 2 * k <= len(minors) else _real_det(gcoeffs, k)
+            for k in range(1, n + 1)]
 
 
 def _exact_mk(coeffs: Sequence[QComplex], k: int) -> Fraction:
     """Exact M_k for complex-rational coefficients, via the scaled integer path."""
     gcoeffs, denom = _clear_denominators(coeffs)
     return Fraction(_real_det(gcoeffs, k), denom ** (2 * k))
+
+
+def _exact_mks(coeffs: Sequence[QComplex]) -> list[Fraction]:
+    """Exact M_1..M_n for complex-rational coefficients, from one elimination."""
+    gcoeffs, denom = _clear_denominators(coeffs)
+    return [Fraction(det, denom ** (2 * k))
+            for k, det in enumerate(_nested_dets(gcoeffs), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +406,20 @@ class CertificatePencil:
         return BoxPoly(box=box, pencil=self)
 
 
-def _interp_1d(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Exact univariate polynomial interpolation (Newton divided differences)."""
+def _divided_differences(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
+    """Newton coefficients f[x_0], f[x_0, x_1], ... of the values ys at xs."""
     n = len(xs)
     coef = [Fraction(y) for y in ys]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    return coef
+
+
+def _interp_1d(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
+    """Exact univariate polynomial interpolation (Newton divided differences)."""
+    n = len(xs)
+    coef = _divided_differences(xs, ys)
     out = [coef[n - 1]]
     for i in range(n - 2, -1, -1):
         new = [Fraction(0)] * (len(out) + 1)
@@ -399,30 +437,59 @@ _det_poly_cache: dict[int, tuple] = {}
 def _det_sign_polynomials(n: int):
     """Exact bivariate polynomials P_k(a, t) with P_k(a, b^2) = M_k(a, b).
 
-    M_k is a real polynomial of degree <= 2k in a and even of degree <= 2k
-    in b (conjugating the parameter conjugates the pencil coefficients and
-    leaves the determinants fixed), so a (2k+1) x (k+1) grid of exact
-    Gaussian-integer determinants pins it down.  Each result is verified
-    against a direct determinant at an off-grid rational point.
+    Two exact facts bring the work down to one elimination per node of one
+    shared grid.
+
+    Nested minors.  The test matrix for k is a submatrix of the one for the
+    pencil degree d, and with the rows and columns of the latter in the
+    order 0, d, 1, d+1, ... M_k is its leading principal minor of order 2k
+    (proof at ``_nested_dets``).  So one fraction-free elimination per node
+    gives M_1..M_d.
+
+    Lower-set support.  Every pencil coefficient s_i - (a+bi) r_i is affine
+    in (a, b), so the 2k x 2k determinant M_k has total degree <= 2k.
+    Negating b conjugates the coefficients and hence the Hermitian test
+    matrix, which leaves its real determinant fixed, so M_k is even in b.
+    In t = b^2 its monomials a^i t^j therefore have i + 2j <= 2k.  Write
+    P_k = sum_j C_j(a) N_j(t) in the Newton basis
+    N_j = (t - t_0)...(t - t_{j-1}); as t^j is a combination of N_0..N_j,
+    C_j has degree <= 2k - 2j in a.  At a node a_i, C_j(a_i) is the divided
+    difference of P_k(a_i, .) on t_0..t_j, which needs the values at
+    (a_i, b_0..b_j) only, and it is needed for i <= 2k - 2j; C_j then
+    follows by interpolation on a_0..a_{2k-2j}.  With a = 0, 1, -1, 2, -2, ...
+    and b = 0, 1, ..., d, every k reads its nodes (a_i, b_j), i + 2j <= 2k,
+    off the one grid for k = d: (d + 1)^2 nodes, 121 at n = 6.
+
+    Every coefficient must come out an integer, and each P_k is checked
+    against its own determinant at an off-grid rational point.
     """
     cached = _det_poly_cache.get(n)
     if cached is not None:
         return cached
     pencil = certificate_pencil(n)
     d = pencil.degree
+    a_nodes = [Fraction((i + 1) // 2 if i % 2 else -(i // 2)) for i in range(2 * d + 1)]
+    t_nodes = [Fraction(b * b) for b in range(d + 1)]
+    # grid[i][j][k - 1] = M_k(a_i, b_j) on the lower set i + 2j <= 2d.
+    grid = [[_exact_mks(pencil.exact_poly(a, b)) for b in range((2 * d - i) // 2 + 1)]
+            for i, a in enumerate(a_nodes)]
     polys = []
     for k in range(1, d + 1):
-        a_nodes = [Fraction(v) for v in range(-k, k + 1)]
-        b_nodes = list(range(0, k + 1))
-        t_nodes = [Fraction(b * b) for b in b_nodes]
-        values = [[_exact_mk(pencil.exact_poly(a, b), k) for b in b_nodes]
-                  for a in range(-k, k + 1)]
-        # Interpolate along t for each a-node, then along a per t-degree.
-        t_coef_rows = [_interp_1d(t_nodes, row) for row in values]
-        p = []
-        for i_coeffs in zip(*[_interp_1d(a_nodes, [t_coef_rows[ia][j] for ia in range(len(a_nodes))])
-                              for j in range(k + 1)]):
-            p.append(list(i_coeffs))
+        # newton[i][j] = C_j(a_i), from the t-nodes b_0..b_j with i + 2j <= 2k.
+        newton = []
+        for i in range(2 * k + 1):
+            count = (2 * k - i) // 2 + 1
+            newton.append(_divided_differences(t_nodes[:count],
+                                               [grid[i][j][k - 1] for j in range(count)]))
+        p = [[Fraction(0)] * (k + 1) for _ in range(2 * k + 1)]
+        basis = RatPoly.one()
+        for j in range(k + 1):
+            c_j = _interp_1d(a_nodes[:2 * k - 2 * j + 1],
+                             [newton[i][j] for i in range(2 * k - 2 * j + 1)])
+            for i, ca in enumerate(c_j):
+                for l, cb in enumerate(basis.coeffs):
+                    p[i][l] += ca * cb
+            basis = basis * RatPoly([-t_nodes[j], 1])
         if any(c.denominator != 1 for row in p for c in row):
             raise NumericalError("determinant polynomial interpolation went non-integral")
         # Spot check at an off-grid rational point.

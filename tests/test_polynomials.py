@@ -168,6 +168,8 @@ def test_bareiss_det_against_elimination():
         [[(0, 0), (2, 1), (1, 0)], [(0, 0), (1, 0), (3, -1)], [(1, 1), (0, 0), (2, 0)]],
         [[(1, 2), (2, 4)], [(3, 0), (6, 0)]],  # singular
         [[(0, 0), (1, 0)], [(0, 0), (5, 0)]],  # zero column
+        [[0, 2, 1], [3, 1, 4], [1, 5, 9]],  # plain ints, zero leading pivot
+        [[2, 4], [1, 2]],  # plain ints, singular
     ]
     randomized = []
     for trial in range(120):
@@ -175,8 +177,40 @@ def test_bareiss_det_against_elimination():
         gaussian = trial % 2 == 1
         randomized.append([[(rng.randint(-3, 3), rng.randint(-3, 3) if gaussian else 0)
                             for _ in range(size)] for _ in range(size)])
+    for _ in range(60):  # plain-int matrices take the integer path unwrapped
+        size = rng.randint(1, 6)
+        randomized.append([[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)])
     for matrix in fixed + randomized:
-        assert QComplex.of(bareiss_det(matrix)) == _elimination_det(matrix)
-    assert bareiss_det([]) == (1, 0)
-    assert bareiss_det(fixed[1]) == (-1, 0)
-    assert bareiss_det(fixed[3]) == (0, 0)
+        det, _ = bareiss_det(matrix)
+        assert QComplex.of(det) == _elimination_det(matrix)
+        assert isinstance(det, tuple) == (not matrix or isinstance(matrix[0][0], tuple))
+    assert bareiss_det([])[0] == (1, 0)
+    assert bareiss_det(fixed[1])[0] == (-1, 0)
+    assert bareiss_det(fixed[3])[0] == (0, 0)
+    assert bareiss_det(fixed[5])[0] == -32
+    assert bareiss_det(fixed[6])[0] == 0
+
+
+def test_bareiss_reports_leading_minors():
+    # Until the first row swap, the pivots are the leading principal minors,
+    # and a swap is reported by a list that stops at the zero pivot.
+    rng = random.Random(57)
+    matrices = []
+    for trial in range(80):
+        size = rng.randint(1, 7)
+        m = [[(rng.randint(-4, 4), rng.randint(-4, 4) if trial % 4 else 0)
+              for _ in range(size)] for _ in range(size)]
+        if trial % 3 == 0 and size >= 4:
+            m[2][:3] = m[0][:3]  # leading minor of order 3 vanishes
+        matrices.append(m)
+    swaps = 0
+    for m in matrices:
+        det, minors = bareiss_det(m)
+        leading = [_elimination_det([row[:s] for row in m[:s]]) for s in range(1, len(m) + 1)]
+        assert [QComplex.of(x) for x in minors] == leading[:len(minors)]
+        if len(minors) < len(m):
+            swaps += 1
+            assert QComplex.of(minors[-1]).is_zero()
+        else:
+            assert minors[-1] == det
+    assert swaps >= 10

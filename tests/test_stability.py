@@ -1,14 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from relroots import (InputError, QComplex, RatPoly, SchurCohnHypothesisError,
                       find_roots)
+from relroots import stability
 from relroots.stability import (BASE_ROOT_BOX, RATIO_BOX_K7, RATIO_BOX_K9,
-                                ParamBox, _det_sign_polynomials, _exact_mk,
-                                certificate_pencil, kth_root_ratio_box,
-                                schur_cohn, schur_cohn_box)
+                                ParamBox, _clear_denominators,
+                                _det_sign_polynomials, _exact_mk, _nested_dets,
+                                _real_det, certificate_pencil,
+                                kth_root_ratio_box, schur_cohn, schur_cohn_box)
 
 
 def test_exact_linear_cases():
@@ -211,7 +214,64 @@ def test_beta_agrees_with_solver_randomized():
         except SchurCohnHypothesisError:
             continue
         assert rep.beta == sum(1 for z in rs.roots if abs(z) > 1)
+        gcoeffs, _ = _clear_denominators(coeffs)
+        assert rep.signs == tuple("+" if _real_det(gcoeffs, k) > 0 else "-"
+                                  for k in range(1, deg + 1))
         done += 1
+
+
+def test_nested_dets_match_per_k_determinants(monkeypatch):
+    # M_k is read off one elimination until its first row swap; later M_k
+    # come from their own determinants.  Small coefficients with zeros make
+    # swaps common, so both branches run.
+    fallbacks = []
+
+    def per_k(gcoeffs, k):
+        fallbacks.append(k)
+        return _real_det(gcoeffs, k)
+
+    monkeypatch.setattr(stability, "_real_det", per_k)
+    rng = random.Random(404)
+    for trial in range(150):
+        deg = rng.randint(1, 7)
+        gcoeffs = [(rng.randint(-2, 2), rng.randint(-2, 2) if trial % 2 else 0)
+                   for _ in range(deg + 1)]
+        expected = [_real_det(gcoeffs, k) for k in range(1, deg + 1)]
+        assert _nested_dets(gcoeffs) == expected
+    assert len(fallbacks) >= 20
+
+
+def test_det_sign_polynomials_one_elimination_per_node(monkeypatch):
+    # n = 6 has pencil degree d = 10: one order-20 elimination at each of
+    # the (d + 1)^2 = 121 lower-set nodes, then the spot check's own
+    # determinant of each order 2k.
+    orders = Counter()
+    kernel = stability.bareiss_det
+
+    def counting(matrix):
+        orders[len(matrix)] += 1
+        return kernel(matrix)
+
+    monkeypatch.setattr(stability, "bareiss_det", counting)
+    monkeypatch.setattr(stability, "_det_poly_cache", {})
+    _det_sign_polynomials(6)
+    assert orders == Counter({20: 121 + 1, **{2 * k: 1 for k in range(1, 10)}})
+
+
+def test_det_polynomials_match_determinants_off_grid():
+    rng = random.Random(1009)
+    for n in range(3, 7):
+        pen = certificate_pencil(n)
+        polys = _det_sign_polynomials(n)
+        for _ in range(3):
+            # Odd over even: never an integer, so never a grid node.
+            a = Fraction(2 * rng.randint(-30, 30) + 1, 2 * rng.randint(1, 15))
+            b = Fraction(2 * rng.randint(-30, 30) + 1, 2 * rng.randint(1, 15))
+            coeffs = pen.exact_poly(a, b)
+            for k, p in enumerate(polys, start=1):
+                value = sum(c * a ** i * (b * b) ** j
+                            for i, row in enumerate(p) for j, c in enumerate(row))
+                assert value == _exact_mk(coeffs, k)
 
 
 def test_parambox_split_and_json():
