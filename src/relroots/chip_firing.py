@@ -3,8 +3,8 @@
 The H-vector of the cographic matroid counts critical configurations by the
 degree of their associated monomials, which gives a route to H that is
 independent of the F-vector transform.  Recurrence is decided by the
-burning criterion: fire the sink once and require the cascade to fire every
-other vertex exactly once.
+burning criterion (``_critical_rows``); ``recurrent_by_firing_search`` is an
+independent oracle that follows the definition.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .multigraph import Multigraph, is_connected
 from .polynomials import HVector
 
 DEFAULT_STATE_GUARD = 1 << 24
-# Stable configurations burned per vectorized pass of h_vector_chip.  Each
+# Stable configurations burned per vectorized pass of _critical_rows.  Each
 # costs on the order of 150 bytes of arrays, so a chunk stays near 10 MB
 # however many states the guard admits.
 _CHUNK_STATES = 1 << 16
@@ -91,49 +91,52 @@ def _mult_matrix(g: Multigraph) -> list[list[int]]:
     return lam
 
 
-def _burns(theta: tuple[int, ...], sink: int, lam: list[list[int]],
-           degrees: list[int], n: int) -> bool:
-    """Burning criterion: after firing the sink, every vertex fires exactly once."""
-    chips = list(theta)
-    for v in range(n):
-        chips[v] += lam[sink][v]
-    fired = [False] * n
-    fired[sink] = True
-    ready = [v for v in range(n) if not fired[v] and chips[v] >= degrees[v]]
-    count = 1
-    while ready:
-        u = ready.pop()
-        if fired[u]:
-            continue
-        fired[u] = True
-        count += 1
-        for v in range(n):
-            if lam[u][v] and not fired[v]:
-                chips[v] += lam[u][v]
-                if chips[v] >= degrees[v]:
-                    ready.append(v)
-    return count == n
+def _critical_rows(g: Multigraph, sink: int, degrees: list[int], others: list[int],
+                   states: int) -> Iterator[np.ndarray]:
+    """Critical configurations, chunk by chunk, as rows of chip counts on the
+    non-sink vertices ``others`` (the stable space from ``_stable_space``).
+
+    Scans the product space prod_v {0..deg(v)-1} of stable configurations
+    in the order of ``itertools.product`` (``np.unravel_index`` in C
+    order) and applies the burning criterion: fire the sink once and
+    require the cascade to fire every other vertex exactly once.  Each
+    chunk burns simultaneously, one synchronous firing round per pass (the
+    abelian property makes the firing order irrelevant).
+    """
+    deg_o = np.array([degrees[v] for v in others], dtype=np.int32)
+    lam_full = _mult_matrix(g)
+    lam_sub = np.array([[lam_full[u][v] for v in others] for u in others], dtype=np.int32)
+    sink_row = np.array([lam_full[sink][v] for v in others], dtype=np.int32)
+    transfer = (lam_sub - np.diag(deg_o)).astype(np.int32)
+    for start in range(0, states, _CHUNK_STATES):
+        index = np.arange(start, min(start + _CHUNK_STATES, states), dtype=np.int64)
+        theta = np.stack(np.unravel_index(index, deg_o.tolist()), axis=1).astype(np.int32)
+        chips = theta + sink_row
+        fired = np.zeros_like(chips, dtype=bool)
+        while True:
+            ready = (chips >= deg_o) & ~fired
+            if not ready.any():
+                break
+            chips = chips + ready.astype(np.int32) @ transfer
+            fired |= ready
+        yield theta[fired.all(axis=1)]
 
 
 def critical_configs(g: Multigraph, sink: int,
                      state_guard: int = DEFAULT_STATE_GUARD) -> list[Configuration]:
     """All critical (stable and recurrent) configurations with the given sink.
 
-    Scans the product space prod_v {0..deg(v)-1} of stable configurations and
-    filters by the burning criterion; exponential in n, intended for
-    gadget-sized graphs.
+    Exponential in n, intended for gadget-sized graphs.
     """
-    degrees, others, _ = _stable_space(g, sink, state_guard)
-    lam = _mult_matrix(g)
+    degrees, others, states = _stable_space(g, sink, state_guard)
     out: list[Configuration] = []
-    for values in product(*(range(degrees[v]) for v in others)):
-        theta = [0] * g.n
-        for v, val in zip(others, values):
-            theta[v] = val
-        theta[sink] = -sum(values)
-        tup = tuple(theta)
-        if _burns(tup, sink, lam, degrees, g.n):
-            out.append(Configuration(theta=tup, sink=sink))
+    for rows in _critical_rows(g, sink, degrees, others, states):
+        for values in rows.tolist():
+            theta = [0] * g.n
+            for v, val in zip(others, values):
+                theta[v] = val
+            theta[sink] = -sum(values)
+            out.append(Configuration(theta=tuple(theta), sink=sink))
     return out
 
 
@@ -151,34 +154,17 @@ def h_vector_chip(g: Multigraph, sink: int,
                   state_guard: int = DEFAULT_STATE_GUARD) -> HVector:
     """H-vector from the chip-firing game: H_i = number of critical monomials of degree i.
 
-    The scan is vectorized: each chunk of stable configurations burns
-    simultaneously, one synchronous firing round per pass (the abelian
-    property makes the firing order irrelevant), and the degree counts add
-    up across chunks.
+    The degree counts of each chunk of critical configurations add up
+    across chunks.
     """
     degrees, others, states = _stable_space(g, sink, state_guard)
-    deg_o = np.array([degrees[v] for v in others], dtype=np.int32)
-    lam_full = _mult_matrix(g)
-    lam_sub = np.array([[lam_full[u][v] for v in others] for u in others], dtype=np.int32)
-    sink_row = np.array([lam_full[sink][v] for v in others], dtype=np.int32)
-    transfer = (lam_sub - np.diag(deg_o)).astype(np.int32)
-
+    # The monomial of a critical row has exponents deg(v) - 1 - theta(v).
+    max_expo = np.array([degrees[v] - 1 for v in others], dtype=np.int32)
     top = g.m - g.n + 1
     counts = np.zeros(top + 1, dtype=np.int64)
-    for start in range(0, states, _CHUNK_STATES):
-        index = np.arange(start, min(start + _CHUNK_STATES, states), dtype=np.int64)
-        theta = np.stack(np.unravel_index(index, deg_o.tolist()), axis=1).astype(np.int32)
-        chips = theta + sink_row
-        fired = np.zeros_like(chips, dtype=bool)
-        while True:
-            ready = (chips >= deg_o) & ~fired
-            if not ready.any():
-                break
-            chips = chips + ready.astype(np.int32) @ transfer
-            fired |= ready
-        critical = fired.all(axis=1)
-        mono_deg = ((deg_o - 1) - theta[critical]).sum(axis=1, dtype=np.int64)
-        chunk_counts = np.bincount(mono_deg, minlength=top + 1)
+    for rows in _critical_rows(g, sink, degrees, others, states):
+        chunk_counts = np.bincount((max_expo - rows).sum(axis=1, dtype=np.int64),
+                                   minlength=top + 1)
         if len(chunk_counts) > top + 1:
             raise InputError("monomial degree exceeded m-n+1; inconsistent input graph")
         counts += chunk_counts

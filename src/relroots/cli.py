@@ -255,8 +255,6 @@ def _build_parser() -> _Parser:
     s = add_parser("roots", help="roots of a polynomial JSON file")
     s.add_argument("poly", type=str)
     s.add_argument("--svg", type=str, default=None)
-    s.add_argument("--no-deflate", action="store_true",
-                   help="skip exact removal of (1-q)^k before solving")
 
     s = add_parser("hvector", help="H-vector of a graph file")
     s.add_argument("graph", type=str)
@@ -349,11 +347,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "roots":
-        poly = RatPoly.from_json(_read(args.poly))
-        if args.no_deflate:
-            rs = find_roots(poly, args.precision_bits)
-        else:
-            rs = reliability_root_set(poly, args.precision_bits)
+        rs = reliability_root_set(RatPoly.from_json(_read(args.poly)), args.precision_bits)
         _emit(roots_csv(rs), args.out)
         if args.svg:
             with open(args.svg, "w", encoding="utf-8") as fh:

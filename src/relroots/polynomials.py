@@ -430,6 +430,122 @@ def parse_complex_rational(text: str) -> QComplex:
 
 
 # ---------------------------------------------------------------------------
+# Squarefree decomposition over the Gaussian rationals
+# ---------------------------------------------------------------------------
+
+# A prime p ≡ 1 (mod 4), so -1 has a square root s in GF(p), and (p, i - s)
+# is a prime ideal of Z[i] with residue field GF(p), i mapping to s.  For a
+# quadratic non-residue g, s = g^((p-1)/4).
+_P = 1_000_000_009
+_I_MOD_P = pow(next(g for g in range(2, _P) if pow(g, (_P - 1) // 2, _P) == _P - 1),
+               (_P - 1) // 4, _P)
+_C0, _C1 = QComplex(Fraction(0)), QComplex(Fraction(1))
+
+
+def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in GF(p)[x] (ascending lists, a nonzero; Euclid)."""
+    while b and b[-1] == 0:
+        b = b[:-1]
+    while b:
+        a, db = list(a), len(b) - 1
+        inv = pow(b[-1], -1, _P)
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = a[k + db] * inv % _P
+            if c:
+                a[k:k + db] = [(x - c * y) % _P for x, y in zip(a[k:k + db], b)]
+        a, b = b, a[:db]
+        while b and b[-1] == 0:
+            b = b[:-1]
+    return len(a) - 1
+
+
+def _squarefree_mod_p(f: list[QComplex]) -> bool:
+    """A cheap certificate that f is squarefree over Q(i); False proves nothing.
+
+    Scale f by the lcm of its denominators to F in Z[i][x] and map F to
+    GF(p)[x] by i -> s.  If the image of lc(F) is nonzero and the image F̄
+    is coprime to F̄', then f is squarefree.  Proof: suppose f = g^2 h with
+    g nonconstant.  Z[i] is a unique factorization domain, so by Gauss's
+    lemma g can be taken primitive in Z[i][x], and then g^2 divides F in
+    Z[i][x].  Reduction modulo (p, i - s) is a ring map, so ḡ^2 divides F̄.
+    As lc(F) = lc(g)^2 lc(h) maps to a nonzero element of the field GF(p),
+    so does lc(g), and ḡ has the degree of g, at least 1.  Then ḡ divides
+    both F̄ and F̄' = 2ḡḡ'h̄ + ḡ^2h̄', against gcd(F̄, F̄') = 1.
+    """
+    den = math.lcm(*(x.denominator for c in f for x in (c.re, c.im)))
+    img = [(int(c.re * den) + int(c.im * den) * _I_MOD_P) % _P for c in f]
+    if img[-1] == 0:
+        return False
+    return _gcd_degree_mod_p(img, [k * c % _P for k, c in enumerate(img)][1:]) == 0
+
+
+def _cdivmod(a: list[QComplex], b: list[QComplex]) -> tuple[list[QComplex], list[QComplex]]:
+    """Quotient and remainder of ascending QComplex lists (b nonzero)."""
+    rem, db = list(a), len(b) - 1
+    inv = _C1 / b[-1]
+    quot = [_C0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = quot[k] = rem[k + db] * inv
+        if not c.is_zero():
+            rem[k:k + db] = [x - c * y for x, y in zip(rem[k:k + db], b)]
+    return quot, cpoly_normalize(rem[:db])
+
+
+def _cgcd(a: list[QComplex], b: list[QComplex]) -> list[QComplex]:
+    """Monic gcd by Euclid's algorithm (a nonzero)."""
+    while b:
+        a, b = b, _cdivmod(a, b)[1]
+    inv = _C1 / a[-1]
+    return [c * inv for c in a]
+
+
+def _cderivative(a: list[QComplex]) -> list[QComplex]:
+    return [c * k for k, c in enumerate(a)][1:]
+
+
+def _cminus_derivative(c: list[QComplex], b: list[QComplex]) -> list[QComplex]:
+    """c - b'."""
+    return cpoly_normalize([x - y for x, y in zip_longest(c, _cderivative(b), fillvalue=_C0)])
+
+
+def squarefree_split(coeffs: Sequence) -> list[tuple[list[QComplex], int]]:
+    """Exact squarefree decomposition f = lc · ∏ a_i^i over Q(i).
+
+    Returns the nonconstant factors as (a_i, i); the a_i are squarefree and
+    pairwise coprime, so every root of a_i is a root of f of multiplicity
+    exactly i.  A polynomial that ``_squarefree_mod_p`` certifies comes back
+    unchanged as the single factor (f, 1).  Otherwise Yun's algorithm
+    (D. Y. Y. Yun, "On square-free decomposition algorithms", SYMSAC 1976)
+    runs in exact arithmetic, with monic factors; its divisions are exact
+    by construction, and the product lc · ∏ a_i^i must reproduce f.
+    """
+    f = cpoly_normalize(coeffs)
+    if len(f) < 2:
+        return []
+    if len(f) == 2 or _squarefree_mod_p(f):
+        return [(f, 1)]
+    df = _cderivative(f)
+    a0 = _cgcd(f, df)
+    b = _cdivmod(f, a0)[0]
+    d = _cminus_derivative(_cdivmod(df, a0)[0], b)
+    factors, i = [], 1
+    while len(b) > 1:
+        a = _cgcd(b, d)
+        b = _cdivmod(b, a)[0]
+        d = _cminus_derivative(_cdivmod(d, a)[0], b)
+        if len(a) > 1:
+            factors.append((a, i))
+        i += 1
+    product = [f[-1]]
+    for a, i in factors:
+        for _ in range(i):
+            product = convolve(product, a)
+    if cpoly_normalize(product) != f:
+        raise NumericalError("squarefree decomposition does not multiply back to its input")
+    return factors
+
+
+# ---------------------------------------------------------------------------
 # Fraction-free determinants over the Gaussian integers
 # ---------------------------------------------------------------------------
 

@@ -1,11 +1,13 @@
 """Complex root extraction, max-modulus queries and coefficient-ratio bounds.
 
-The solver keeps books per root.  A simultaneous Aberth iteration in double
-precision gives one start per root; every start is Newton-polished in
-fixed-point Python integers at prec + 30 bits or more (``FixedHorner``),
-and a root is frozen once its residual bound |p(z)/p'(z)| passes
-2^(-prec/2+10)·max(1, |z|) and it duplicates no frozen root beyond its
-multiplicity.  Only the roots left over are re-swept by a fixed-point Aberth
+Multiplicity is exact algebra: the input is split into squarefree,
+pairwise coprime factors first (``polynomials.squarefree_split``), and the
+solver only ever meets simple roots.  It keeps books per root.  A
+simultaneous Aberth iteration in double precision gives one start per root;
+every start is Newton-polished in fixed-point Python integers at prec + 30
+bits or more (``FixedHorner``), and a root is frozen once its residual bound
+|p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and it lies that close to no frozen
+root.  Only the roots left over are re-swept by a fixed-point Aberth
 iteration whose sum runs over all current roots, then polished again; the
 precision doubles (up to a cap) for the roots that still fail.  The final
 root multiset is checked against exact symmetric functions of the
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import (DisconnectedGraphError, InputError, NumericalError,
                      RootFindingError)
 from .multigraph import Multigraph, blocks, is_connected
-from .polynomials import QComplex, RatPoly, cpoly_normalize
+from .polynomials import QComplex, RatPoly, cpoly_normalize, squarefree_split
 from .reliability import rel_auto
 
 DEFAULT_PRECISION_BITS = 256
@@ -42,8 +44,9 @@ class SolverDiagnostics:
     ``direct`` roots were frozen straight from their double-precision
     starts; ``reswept`` roots went through multiprecision Aberth, which
     took ``sweeps`` sweeps over ``escalations`` precision doublings.
-    ``worst_residual_log2`` is the largest log2(residual / max(1, |z|)) over
-    the nonzero roots (None when there are none).
+    ``worst_residual_log2`` is the largest log2(residual / |z|) over the
+    nonzero roots (None when there are none).  For a polynomial with
+    repeated roots the counts are over the distinct roots solved.
     """
 
     direct: int = 0
@@ -52,10 +55,25 @@ class SolverDiagnostics:
     escalations: int = 0
     worst_residual_log2: float | None = None
 
+    def merge(self, other: "SolverDiagnostics") -> "SolverDiagnostics":
+        """Counts of two solves added up, with the worse of their residuals."""
+        worst = [w for w in (self.worst_residual_log2, other.worst_residual_log2)
+                 if w is not None]
+        return SolverDiagnostics(
+            direct=self.direct + other.direct, reswept=self.reswept + other.reswept,
+            sweeps=self.sweeps + other.sweeps, escalations=self.escalations + other.escalations,
+            worst_residual_log2=max(worst, default=None))
+
 
 @dataclass(frozen=True)
 class RootSet:
-    """Polished complex roots with per-root residual bounds |p(z)/p'(z)|."""
+    """Polished complex roots with per-root residual bounds.
+
+    The residual of a root bounds |a(z)/a'(z)| for the squarefree factor a
+    of the input that the root belongs to (the input itself when it is
+    squarefree), and every copy of a repeated root carries it.  Exact zero
+    roots have residual 0.
+    """
 
     roots: tuple
     residuals: tuple
@@ -105,8 +123,8 @@ def _log2_abs(c: QComplex) -> float | None:
     return (math.log2(a2.numerator) - math.log2(a2.denominator)) / 2.0
 
 
-def _initial_radius(coeffs: list[QComplex]) -> float:
-    """Root-modulus bound for the starting circle.
+def _root_bound_log2(coeffs: list[QComplex]) -> float:
+    """log2 of an upper bound on the root moduli, uncapped.
 
     The minimum of the Cauchy and Fujiwara bounds, improved by the
     consecutive-coefficient-ratio bound when all coefficients are positive
@@ -115,23 +133,23 @@ def _initial_radius(coeffs: list[QComplex]) -> float:
     high-degree H-polynomials cannot overflow.
     """
     d = len(coeffs) - 1
-    lead = _log2_abs(coeffs[d])
-    assert lead is not None
     logs = [_log2_abs(c) for c in coeffs]
+    lead = logs[d]
+    assert lead is not None
     cauchy_log = max((lg - lead for lg in logs[:d] if lg is not None), default=None)
     if cauchy_log is None:
-        return 1.0
-    cauchy = 1.0 + (2.0 ** cauchy_log if cauchy_log < 1000 else math.inf)
-    fujiwara_log = max(
-        ((logs[d - k] - lead - (1.0 if k == d else 0.0)) / k
-         for k in range(1, d + 1) if logs[d - k] is not None),
-        default=0.0,
-    )
-    radius = min(cauchy, 2.0 * (2.0 ** min(fujiwara_log, 512.0)))
+        return 0.0
+    bound = max(cauchy_log, 0.0) + math.log2(1.0 + 2.0 ** -abs(cauchy_log))
+    bound = min(bound, 1.0 + max((logs[d - k] - lead - (1.0 if k == d else 0.0)) / k
+                                 for k in range(1, d + 1) if logs[d - k] is not None))
     if all(c.im == 0 and c.re > 0 for c in coeffs):
-        ratio_log = max(logs[i - 1] - logs[i] for i in range(1, d + 1))
-        radius = min(radius, 2.0 ** min(ratio_log, 512.0))
-    return max(radius, 1e-6)
+        bound = min(bound, max(logs[i - 1] - logs[i] for i in range(1, d + 1)))
+    return bound
+
+
+def _initial_radius(coeffs: list[QComplex]) -> float:
+    """Radius of the starting circle: the root bound, kept inside double range."""
+    return 2.0 ** min(max(_root_bound_log2(coeffs), -1000.0), 513.0)
 
 
 class _MachineFailure(Exception):
@@ -315,37 +333,27 @@ class FixedHorner:
         return -((-num << self.bits) // den)
 
 
-def _polish(horner: FixedHorner, z: tuple[int, int], prec: int) -> tuple[tuple[int, int], int]:
-    """Newton polishing with a multiplicity correction; returns (z, multiplicity).
+def _polish(horner: FixedHorner, z: tuple[int, int], prec: int) -> tuple[int, int]:
+    """Newton polishing from a start near a simple root.
 
-    Near an isolated multiple root plain Newton contracts linearly by
-    (mu-1)/mu, so a stable step ratio reveals the multiplicity and scaling
-    the step by mu restores quadratic convergence.  A start whose steps stop
-    halving after the multiplicity check, or that has not converged after
-    ``_POLISH_STEPS`` steps, is left to the Aberth sweep.
+    A start whose steps stop halving (from step 5 on), or that has not
+    converged after ``_POLISH_STEPS`` steps, lies outside its quadratic basin
+    and is left to the Aberth sweep.
     """
-    bits = horner.bits
     zr, zi = z
-    mu = 1
     prev_step = None
     for it in range(_POLISH_STEPS):
         step = horner.newton_step(zr, zi)
         if step is None:
             break
-        zr, zi = zr - mu * step[0], zi - mu * step[1]
+        zr, zi = zr - step[0], zi - step[1]
         size = _modulus(*step)
-        if size <= max(1 << bits, _modulus(zr, zi)) >> (prec // 2):
+        if size <= _modulus(zr, zi) >> (prec // 2):
             break
-        if prev_step and it >= 3:
-            ratio = size / prev_step
-            if mu == 1 and 0.2 < ratio < 0.95:
-                est = round(1 / (1 - ratio))
-                if 2 <= est <= 16:
-                    mu = est
-            elif it >= 5 and ratio > 0.5:
-                break  # no quadratic convergence: a start outside the basin
+        if prev_step and it >= 5 and 2 * size > prev_step:
+            break
         prev_step = size
-    return (zr, zi), mu
+    return zr, zi
 
 
 def _aberth(horner: FixedHorner, points: list, active: list[int], prec: int) -> int:
@@ -354,7 +362,7 @@ def _aberth(horner: FixedHorner, points: list, active: list[int], prec: int) -> 
     The Aberth sum runs over every current point, frozen roots included, so
     a re-swept point is pushed away from the roots already found.  The sweep
     only has to hand Newton a start inside its quadratic basin; it stops
-    once no active point moves by more than 2^-min(prec/2, 60) relative.
+    once no active point moves by more than 2^-min(prec/2, 60) of its modulus.
     Returns the number of sweeps.
     """
     bits = horner.bits
@@ -381,7 +389,7 @@ def _aberth(horner: FixedHorner, points: list, active: list[int], prec: int) -> 
                            -((wr * si + wi * sr) >> bits), bits) or w
             zr, zi = zr - dz[0], zi - dz[1]
             points[k] = (zr, zi)
-            if _modulus(*dz) > max(one, _modulus(zr, zi)) >> tol_shift:
+            if _modulus(*dz) > _modulus(zr, zi) >> tol_shift:
                 settled = False
         if settled:
             return sweep
@@ -393,7 +401,7 @@ def _multiset_consistent(roots: list, coeffs: list[QComplex], prec: int) -> bool
 
     The sum of roots and the sum of squares are pinned by the top
     coefficients, so a sweep that collapsed two distinct roots into one
-    (duplicating another) cannot pass, while genuine multiplicities do.
+    (duplicating another) cannot pass.
     """
     d = len(coeffs) - 1
     lead = _to_mpc(coeffs[-1])
@@ -424,8 +432,9 @@ class _Solve:
     def __init__(self, coeffs: list[QComplex], starts, prec: int):
         self.coeffs = coeffs
         self.prec = prec
-        smallest = 1.0 / _initial_radius(coeffs[::-1])
-        self.guard_bits = _GUARD_BITS + max(0, math.ceil(-math.log2(smallest)))
+        # 1 / (a bound on the roots of the reversed polynomial) bounds every
+        # root from below.
+        self.guard_bits = _GUARD_BITS + max(0, math.ceil(_root_bound_log2(coeffs[::-1])))
         self.horner = FixedHorner(coeffs, prec + self.guard_bits)
         self.points = [_to_fixed(complex(z), self.horner.bits) for z in starts]
         self.residuals: list = [None] * len(self.points)
@@ -441,14 +450,11 @@ class _Solve:
         frozen = [z for z, r in zip(self.points, self.residuals) if r is not None]
         unresolved = []
         for k in candidates:
-            z, mu = _polish(horner, self.points[k], self.prec)
+            z = _polish(horner, self.points[k], self.prec)
             residual = horner.residual(*z)
-            limit = max(1 << bits, _modulus(*z)) >> limit_shift
-            # A simple root may be found once; a root of multiplicity mu
-            # (as the polish measured it) up to mu times.
-            copies = sum(1 for x in frozen
-                         if (z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= limit * limit)
-            if residual is None or residual > limit or copies >= mu:
+            limit = _modulus(*z) >> limit_shift
+            if residual is None or residual > limit or any(
+                    (z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= limit * limit for x in frozen):
                 unresolved.append(k)
                 continue
             self.points[k] = z
@@ -477,39 +483,15 @@ class _Solve:
                 for zr, zi in self.points]
 
 
-def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
-    """All complex roots of a polynomial with exact (complex-)rational coefficients.
+def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
+    """Roots of a squarefree polynomial with a nonzero constant term.
 
-    Exact roots at the origin are split off first.  Every double-precision
-    Aberth start is Newton-polished in fixed point; the roots that validate
-    are frozen, and only the rest are re-swept by multiprecision Aberth,
-    first at ``precision_bits`` and then at doubled precisions.  Repeated
-    roots are tolerated (the polish step corrects for multiplicity and the
-    result is validated against exact symmetric functions), though the root
-    at 1 of reliability polynomials should still be deflated upstream for
-    speed and accuracy.  Raises :class:`RootFindingError` when roots still
-    fail validation at the maximum escalated precision.
+    Every double-precision Aberth start is Newton-polished in fixed point;
+    the roots that validate are frozen, and only the rest are re-swept by
+    multiprecision Aberth, first at ``precision_bits`` and then at doubled
+    precisions.
     """
-    coeffs = _as_qcomplex_coeffs(p)
-    if not coeffs:
-        raise InputError("cannot find roots of the zero polynomial")
-    if len(coeffs) == 1:
-        raise InputError("cannot find roots of a constant polynomial")
-    if precision_bits < 53:
-        raise InputError("precision_bits must be at least 53")
-
-    zero_mult = 0
-    while coeffs[0].is_zero():
-        coeffs = coeffs[1:]
-        zero_mult += 1
-    zeros = [mp.mpc(0)] * zero_mult
-    zero_res = [mp.mpf(0)] * zero_mult
-
     d = len(coeffs) - 1
-    if d == 0:
-        return RootSet(roots=tuple(zeros), residuals=tuple(zero_res),
-                       precision_bits=precision_bits, diagnostics=SolverDiagnostics())
-
     radius = _initial_radius(coeffs)
     try:
         # Sweep the rescaled polynomial p(s * y) from the unit circle; the
@@ -534,22 +516,57 @@ def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> Roo
             with mp.workprec(solve.horner.bits):
                 roots = solve.roots()
                 if _multiset_consistent(roots, coeffs, precision_bits):
-                    worst = max(mp.log(r / max(1, abs(z)), 2)
-                                for z, r in zip(roots, solve.residuals))
+                    worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, solve.residuals))
                     diagnostics = SolverDiagnostics(
                         direct=direct, reswept=len(solve.reswept), sweeps=solve.sweeps,
                         escalations=solve.escalations, worst_residual_log2=float(worst))
-                    return RootSet(roots=tuple(zeros + roots),
-                                   residuals=tuple(zero_res + solve.residuals),
+                    return RootSet(roots=tuple(roots), residuals=tuple(solve.residuals),
                                    precision_bits=solve.prec, diagnostics=diagnostics)
             # A collapsed multiset: re-sweep every root at higher precision.
             unresolved = list(range(d))
             unfreeze = True
         if 2 * solve.prec > MAX_PRECISION_BITS:
-            raise RootFindingError(
-                "roots failed residual validation up to the precision cap; "
-                "the polynomial may have multiple roots")
+            raise RootFindingError("roots failed residual validation up to the precision cap")
         solve.escalate(unfreeze)
+
+
+def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
+    """All complex roots of a polynomial with exact (complex-)rational coefficients.
+
+    Exact roots at the origin are split off first, and the rest of the
+    polynomial is split exactly into squarefree, pairwise coprime factors
+    (``squarefree_split``), so the solver only ever meets simple roots.
+    Each factor is solved on its own (``_solve_squarefree``), and each of
+    its roots is reported as often as the factor's multiplicity, every copy
+    with the factor's residual.  The diagnostics add up over the factors,
+    with the worst residual taken over all of them, and ``precision_bits``
+    is the largest precision any factor reached.  Raises
+    :class:`RootFindingError` when roots still fail validation at the
+    maximum escalated precision.
+    """
+    coeffs = _as_qcomplex_coeffs(p)
+    if not coeffs:
+        raise InputError("cannot find roots of the zero polynomial")
+    if len(coeffs) == 1:
+        raise InputError("cannot find roots of a constant polynomial")
+    if precision_bits < 53:
+        raise InputError("precision_bits must be at least 53")
+
+    zero_mult = 0
+    while coeffs[0].is_zero():
+        coeffs = coeffs[1:]
+        zero_mult += 1
+    roots = [mp.mpc(0)] * zero_mult
+    residuals = [mp.mpf(0)] * zero_mult
+    prec, diagnostics = precision_bits, SolverDiagnostics()
+    for factor, mult in squarefree_split(coeffs):
+        part = _solve_squarefree(factor, precision_bits)
+        roots += [z for z in part.roots for _ in range(mult)]
+        residuals += [r for r in part.residuals for _ in range(mult)]
+        prec = max(prec, part.precision_bits)
+        diagnostics = diagnostics.merge(part.diagnostics)
+    return RootSet(roots=tuple(roots), residuals=tuple(residuals), precision_bits=prec,
+                   diagnostics=diagnostics)
 
 
 def max_modulus_root(rs: RootSet):
@@ -584,8 +601,10 @@ def enestrom_kakeya(p: RatPoly) -> Annulus:
 def reliability_root_set(rel: RatPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
     """Roots of a reliability polynomial, factoring (1-q)^k out exactly first.
 
-    The massively multiple root at 1 would wreck the iteration, so it is
-    deflated and re-attached with residual 0.
+    ``find_roots`` would find the multiple root at 1 through its squarefree
+    split too, but the gcd of a high-degree Rel and its derivative costs far
+    more than synthetic division by (1-q), so the root at 1 is deflated here
+    and re-attached k times with residual 0.
     """
     h, k = rel.deflate_unit_roots()
     if h.degree < 1:

@@ -481,7 +481,8 @@ def _det_sign_polynomials(n: int):
             count = (2 * k - i) // 2 + 1
             newton.append(_divided_differences(t_nodes[:count],
                                                [grid[i][j][k - 1] for j in range(count)]))
-        p = [[Fraction(0)] * (k + 1) for _ in range(2 * k + 1)]
+        # Row i holds the coefficients of a^i t^j for j <= (2k - i) / 2 only.
+        p = [[Fraction(0)] * ((2 * k - i) // 2 + 1) for i in range(2 * k + 1)]
         basis = RatPoly.one()
         for j in range(k + 1):
             c_j = _interp_1d(a_nodes[:2 * k - 2 * j + 1],

@@ -6,11 +6,13 @@ import pytest
 
 from conftest import complete_graph, random_2connected_multigraph
 from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
-                      RootFindingError, TwoCliqueParams, check_modulus_bound,
+                      TwoCliqueParams, check_modulus_bound,
                       enestrom_kakeya, find_roots, max_modulus_root,
                       rel_bruteforce, reliability_root_set,
                       two_clique_reliability)
+from relroots import polynomials
 from relroots.cli import main
+from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
 from relroots.root_analysis import FixedHorner, _Solve
 
 
@@ -163,7 +165,9 @@ def _assert_matches(rs, exact, tol):
         unmatched.remove(best)
 
 
-def test_table1_rows_need_no_multiprecision_sweep():
+def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
+    # The modular certificate proves each row squarefree: no exact gcd runs.
+    monkeypatch.setattr(polynomials, "_cgcd", None)
     for n in range(3, 7):
         rel = two_clique_reliability(TwoCliqueParams(n, n, 1, 6))
         rs = reliability_root_set(rel, 256)
@@ -192,17 +196,13 @@ def test_fallback_separates_a_tight_cluster():
     assert rs.diagnostics.reswept >= 1 and rs.diagnostics.escalations == 0
 
 
-def test_freeze_rejects_duplicates_beyond_multiplicity():
+def test_freeze_rejects_a_second_copy_of_a_root():
     # Two starts polish to the simple root 1: the second is re-swept to 2.
     solve = _Solve([QComplex(c) for c in _product([1, 2, 3]).coeffs],
                    [1.0001, 1.0002, 2.9], 256)
     assert solve.freeze([0, 1, 2]) == [1]
     assert solve.sweep([1]) == []
     assert [complex(z) for z in solve.roots()] == pytest.approx([1, 2, 3], abs=1e-30)
-    # A double root (as the polish measures it) may be found twice.
-    solve = _Solve([QComplex(c) for c in _product([1, 1, 3]).coeffs],
-                   [1.0001, 0.9998 + 1e-4j, 2.9], 256)
-    assert solve.freeze([0, 1, 2]) == []
 
 
 def test_fixed_horner_against_exact_evaluation():
@@ -240,12 +240,94 @@ def test_fixed_horner_against_exact_evaluation():
             assert (err_dp * unit * 2 ** bits) ** 2 <= top2
 
 
-def test_triple_roots_fail_at_the_precision_cap(tmp_path, capsys):
+def _assert_multiplicities(rs, exact, tol):
+    """Each exact root r with multiplicity m has exactly m computed roots
+    within ``tol``, and no computed root is left over."""
+    assert len(rs) == sum(exact.values())
+    for r, mult in exact.items():
+        v = mp.mpc(mp.mpf(r.re.numerator) / r.re.denominator,
+                   mp.mpf(r.im.numerator) / r.im.denominator)
+        assert sum(1 for z in rs.roots if abs(z - v) <= tol) == mult, (r, mult)
+
+
+def _cproduct(exact) -> list:
+    p = [QComplex(Fraction(1))]
+    for r, mult in exact.items():
+        for _ in range(mult):
+            p = convolve(p, [-r, QComplex(Fraction(1))])
+    return p
+
+
+def test_triple_roots_get_exact_multiplicities(tmp_path, capsys):
     q2 = RatPoly([1, 1, 1])
     p = q2 * q2 * q2 * RatPoly([-2, 1])
-    with pytest.raises(RootFindingError):
-        find_roots(p)
+    with mp.workprec(300):
+        rs = find_roots(p)
+        w = mp.mpc(-0.5, mp.sqrt(3) / 2)
+        for v, mult in ((w, 3), (mp.conj(w), 3), (mp.mpf(2), 1)):
+            assert sum(1 for z in rs.roots if abs(z - v) <= mp.mpf(2) ** -100) == mult
+    assert len(rs) == 7
+    # The solver met the three distinct roots once each.
+    assert rs.diagnostics.direct + rs.diagnostics.reswept == 3
     f = tmp_path / "triple.json"
     f.write_text(p.to_json())
-    assert main(["roots", str(f)]) == 4
-    capsys.readouterr()
+    assert main(["roots", str(f)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 7
+
+
+def test_gaussian_triple_root():
+    exact = {QComplex(Fraction(1), Fraction(2)): 3, QComplex(Fraction(-1, 2)): 1}
+    with mp.workprec(300):
+        _assert_multiplicities(find_roots(_cproduct(exact)), exact, mp.mpf(2) ** -100)
+
+
+def test_seeded_products_of_powers():
+    rng = random.Random(8128)
+
+    def gaussian():
+        re = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        return QComplex(re, Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
+
+    for trial in range(12):
+        # Multiplicities 1..4, with integer roots in even trials and
+        # Gaussian-rational roots in odd ones; a factor has 1 or 2 roots.
+        exact = {}
+        for mult in range(1, 5):
+            for _ in range(rng.randint(1, 2)):
+                r = gaussian() if trial % 2 else QComplex(Fraction(rng.randint(-30, 30)))
+                exact.setdefault(r, mult)
+        lead = QComplex(Fraction(rng.randint(1, 50), rng.randint(1, 50)))
+        p = [lead * c for c in _cproduct(exact)]
+        factors = squarefree_split(p)
+        assert sorted(mult for _, mult in factors) == sorted(set(exact.values()))
+        with mp.workprec(300):
+            _assert_multiplicities(find_roots(p), exact, mp.mpf(2) ** -100)
+
+
+def test_squarefree_input_failing_the_modular_certificate():
+    # q^2 + p is squarefree, but its image q^2 in GF(p)[q] is not.
+    p = [QComplex(Fraction(1_000_000_009)), QComplex(Fraction(0)), QComplex(Fraction(1))]
+    assert not _squarefree_mod_p(p)
+    assert squarefree_split(p) == [([QComplex(Fraction(1_000_000_009)), QComplex(Fraction(0)),
+                                     QComplex(Fraction(1))], 1)]
+    with mp.workprec(300):
+        rs = find_roots(p)
+        root = mp.sqrt(1_000_000_009)
+        got = sorted(rs.roots, key=lambda z: z.imag)
+        for z, v in zip(got, (-root, root)):
+            assert abs(z - mp.mpc(0, v)) <= root * mp.mpf(2) ** -100
+    assert len(rs) == 2
+
+
+def test_tiny_roots_keep_their_relative_accuracy():
+    # Roots ±2^-1000: thresholds relative to |z|, guard bits from an
+    # uncapped lower root bound and a starting circle at the root bound
+    # resolve them straight from double precision, instead of reporting
+    # points hundreds of orders of magnitude too large.
+    rs = find_roots(RatPoly([1, 0, -(2 ** 2000)]))
+    assert rs.diagnostics.escalations == 0 and rs.diagnostics.direct == 2
+    with mp.workprec(rs.precision_bits + 64):
+        target = mp.ldexp(1, -1000)
+        got = sorted(rs.roots, key=lambda z: z.real)
+        for z, v in zip(got, (-target, target)):
+            assert abs(z - v) <= target * mp.mpf(2) ** -200

@@ -263,6 +263,9 @@ def test_det_polynomials_match_determinants_off_grid():
     for n in range(3, 7):
         pen = certificate_pencil(n)
         polys = _det_sign_polynomials(n)
+        # Row i of P_k stores only its lower set, t^j with i + 2j <= 2k.
+        for k, p in enumerate(polys, start=1):
+            assert [len(row) for row in p] == [(2 * k - i) // 2 + 1 for i in range(2 * k + 1)]
         for _ in range(3):
             # Odd over even: never an integer, so never a grid node.
             a = Fraction(2 * rng.randint(-30, 30) + 1, 2 * rng.randint(1, 15))
