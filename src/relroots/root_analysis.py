@@ -3,7 +3,13 @@
 Multiplicity is exact algebra: the input is split into squarefree,
 pairwise coprime factors first (``polynomials.squarefree_split``), and the
 solver only ever meets simple roots.  It keeps books per root.  A
-simultaneous Aberth iteration in double precision gives one start per root;
+simultaneous Aberth iteration in double precision gives one start per root.
+It starts from the Newton polygon of log2|c_k| (one circle per hull edge,
+as many starts as the edge is long), sweeps the polynomial scaled by a
+power of two so that those starts are of order one, and stops each root
+on its own: once its step is below 1e-13 relative, or once |p(z)| has
+stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
+iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
 bits or more (``FixedHorner``), and a root is frozen once its residual bound
 |p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and it lies that close to no frozen
@@ -44,6 +50,7 @@ class SolverDiagnostics:
     ``direct`` roots were frozen straight from their double-precision
     starts; ``reswept`` roots went through multiprecision Aberth, which
     took ``sweeps`` sweeps over ``escalations`` precision doublings.
+    ``machine_iterations`` counts the iterations of the double sweep.
     ``worst_residual_log2`` is the largest log2(residual / |z|) over the
     nonzero roots (None when there are none).  For a polynomial with
     repeated roots the counts are over the distinct roots solved.
@@ -53,6 +60,7 @@ class SolverDiagnostics:
     reswept: int = 0
     sweeps: int = 0
     escalations: int = 0
+    machine_iterations: int = 0
     worst_residual_log2: float | None = None
 
     def merge(self, other: "SolverDiagnostics") -> "SolverDiagnostics":
@@ -62,6 +70,7 @@ class SolverDiagnostics:
         return SolverDiagnostics(
             direct=self.direct + other.direct, reswept=self.reswept + other.reswept,
             sweeps=self.sweeps + other.sweeps, escalations=self.escalations + other.escalations,
+            machine_iterations=self.machine_iterations + other.machine_iterations,
             worst_residual_log2=max(worst, default=None))
 
 
@@ -147,49 +156,87 @@ def _root_bound_log2(coeffs: list[QComplex]) -> float:
     return bound
 
 
-def _initial_radius(coeffs: list[QComplex]) -> float:
-    """Radius of the starting circle: the root bound, kept inside double range."""
-    return 2.0 ** min(max(_root_bound_log2(coeffs), -1000.0), 513.0)
+_PHI = 1.6180339887498949
+
+
+def _start_angles(d: int) -> np.ndarray:
+    # Equally spaced starting points with an irrational angular offset so
+    # symmetric polynomials cannot stall the sweep.
+    return 2.0 * math.pi * (np.arange(d) + 0.5) / d + 1.0 / _PHI
+
+
+def _newton_polygon_starts(coeffs: list[QComplex]) -> tuple[np.ndarray, np.ndarray]:
+    """log2 radii and angles of one start per root, from the Newton polygon.
+
+    The upper convex hull of the points (k, l(k)), l(k) = log2|c_k|, splits
+    the degree into its edges; an edge from k1 to k2 gets k2 - k1 starts on
+    the circle of radius 2^((l(k1) - l(k2)) / (k2 - k1)), near which that
+    many roots lie (D. A. Bini, Numer. Algorithms 1996).  Each edge's starts
+    are turned by k1 golden angles, so that the many one-root edges of a
+    log-concave coefficient sequence spread around the circle instead of
+    lining up on one ray.  The constant term must be nonzero.
+    """
+    hull: list[tuple[int, float]] = []
+    for k, lk in enumerate(_log2_abs(c) for c in coeffs):
+        if lk is None:
+            continue
+        # Drop the last vertex while it lies on or below the chord to (k, lk).
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                  <= (lk - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, lk))
+    log_radii, angles = [], []
+    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
+        log_radii += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
+        angles.append(_start_angles(k2 - k1) + 2.0 * math.pi * k1 / _PHI)
+    return np.array(log_radii), np.concatenate(angles)
 
 
 class _MachineFailure(Exception):
     pass
 
 
-def _machine_coeffs(coeffs: list[QComplex], radius: float) -> np.ndarray:
-    """Coefficients of p(radius * y), scaled by a power of two, as complex128.
+def _machine_coeffs(coeffs: list[QComplex], scale_log2: int) -> np.ndarray:
+    """Coefficients of p(2^scale_log2 * y), times a power of two, as complex128.
 
-    Substituting z = radius * y keeps the sweep iterates of order one, so
-    Horner evaluation cannot overflow doubles no matter how large the
-    degree or the coefficient ratios; the roots are rescaled afterwards.
+    The power of two makes the largest coefficient about one, so none can
+    overflow, and each is rounded correctly from its exact shifted value.
+    The first and last coefficients must stay normal doubles: every other
+    vertex of the Newton polygon lies above the chord between them, so the
+    polygon, and with it the root moduli, survive the rounding.
     """
-    log_r = math.log2(radius)
     logs = [_log2_abs(c) for c in coeffs]
-    scaled_logs = [lg + i * log_r for i, lg in enumerate(logs) if lg is not None]
-    shift = int(max(scaled_logs))
+    shift = math.floor(max(lg + i * scale_log2 for i, lg in enumerate(logs) if lg is not None))
     out = np.zeros(len(coeffs), dtype=np.complex128)
-    with mp.workprec(64):
-        for i, c in enumerate(coeffs):
-            factor = mp.mpf(2) ** (i * mp.log(mp.mpf(radius), 2) - shift)
-            re = mp.mpmathify(c.re) * factor
-            im = mp.mpmathify(c.im) * factor
-            out[i] = complex(float(re), float(im))
-    if not np.isfinite(out).all():
+    for i, c in enumerate(coeffs):
+        e = i * scale_log2 - shift
+        factor = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
+        out[i] = complex(float(c.re * factor), float(c.im * factor))
+    if min(abs(out[0]), abs(out[-1])) < np.finfo(float).tiny:
         raise _MachineFailure("coefficients outside double range")
     return out
 
 
-def _start_angles(d: int) -> np.ndarray:
-    # Equally spaced starting points with an irrational angular offset so
-    # symmetric polynomials cannot stall the sweep.
-    return 2.0 * math.pi * (np.arange(d) + 0.5) / d + 1.0 / 1.6180339887498949
+# Iterations below the rounding-error bound that freeze a root.  A streak of
+# 1 freezes clustered roots too early: 211 of 323 roots come direct at
+# table1 n = 7 (256 with 10), and n = 6 loses one.
+_NOISE_STREAK = 10
 
 
-def _aberth_machine(coeffs: np.ndarray, radius: float, max_iter: int = 400) -> np.ndarray:
+def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
+                    max_iter: int = 400) -> tuple[np.ndarray, int]:
+    """Double-precision Aberth iteration from the starts z, stopped per root.
+
+    A root is frozen once its step is below 1e-13 (1 + |z|), or once |p(z)|
+    has stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for
+    ``_NOISE_STREAK`` iterations running.  Only active roots are evaluated
+    and moved; frozen roots stay in their Aberth sums.  Returns the roots
+    and the number of iterations.
+    """
     d = len(coeffs) - 1
     dcoeffs = coeffs[1:] * np.arange(1, d + 1)
-    angles = _start_angles(d)
-    z = radius * np.exp(1j * angles)
+    abs_coeffs = np.abs(coeffs)
+    z = z.astype(np.complex128)
 
     def horner_vec(cs, x):
         acc = np.full_like(x, cs[-1])
@@ -197,32 +244,36 @@ def _aberth_machine(coeffs: np.ndarray, radius: float, max_iter: int = 400) -> n
             acc = acc * x + c
         return acc
 
+    streak = np.zeros(d, dtype=int)
+    active = np.arange(d)
+    it = 0
     with np.errstate(all="ignore"):
-        for it in range(max_iter):
-            pv = horner_vec(coeffs, z)
-            pd = horner_vec(dcoeffs, z)
-            bad = pd == 0
-            if bad.any():
-                pd = np.where(bad, 1e-300, pd)
+        while active.size and it < max_iter:
+            it += 1
+            za = z[active]
+            pv = horner_vec(coeffs, za)
+            pd = horner_vec(dcoeffs, za)
+            noise = 2.0 ** -53 * horner_vec(abs_coeffs, np.abs(za))
+            streak[active] = np.where(np.abs(pv) < noise, streak[active] + 1, 0)
+            pd = np.where(pd == 0, 1e-300, pd)
             w = pv / pd
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(active.size), active] = np.inf
+            s = np.divide(1.0, diff, out=diff).sum(axis=1)
+            del diff    # keeps one active x d matrix alive at a time
             denom = 1.0 - w * s
-            denom = np.where(denom == 0, 1e-300, denom)
-            dz = w / denom
-            z = z - dz
-            wild = ~np.isfinite(z)
+            dz = w / np.where(denom == 0, 1e-300, denom)
+            za = za - dz
+            # Transient overflow escapes are reseeded on the unit circle and
+            # stay active; validation decides in the end.
+            wild = ~np.isfinite(za)
             if wild.any():
-                # Transient overflow escapes are reseeded on the circle and
-                # the sweep carries on; validation decides in the end.
-                z = np.where(wild, np.exp(1j * (angles + 0.1 * (it + 1))), z)
-                continue
-            if (np.abs(dz) <= 1e-13 * (1.0 + np.abs(z))).all():
-                break
-    if not np.isfinite(z).all():
-        raise _MachineFailure("iteration diverged")
-    return z
+                za[wild] = np.exp(1j * (_start_angles(d)[active[wild]] + 0.1 * it))
+            z[active] = za
+            done = ~wild & ((np.abs(dz) <= 1e-13 * (1.0 + np.abs(za)))
+                            | (streak[active] >= _NOISE_STREAK))
+            active = active[~done]
+    return z, it
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +477,8 @@ class _Solve:
 
     ``points[k]`` is root k once frozen (``residuals[k]`` is then set) and
     its current approximation otherwise.  Every point is held at the
-    current working precision; escalation shifts them all exactly.
+    current working precision; escalation shifts them all exactly.  Each
+    start is a pair (y, e) standing for y * 2^e, with y a complex double.
     """
 
     def __init__(self, coeffs: list[QComplex], starts, prec: int):
@@ -436,7 +488,7 @@ class _Solve:
         # root from below.
         self.guard_bits = _GUARD_BITS + max(0, math.ceil(_root_bound_log2(coeffs[::-1])))
         self.horner = FixedHorner(coeffs, prec + self.guard_bits)
-        self.points = [_to_fixed(complex(z), self.horner.bits) for z in starts]
+        self.points = [_to_fixed(complex(y), self.horner.bits + int(e)) for y, e in starts]
         self.residuals: list = [None] * len(self.points)
         self.reswept: set[int] = set()
         self.sweeps = 0
@@ -489,18 +541,24 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     Every double-precision Aberth start is Newton-polished in fixed point;
     the roots that validate are frozen, and only the rest are re-swept by
     multiprecision Aberth, first at ``precision_bits`` and then at doubled
-    precisions.
+    precisions.  When the scaled polynomial does not fit in doubles, the
+    Newton-polygon starts go straight to that sweep, each one held as a
+    double of order one times its own power of two.
     """
     d = len(coeffs) - 1
-    radius = _initial_radius(coeffs)
+    log_radii, angles = _newton_polygon_starts(coeffs)
+    unit = np.exp(1j * angles)
+    # Sweep p(2^scale * y), whose starts lie around the unit circle.
+    scale = round(float(log_radii.max() + log_radii.min()) / 2)
+    iterations = 0
     try:
-        # Sweep the rescaled polynomial p(s * y) from the unit circle; the
-        # cap keeps s^d, and with it every Horner value, inside double range.
-        s = min(radius, 2.0 ** (600.0 / d))
-        starts = s * _aberth_machine(_machine_coeffs(coeffs, s), 1.0)
+        ys, iterations = _aberth_machine(_machine_coeffs(coeffs, scale),
+                                         2.0 ** (log_radii - scale) * unit)
+        starts = [(y, scale) for y in ys]
         from_machine = True
     except _MachineFailure:
-        starts = radius * np.exp(1j * _start_angles(d))
+        exps = np.rint(log_radii)
+        starts = list(zip(2.0 ** (log_radii - exps) * unit, exps))
         from_machine = False
     solve = _Solve(coeffs, starts, precision_bits)
     unresolved = list(range(d))
@@ -519,7 +577,8 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
                     worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, solve.residuals))
                     diagnostics = SolverDiagnostics(
                         direct=direct, reswept=len(solve.reswept), sweeps=solve.sweeps,
-                        escalations=solve.escalations, worst_residual_log2=float(worst))
+                        escalations=solve.escalations, machine_iterations=iterations,
+                        worst_residual_log2=float(worst))
                     return RootSet(roots=tuple(roots), residuals=tuple(solve.residuals),
                                    precision_bits=solve.prec, diagnostics=diagnostics)
             # A collapsed multiset: re-sweep every root at higher precision.

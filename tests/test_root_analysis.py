@@ -175,6 +175,9 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         assert diag.reswept == 0 and diag.sweeps == 0 and diag.escalations == 0, (n, diag)
         assert diag.direct == rel.deflate_unit_roots()[0].degree
         assert diag.worst_residual_log2 <= -(256 // 2) + 10
+        # Newton-polygon starts and the per-root stop end the double sweep
+        # early instead of at its 400-iteration cap.
+        assert diag.machine_iterations <= 100, (n, diag)
 
 
 def test_fallback_resolves_wilkinson_30():
@@ -199,7 +202,7 @@ def test_fallback_separates_a_tight_cluster():
 def test_freeze_rejects_a_second_copy_of_a_root():
     # Two starts polish to the simple root 1: the second is re-swept to 2.
     solve = _Solve([QComplex(c) for c in _product([1, 2, 3]).coeffs],
-                   [1.0001, 1.0002, 2.9], 256)
+                   [(1.0001, 0), (1.0002, 0), (2.9, 0)], 256)
     assert solve.freeze([0, 1, 2]) == [1]
     assert solve.sweep([1]) == []
     assert [complex(z) for z in solve.roots()] == pytest.approx([1, 2, 3], abs=1e-30)
@@ -319,9 +322,29 @@ def test_squarefree_input_failing_the_modular_certificate():
     assert len(rs) == 2
 
 
+def test_roots_beyond_double_range_start_on_their_own_scale():
+    # The starts come from the Newton polygon and the double sweep runs on
+    # p(2^s y) for an exact power of two 2^s; a polynomial that fits no one
+    # double scale hands its starts to the fixed-point sweep as y * 2^e.  No
+    # start is clamped into double range and walked in from there.
+    a = Fraction(1, 2 ** 3000)
+    huge = find_roots(RatPoly([-(2 ** 3000), 0, 1]))
+    assert huge.diagnostics.sweeps <= 16
+    tiny = find_roots(RatPoly([1, 0, -(2 ** 6000)]))
+    assert tiny.diagnostics.direct == 2
+    both = find_roots(RatPoly([1, -(a + 1 / a), 1]))
+    assert both.diagnostics.machine_iterations == 0
+    big = Fraction(2 ** 1500)
+    for rs, exact in ((huge, [-big, big]), (tiny, [-a, a]), (both, [a, 1 / a])):
+        with mp.workprec(rs.precision_bits + 64):
+            for r in exact:
+                v = mp.mpf(r.numerator) / r.denominator
+                assert min(abs(z - v) for z in rs.roots) <= abs(v) * mp.mpf(2) ** -200, v
+
+
 def test_tiny_roots_keep_their_relative_accuracy():
     # Roots ±2^-1000: thresholds relative to |z|, guard bits from an
-    # uncapped lower root bound and a starting circle at the root bound
+    # uncapped lower root bound and starts on the Newton polygon's circle
     # resolve them straight from double precision, instead of reporting
     # points hundreds of orders of magnitude too large.
     rs = find_roots(RatPoly([1, 0, -(2 ** 2000)]))
