@@ -153,13 +153,18 @@ class RatPoly:
         return RatPoly(quot), rem
 
     def deflate_unit_roots(self) -> tuple["RatPoly", int]:
-        """Factor out (1-q)^k exactly; returns (remaining polynomial, k)."""
+        """Factor out (1-q)^k exactly; returns (remaining polynomial, k).
+
+        The remainder of each division by (1-q) is p(1), so the loop stops at
+        the first nonzero remainder and keeps the dividend.
+        """
         p = self
         k = 0
-        while not p.is_zero() and p(1) == 0:
-            p, rem = p.divide_one_minus_q()
+        while not p.is_zero():
+            quot, rem = p.divide_one_minus_q()
             if rem != 0:
-                raise NumericalError("unit-root deflation left a remainder")
+                break
+            p = quot
             k += 1
         return p, k
 

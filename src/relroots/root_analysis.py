@@ -13,12 +13,16 @@ iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
 bits or more (``FixedHorner``), and a root is frozen once its residual bound
 |p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and it lies that close to no frozen
-root.  Only the roots left over are re-swept by a fixed-point Aberth
-iteration whose sum runs over all current roots, then polished again; the
-precision doubles (up to a cap) for the roots that still fail.  The final
-root multiset is checked against exact symmetric functions of the
-coefficients.  Every multiprecision evaluation of p and p' goes through
-that one fixed-point path, whose error bound enters each reported residual.
+root.  When p is real, a lower-half start whose conjugate is plainly the
+nearest upper-half start is not polished: it takes the exact conjugate of
+that start's frozen root, whose residual bound holds for it too, and is
+still tested against every frozen root.  Only the roots left over are
+re-swept by a fixed-point Aberth iteration whose sum runs over all current
+roots, then polished again; the precision doubles (up to a cap) for the
+roots that still fail.  The final root multiset is checked against exact
+symmetric functions of the coefficients.  Every multiprecision evaluation
+of p and p' goes through that one fixed-point path, whose error bound
+enters each reported residual.
 """
 
 from __future__ import annotations
@@ -48,8 +52,10 @@ class SolverDiagnostics:
     """How ``find_roots`` reached its roots.
 
     ``direct`` roots were frozen straight from their double-precision
-    starts; ``reswept`` roots went through multiprecision Aberth, which
-    took ``sweeps`` sweeps over ``escalations`` precision doublings.
+    starts; ``mirrored`` of them are the exact conjugates of another direct
+    root of a real polynomial, frozen without being evaluated.
+    ``reswept`` roots went through multiprecision Aberth, which took
+    ``sweeps`` sweeps over ``escalations`` precision doublings.
     ``machine_iterations`` counts the iterations of the double sweep.
     ``worst_residual_log2`` is the largest log2(residual / |z|) over the
     nonzero roots (None when there are none).  For a polynomial with
@@ -57,6 +63,7 @@ class SolverDiagnostics:
     """
 
     direct: int = 0
+    mirrored: int = 0
     reswept: int = 0
     sweeps: int = 0
     escalations: int = 0
@@ -68,7 +75,8 @@ class SolverDiagnostics:
         worst = [w for w in (self.worst_residual_log2, other.worst_residual_log2)
                  if w is not None]
         return SolverDiagnostics(
-            direct=self.direct + other.direct, reswept=self.reswept + other.reswept,
+            direct=self.direct + other.direct, mirrored=self.mirrored + other.mirrored,
+            reswept=self.reswept + other.reswept,
             sweeps=self.sweeps + other.sweeps, escalations=self.escalations + other.escalations,
             machine_iterations=self.machine_iterations + other.machine_iterations,
             worst_residual_log2=max(worst, default=None))
@@ -274,6 +282,33 @@ def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
                             | (streak[active] >= _NOISE_STREAK))
             active = active[~done]
     return z, it
+
+
+def _conjugate_pairs(z: np.ndarray) -> dict[int, int]:
+    """Upper-half start j -> lower-half start k, for starts that mirror each other.
+
+    k pairs with the upper start j whose conjugate lies nearest to it, when
+    that distance is below half the distance from k, and from j, to its
+    nearest other start.  The match is then one-to-one: two lower starts
+    that near one point would lie closer together than their own distances
+    to their nearest other starts.
+    """
+    def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        diff = np.subtract.outer(a, b)
+        return np.abs(diff, out=diff).real
+
+    dist = distances(z, z)
+    np.fill_diagonal(dist, np.inf)
+    sep = dist.min(axis=1)
+    del dist    # with the in-place abs, one complex matrix is alive at a time
+    lower, upper = np.flatnonzero(z.imag < 0), np.flatnonzero(z.imag > 0)
+    if not lower.size or not upper.size:
+        return {}
+    dist = distances(z[lower], np.conj(z[upper]))
+    near = dist.argmin(axis=1)
+    gap = dist[np.arange(lower.size), near]
+    keep = (gap < sep[lower] / 2) & (gap < sep[upper[near]] / 2)
+    return {int(upper[j]): int(k) for k, j in zip(lower[keep], near[keep])}
 
 
 # ---------------------------------------------------------------------------
@@ -491,28 +526,54 @@ class _Solve:
         self.points = [_to_fixed(complex(y), self.horner.bits + int(e)) for y, e in starts]
         self.residuals: list = [None] * len(self.points)
         self.reswept: set[int] = set()
+        self.mirrored = 0
         self.sweeps = 0
         self.escalations = 0
 
-    def freeze(self, candidates: list[int]) -> list[int]:
+    def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None) -> list[int]:
         """Polish each candidate; freeze those that validate and duplicate no
-        frozen root.  Returns the candidates left unresolved."""
+        frozen root.  Returns the candidates left unresolved, in order.
+
+        ``mirrors`` maps a candidate j of a real polynomial to a candidate k
+        that is not polished: once j freezes at z, k gets the conjugate of z
+        and the residual of z.  That bound is proven for the conjugate too,
+        since |p(z̄)/p'(z̄)| = |p(z)/p'(z)| for real p and negating the
+        imaginary part is exact.  The conjugate must still duplicate no
+        frozen root, and k stays unresolved with j when j fails.
+        """
         horner, bits = self.horner, self.horner.bits
+        mirrors = mirrors or {}
         limit_shift = self.prec // 2 - 10
         frozen = [z for z, r in zip(self.points, self.residuals) if r is not None]
         unresolved = []
-        for k in candidates:
-            z = _polish(horner, self.points[k], self.prec)
-            residual = horner.residual(*z)
-            limit = _modulus(*z) >> limit_shift
-            if residual is None or residual > limit or any(
-                    (z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= limit * limit for x in frozen):
-                unresolved.append(k)
-                continue
+
+        def duplicate(z: tuple[int, int], limit: int) -> bool:
+            return any((z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= limit * limit for x in frozen)
+
+        def keep(k: int, z: tuple[int, int], residual: int) -> None:
             self.points[k] = z
             self.residuals[k] = mp.ldexp(mp.mpf(residual), -bits)
             frozen.append(z)
-        return unresolved
+
+        partners = set(mirrors.values())
+        for j in candidates:
+            if j in partners:
+                continue
+            z = _polish(horner, self.points[j], self.prec)
+            residual = horner.residual(*z)
+            limit = _modulus(*z) >> limit_shift
+            if residual is None or residual > limit or duplicate(z, limit):
+                unresolved += [j, mirrors[j]] if j in mirrors else [j]
+                continue
+            keep(j, z, residual)
+            if j in mirrors:
+                k, conj = mirrors[j], (z[0], -z[1])
+                if duplicate(conj, limit):
+                    unresolved.append(k)
+                else:
+                    keep(k, conj, residual)
+                    self.mirrored += 1
+        return sorted(unresolved)
 
     def sweep(self, active: list[int]) -> list[int]:
         self.reswept.update(active)
@@ -538,12 +599,14 @@ class _Solve:
 def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     """Roots of a squarefree polynomial with a nonzero constant term.
 
-    Every double-precision Aberth start is Newton-polished in fixed point;
-    the roots that validate are frozen, and only the rest are re-swept by
-    multiprecision Aberth, first at ``precision_bits`` and then at doubled
-    precisions.  When the scaled polynomial does not fit in doubles, the
-    Newton-polygon starts go straight to that sweep, each one held as a
-    double of order one times its own power of two.
+    Every double-precision Aberth start is Newton-polished in fixed point,
+    except that a real polynomial mirrors one start of each conjugate pair
+    (``_conjugate_pairs``, ``_Solve.freeze``); the roots that validate are
+    frozen, and only the rest are re-swept by multiprecision Aberth, first
+    at ``precision_bits`` and then at doubled precisions.  When the scaled
+    polynomial does not fit in doubles, the Newton-polygon starts go
+    straight to that sweep, each one held as a double of order one times
+    its own power of two.
     """
     d = len(coeffs) - 1
     log_radii, angles = _newton_polygon_starts(coeffs)
@@ -563,7 +626,8 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     solve = _Solve(coeffs, starts, precision_bits)
     unresolved = list(range(d))
     if from_machine:
-        unresolved = solve.freeze(unresolved)
+        real = all(c.im == 0 for c in coeffs)
+        unresolved = solve.freeze(unresolved, _conjugate_pairs(ys) if real else None)
     direct = d - len(unresolved)
 
     while True:
@@ -576,8 +640,9 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
                 if _multiset_consistent(roots, coeffs, precision_bits):
                     worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, solve.residuals))
                     diagnostics = SolverDiagnostics(
-                        direct=direct, reswept=len(solve.reswept), sweeps=solve.sweeps,
-                        escalations=solve.escalations, machine_iterations=iterations,
+                        direct=direct, mirrored=solve.mirrored, reswept=len(solve.reswept),
+                        sweeps=solve.sweeps, escalations=solve.escalations,
+                        machine_iterations=iterations,
                         worst_residual_log2=float(worst))
                     return RootSet(roots=tuple(roots), residuals=tuple(solve.residuals),
                                    precision_bits=solve.prec, diagnostics=diagnostics)

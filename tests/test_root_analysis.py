@@ -10,7 +10,7 @@ from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
                       enestrom_kakeya, find_roots, max_modulus_root,
                       rel_bruteforce, reliability_root_set,
                       two_clique_reliability)
-from relroots import polynomials
+from relroots import polynomials, root_analysis
 from relroots.cli import main
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
 from relroots.root_analysis import FixedHorner, _Solve
@@ -168,7 +168,19 @@ def _assert_matches(rs, exact, tol):
 def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # The modular certificate proves each row squarefree: no exact gcd runs.
     monkeypatch.setattr(polynomials, "_cgcd", None)
+    evaluations = []
+    evaluate = FixedHorner.evaluate
+
+    def counted(self, zr, zi):
+        evaluations.append(1)
+        return evaluate(self, zr, zi)
+
+    monkeypatch.setattr(FixedHorner, "evaluate", counted)
+    # Mirroring one root of each conjugate pair halves the fixed-point work
+    # (220, 428, 775 and 1,277 evaluations when every start is polished).
+    budget = {3: (116, 26), 4: (223, 49), 5: (395, 79), 6: (648, 116)}
     for n in range(3, 7):
+        evaluations.clear()
         rel = two_clique_reliability(TwoCliqueParams(n, n, 1, 6))
         rs = reliability_root_set(rel, 256)
         diag = rs.diagnostics
@@ -178,6 +190,89 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         # Newton-polygon starts and the per-root stop end the double sweep
         # early instead of at its 400-iteration cap.
         assert diag.machine_iterations <= 100, (n, diag)
+        assert len(evaluations) <= budget[n][0] and diag.mirrored == budget[n][1], (n, diag)
+
+
+def _recorded_pairs(monkeypatch, rewire=None) -> list:
+    """Patch the conjugate pairing to record (and optionally rewire) its pairs."""
+    seen = []
+    pairs = root_analysis._conjugate_pairs
+
+    def recording(z):
+        found = pairs(z)
+        found = rewire(found) if rewire else found
+        seen.append(found)
+        return found
+
+    monkeypatch.setattr(root_analysis, "_conjugate_pairs", recording)
+    return seen
+
+
+def test_mirrored_roots_are_exact_conjugates(monkeypatch):
+    seen = _recorded_pairs(monkeypatch)
+    h, _ = two_clique_reliability(TwoCliqueParams(4, 4, 1, 6)).deflate_unit_roots()
+    rs = find_roots(h)
+    (pairs,) = seen
+    assert len(pairs) == rs.diagnostics.mirrored == 49
+    for j, k in pairs.items():
+        # A sum is zero only when exact, at any working precision.
+        assert rs.roots[k].real == rs.roots[j].real and rs.roots[k].imag + rs.roots[j].imag == 0
+        assert rs.roots[j].imag > 0
+        assert rs.residuals[k] == rs.residuals[j]
+
+
+def _conjugate_pair_product(pairs, reals) -> tuple[list, dict]:
+    exact = {QComplex(Fraction(r)): 1 for r in reals}
+    for re, im in pairs:
+        exact[QComplex(Fraction(re), Fraction(im))] = 1
+        exact[QComplex(Fraction(re), -Fraction(im))] = 1
+    return _cproduct(exact), exact
+
+
+def test_wrong_pairing_costs_a_sweep_not_a_root(monkeypatch):
+    # Unpair one true pair (j1, k1) whose lower start k1 is polished before
+    # j1, and mirror j1 into the lower slot k2 of another pair: the mirror
+    # duplicates the root k1 already froze, so k2 must be re-swept (without
+    # an escalation) to the root it was meant for.
+    def rewire(pairs):
+        j1 = next(j for j, k in pairs.items() if k < j)
+        j2 = next(j for j in pairs if j != j1)
+        wrong = {j: k for j, k in pairs.items() if j not in (j1, j2)}
+        wrong[j1] = pairs[j2]
+        return wrong
+
+    seen = _recorded_pairs(monkeypatch, rewire)
+    p, exact = _conjugate_pair_product(
+        [(Fraction(k, 3), Fraction(k + 2, 5)) for k in range(-4, 5)], [Fraction(1, 7), 2, -3])
+    with mp.workprec(300):
+        rs = find_roots(p)
+        _assert_multiplicities(rs, exact, mp.mpf(2) ** -100)
+    assert len(seen) == 1 and len(seen[0]) >= 2
+    diag = rs.diagnostics
+    assert diag.reswept >= 1 and diag.escalations == 0, diag
+
+
+def test_real_roots_and_near_real_pairs():
+    # Wilkinson's polynomial has no pairs to mirror; (q-1)^2 + 10^-20 has a
+    # pair 1e-10 off the axis that double precision sees as a double root.
+    wilkinson = _product(range(1, 21))
+    close, exact = _conjugate_pair_product([(1, Fraction(1, 10 ** 10))], [])
+    with mp.workprec(300):
+        rs = find_roots(wilkinson)
+        _assert_matches(rs, [Fraction(k) for k in range(1, 21)], mp.mpf(2) ** -100)
+        _assert_multiplicities(find_roots(close), exact, mp.mpf(2) ** -100)
+    assert rs.diagnostics.mirrored == 0
+
+
+def test_complex_coefficients_are_never_mirrored():
+    # 1 + 2i and 1.001 - 2i look like a conjugate pair to the double starts,
+    # but 1 - 2i is no root: nothing may be mirrored.
+    exact = {QComplex(Fraction(1), Fraction(2)): 1,
+             QComplex(Fraction(1001, 1000), Fraction(-2)): 1, QComplex(Fraction(3)): 1}
+    with mp.workprec(300):
+        rs = find_roots(_cproduct(exact))
+        _assert_multiplicities(rs, exact, mp.mpf(2) ** -100)
+    assert rs.diagnostics.mirrored == 0 and rs.diagnostics.escalations == 0
 
 
 def test_fallback_resolves_wilkinson_30():
@@ -206,6 +301,15 @@ def test_freeze_rejects_a_second_copy_of_a_root():
     assert solve.freeze([0, 1, 2]) == [1]
     assert solve.sweep([1]) == []
     assert [complex(z) for z in solve.roots()] == pytest.approx([1, 2, 3], abs=1e-30)
+    # Start 1 would mirror into slot 2 but repeats the root i of start 0: both
+    # go to the sweep, which finds -i and 2.
+    coeffs = _cproduct({QComplex(Fraction(0), Fraction(s)): 1 for s in (1, -1)}
+                       | {QComplex(Fraction(r)): 1 for r in (2, 3)})
+    solve = _Solve(coeffs, [(1e-4 + 1j, 0), (2e-4 + 1j, 0), (0.3 - 1j, 0), (2.9, 0)], 256)
+    assert solve.freeze([0, 1, 2, 3], {1: 2}) == [1, 2]
+    assert solve.mirrored == 0 and solve.sweep([1, 2]) == []
+    got = sorted((complex(z) for z in solve.roots()), key=lambda z: (round(z.real), z.imag))
+    assert got == pytest.approx([-1j, 1j, 2, 3], abs=1e-30)
 
 
 def test_fixed_horner_against_exact_evaluation():
