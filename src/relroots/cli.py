@@ -22,8 +22,7 @@ from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_g
 from .errors import IndeterminateError, InputError, ToolkitError
 from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
 from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
-from .reliability import (DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce,
-                          rel_deletion_contraction)
+from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
 from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
                             reliability_root_set)
 from .stability import (RATIO_BOX_K7, RATIO_BOX_K9, BASE_ROOT_BOX, ParamBox,
@@ -138,8 +137,6 @@ def compute_rel(g: Multigraph, method: str = "auto", guard: int = DEFAULT_GUARD_
         raise InputError("reliability of a disconnected graph is not defined here")
     if method == "brute":
         return rel_bruteforce(g, guard)
-    if method == "dc":
-        return rel_deletion_contraction(g)
     if method == "auto":
         return rel_auto(g)
     raise InputError(f"unknown method {method!r}")
@@ -249,7 +246,7 @@ def _build_parser() -> _Parser:
 
     s = add_parser("rel", help="reliability polynomial of a graph file")
     s.add_argument("graph", type=str)
-    s.add_argument("--method", choices=("auto", "brute", "dc", "family"), default="auto")
+    s.add_argument("--method", choices=("auto", "brute", "family"), default="auto")
     s.add_argument("--family", nargs=4, type=int, metavar=("M", "N", "A", "B"))
 
     s = add_parser("roots", help="roots of a polynomial JSON file")

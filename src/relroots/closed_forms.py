@@ -1,9 +1,9 @@
-"""Closed-form reliability recursions for complete graphs, complete graphs
-minus an edge, and the two-clique multigraph family.
+"""Closed-form reliability of the two-clique multigraph family, and from it
+of complete graphs and complete graphs minus an edge.
 
-The recursions all condition on the communication class of a marked vertex,
+The recursion conditions on the communication class of a marked vertex,
 so every term except the target carries a strictly positive power of q and
-the target polynomial can be read off in one pass.  Internally these run on
+the target polynomial can be read off in one pass.  Internally it runs on
 plain integer coefficient lists; all reliability polynomials here have
 integer coefficients.
 """
@@ -11,12 +11,11 @@ integer coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import InputError
 from .multigraph import Multigraph
-from .polynomials import RatPoly, convolve
+from .polynomials import RatPoly
 
 
 def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
@@ -26,64 +25,6 @@ def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
     for i, c in enumerate(p):
         if c:
             acc[shift + i] += scale * c
-
-
-@lru_cache(maxsize=None)
-def _rel_complete(n: int) -> tuple[int, ...]:
-    """Rel(K_n;q): 1 - sum_{i<n} C(n-1,i-1) q^{i(n-i)} Rel(K_i;q)."""
-    if n == 1:
-        return (1,)
-    acc = [1]
-    for i in range(1, n):
-        _padd_into(acc, list(_rel_complete(i)), i * (n - i), -comb(n - 1, i - 1))
-    return tuple(acc)
-
-
-@lru_cache(maxsize=None)
-def _rel_complete_minus_edge(n: int) -> tuple[int, ...]:
-    """Rel(K_n minus an edge), the deleted edge joining the two marked vertices.
-
-    Subtracts, for each class size i, the probability that the first marked
-    vertex reaches exactly i vertices, split by whether the other marked
-    vertex is inside the class.
-    """
-    acc = [1]
-    for i in range(1, n):
-        _padd_into(acc, list(_rel_complete(i)), i * (n - i) - 1, -comb(n - 2, i - 1))
-    for i in range(3, n):
-        _padd_into(acc, list(_rel_complete_minus_edge(i)), i * (n - i), -comb(n - 2, i - 2))
-    return tuple(acc)
-
-
-def rel_complete(n: int) -> RatPoly:
-    """All-terminal reliability of the complete graph K_n."""
-    if n < 1:
-        raise InputError(f"complete graph needs n >= 1, got {n}")
-    return RatPoly(_rel_complete(n))
-
-
-def rel_complete_minus_edge(n: int) -> RatPoly:
-    """All-terminal reliability of K_n with one edge deleted (n >= 3).
-
-    K_2 minus its edge is disconnected, so n = 2 is rejected.
-    """
-    if n < 3:
-        raise InputError(f"complete graph minus an edge needs n >= 3, got {n}")
-    return RatPoly(_rel_complete_minus_edge(n))
-
-
-def sprel_complete_minus_edge(n: int) -> RatPoly:
-    """Split reliability of K_n minus an edge between the two nonadjacent vertices.
-
-    sum_{i=1}^{n-1} C(n-2,i-1) q^{i(n-i)-1} Rel(K_i) Rel(K_{n-i}).
-    """
-    if n < 3:
-        raise InputError(f"split reliability of K_n minus an edge needs n >= 3, got {n}")
-    acc: list[int] = [0]
-    for i in range(1, n):
-        prod = convolve(_rel_complete(i), _rel_complete(n - i))
-        _padd_into(acc, prod, i * (n - i) - 1, comb(n - 2, i - 1))
-    return RatPoly(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -156,3 +97,42 @@ def two_clique_reliability(p: TwoCliqueParams) -> RatPoly:
                     _padd_into(acc, table[(i, j)], expo, -coef)
             table[(big_m, big_n)] = acc
     return RatPoly(table[(p.m, p.n)])
+
+
+def rel_complete(n: int) -> RatPoly:
+    """All-terminal reliability of the complete graph K_n, the two-clique
+    graph (1, n-1, 1, 1)."""
+    if n < 1:
+        raise InputError(f"complete graph needs n >= 1, got {n}")
+    return two_clique_reliability(TwoCliqueParams(1, n - 1, 1, 1)) if n > 1 else RatPoly.one()
+
+
+def _rel_complete_contracted(n: int) -> RatPoly:
+    """Rel(K_n / e): the merged vertex joins each of the other n-2 by two
+    parallel edges, the two-clique graph (1, n-2, 1, 2)."""
+    return two_clique_reliability(TwoCliqueParams(1, n - 2, 1, 2))
+
+
+def rel_complete_minus_edge(n: int) -> RatPoly:
+    """All-terminal reliability of K_n with one edge deleted (n >= 3).
+
+    Deletion-contraction on that edge e, Rel(K_n) = q Rel(K_n - e) +
+    (1-q) Rel(K_n / e), gives Rel(K_n - e) exactly; both reliabilities are
+    1 at q = 0, so the division by q is a shift.  K_2 minus its edge is
+    disconnected, so n = 2 is rejected.
+    """
+    if n < 3:
+        raise InputError(f"complete graph minus an edge needs n >= 3, got {n}")
+    rest = rel_complete(n) - RatPoly([1, -1]) * _rel_complete_contracted(n)
+    return RatPoly(rest.coeffs[1:])
+
+
+def sprel_complete_minus_edge(n: int) -> RatPoly:
+    """Split reliability of K_n minus an edge between the two nonadjacent vertices.
+
+    spRel(H; u, v) = Rel(H/uv) - Rel(H), and merging the nonadjacent pair
+    of K_n - e gives K_n / e.
+    """
+    if n < 3:
+        raise InputError(f"split reliability of K_n minus an edge needs n >= 3, got {n}")
+    return _rel_complete_contracted(n) - rel_complete_minus_edge(n)

@@ -11,18 +11,20 @@ on its own: once its step is below 1e-13 relative, or once |p(z)| has
 stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
 iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
-bits or more (``FixedHorner``), and a root is frozen once its residual bound
-|p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and it lies that close to no frozen
-root.  When p is real, a lower-half start whose conjugate is plainly the
-nearest upper-half start is not polished: it takes the exact conjugate of
-that start's frozen root, whose residual bound holds for it too, and is
-still tested against every frozen root.  Only the roots left over are
-re-swept by a fixed-point Aberth iteration whose sum runs over all current
-roots, then polished again; the precision doubles (up to a cap) for the
-roots that still fail.  The final root multiset is checked against exact
-symmetric functions of the coefficients.  Every multiprecision evaluation
-of p and p' goes through that one fixed-point path, whose error bound
-enters each reported residual.
+bits or more (``FixedHorner``).  A root z is frozen once its residual bound
+ρ ≥ |p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and its disk D(z, dρ), d the
+degree, which holds a root, is disjoint from the disk of every frozen root,
+compared exactly in integers; the d frozen disks then hold every root
+exactly once.  When p is real, a lower-half start whose conjugate is
+plainly the nearest upper-half start is not polished: it takes the exact
+conjugate of that start's frozen root and its disk, and must still be
+disjoint from every frozen disk.  Only the roots left over are re-swept by
+a fixed-point Aberth iteration whose sum runs over all current roots, then
+polished again.  While roots still fail, the precision doubles (up to a
+cap), every root is frozen afresh from its current point, and the leftovers
+are re-swept with a stop that tightens with the precision.  Every
+multiprecision evaluation of p and p' goes through that one fixed-point
+path, whose error bound enters each reported residual.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .reliability import rel_auto
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
+# Pad on a float root modulus compared against an exact radius.
+MODULUS_SLACK = 1e-9
 
 PolyLike = Union[RatPoly, Sequence]
 
@@ -88,7 +92,9 @@ class RootSet:
 
     The residual of a root bounds |a(z)/a'(z)| for the squarefree factor a
     of the input that the root belongs to (the input itself when it is
-    squarefree), and every copy of a repeated root carries it.  Exact zero
+    squarefree), and every copy of a repeated root carries it.  With d the
+    degree of a, the disks D(z, d·residual) about its distinct roots are
+    pairwise disjoint and each holds exactly one root of a.  Exact zero
     roots have residual 0.
     """
 
@@ -118,19 +124,15 @@ class Annulus:
         if self.lo > self.hi:
             raise InputError("annulus radii out of order")
 
-    def contains(self, z, slack: float = 1e-9) -> bool:
+    def contains(self, z) -> bool:
         r = abs(z)
-        return float(self.lo) - slack <= r <= float(self.hi) + slack
+        return float(self.lo) - MODULUS_SLACK <= r <= float(self.hi) + MODULUS_SLACK
 
 
 def _as_qcomplex_coeffs(p: PolyLike) -> list[QComplex]:
     if isinstance(p, RatPoly):
         return cpoly_normalize(list(p.coeffs))
     return cpoly_normalize(list(p))
-
-
-def _to_mpc(c: QComplex) -> mp.mpc:
-    return mp.mpc(mp.mpmathify(c.re), mp.mpmathify(c.im))
 
 
 def _log2_abs(c: QComplex) -> float | None:
@@ -442,19 +444,18 @@ def _polish(horner: FixedHorner, z: tuple[int, int], prec: int) -> tuple[int, in
     return zr, zi
 
 
-def _aberth(horner: FixedHorner, points: list, active: list[int], prec: int) -> int:
+def _aberth(horner: FixedHorner, points: list, active: list[int], tol_shift: int) -> int:
     """Aberth sweeps in fixed point that move only the points in ``active``.
 
     The Aberth sum runs over every current point, frozen roots included, so
     a re-swept point is pushed away from the roots already found.  The sweep
     only has to hand Newton a start inside its quadratic basin; it stops
-    once no active point moves by more than 2^-min(prec/2, 60) of its modulus.
+    once no active point moves by more than 2^-tol_shift of its modulus.
     Returns the number of sweeps.
     """
     bits = horner.bits
     two_bits = 2 * bits
     one = 1 << bits
-    tol_shift = min(prec // 2, 60)
     for sweep in range(1, _ABERTH_SWEEPS + 1):
         settled = True
         for k in active:
@@ -482,43 +483,19 @@ def _aberth(horner: FixedHorner, points: list, active: list[int], prec: int) -> 
     return _ABERTH_SWEEPS
 
 
-def _multiset_consistent(roots: list, coeffs: list[QComplex], prec: int) -> bool:
-    """Check the root multiset against exact symmetric functions.
-
-    The sum of roots and the sum of squares are pinned by the top
-    coefficients, so a sweep that collapsed two distinct roots into one
-    (duplicating another) cannot pass.
-    """
-    d = len(coeffs) - 1
-    lead = _to_mpc(coeffs[-1])
-    e1 = -_to_mpc(coeffs[-2]) / lead if d >= 1 else mp.mpc(0)
-    s1 = mp.fsum(z.real for z in roots) + 1j * mp.fsum(z.imag for z in roots)
-    big = max([mp.mpf(1)] + [abs(z) for z in roots])
-    tol = d * mp.mpf(2) ** (-(prec // 2) + 8) * big * big
-    if abs(s1 - e1) > tol:
-        return False
-    if d >= 2:
-        e2 = _to_mpc(coeffs[-3]) / lead
-        p2 = e1 * e1 - 2 * e2
-        sq = [z * z for z in roots]
-        s2 = mp.fsum(z.real for z in sq) + 1j * mp.fsum(z.imag for z in sq)
-        if abs(s2 - p2) > tol:
-            return False
-    return True
-
-
 class _Solve:
     """Per-root bookkeeping of one ``find_roots`` call.
 
-    ``points[k]`` is root k once frozen (``residuals[k]`` is then set) and
-    its current approximation otherwise.  Every point is held at the
-    current working precision; escalation shifts them all exactly.  Each
-    start is a pair (y, e) standing for y * 2^e, with y a complex double.
+    ``points[k]`` is root k once frozen (``residuals[k]``, its residual
+    bound in units of 2^-bits, is then set) and its current approximation
+    otherwise.  Every point is held at the current working precision;
+    escalation shifts them all exactly and freezes them afresh.  Each start
+    is a pair (y, e) standing for y * 2^e, with y a complex double.
     """
 
     def __init__(self, coeffs: list[QComplex], starts, prec: int):
         self.coeffs = coeffs
-        self.prec = prec
+        self.prec = self.requested = prec
         # 1 / (a bound on the roots of the reversed polynomial) bounds every
         # root from below.
         self.guard_bits = _GUARD_BITS + max(0, math.ceil(_root_bound_log2(coeffs[::-1])))
@@ -531,29 +508,39 @@ class _Solve:
         self.escalations = 0
 
     def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None) -> list[int]:
-        """Polish each candidate; freeze those that validate and duplicate no
-        frozen root.  Returns the candidates left unresolved, in order.
+        """Polish each candidate; freeze those whose root disk is disjoint
+        from every frozen one.  Returns the candidates left unresolved, in order.
+
+        A candidate polished to z with residual bound ρ ≥ |p(z)/p'(z)| must
+        pass ρ ≤ 2^(-prec/2+10)·|z|.  Its disk D(z, dρ), d the degree, holds
+        a root: p'/p(z) = Σ 1/(z - ζ_k) gives min |z - ζ_k| ≤ d·|p(z)/p'(z)|.
+        It is frozen only when (Δre)² + (Δim)² > (r₁ + r₂)² in the
+        fixed-point integers against every frozen disk, so d frozen disks
+        are pairwise disjoint and hold every root exactly once.
 
         ``mirrors`` maps a candidate j of a real polynomial to a candidate k
         that is not polished: once j freezes at z, k gets the conjugate of z
         and the residual of z.  That bound is proven for the conjugate too,
         since |p(z̄)/p'(z̄)| = |p(z)/p'(z)| for real p and negating the
-        imaginary part is exact.  The conjugate must still duplicate no
-        frozen root, and k stays unresolved with j when j fails.
+        imaginary part is exact.  The conjugate's disk must still be
+        disjoint from every frozen disk, and k stays unresolved with j when
+        j fails.
         """
-        horner, bits = self.horner, self.horner.bits
+        horner, d = self.horner, self.horner.degree
         mirrors = mirrors or {}
         limit_shift = self.prec // 2 - 10
-        frozen = [z for z, r in zip(self.points, self.residuals) if r is not None]
+        frozen = [(z, d * r) for z, r in zip(self.points, self.residuals) if r is not None]
         unresolved = []
 
-        def duplicate(z: tuple[int, int], limit: int) -> bool:
-            return any((z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= limit * limit for x in frozen)
-
-        def keep(k: int, z: tuple[int, int], residual: int) -> None:
+        def admit(k: int, z: tuple[int, int], residual: int) -> bool:
+            radius = d * residual
+            if any((z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= (radius + r) ** 2
+                   for x, r in frozen):
+                return False
             self.points[k] = z
-            self.residuals[k] = mp.ldexp(mp.mpf(residual), -bits)
-            frozen.append(z)
+            self.residuals[k] = residual
+            frozen.append((z, radius))
+            return True
 
         partners = set(mirrors.values())
         for j in candidates:
@@ -561,34 +548,40 @@ class _Solve:
                 continue
             z = _polish(horner, self.points[j], self.prec)
             residual = horner.residual(*z)
-            limit = _modulus(*z) >> limit_shift
-            if residual is None or residual > limit or duplicate(z, limit):
+            if (residual is None or residual > _modulus(*z) >> limit_shift
+                    or not admit(j, z, residual)):
                 unresolved += [j, mirrors[j]] if j in mirrors else [j]
-                continue
-            keep(j, z, residual)
-            if j in mirrors:
-                k, conj = mirrors[j], (z[0], -z[1])
-                if duplicate(conj, limit):
-                    unresolved.append(k)
-                else:
-                    keep(k, conj, residual)
+            elif j in mirrors:
+                if admit(mirrors[j], (z[0], -z[1]), residual):
                     self.mirrored += 1
+                else:
+                    unresolved.append(mirrors[j])
         return sorted(unresolved)
 
     def sweep(self, active: list[int]) -> list[int]:
         self.reswept.update(active)
-        self.sweeps += _aberth(self.horner, self.points, active, self.prec)
+        # 2^-60 at the requested precision, tightened by half of every bit an
+        # escalation adds: a cluster narrower than the stop would hand Newton
+        # starts that fall into a frozen neighbour at every precision.
+        tol_shift = min(self.prec // 2, 60 + (self.prec - self.requested) // 2)
+        self.sweeps += _aberth(self.horner, self.points, active, tol_shift)
         return self.freeze(active)
 
-    def escalate(self, unfreeze: bool) -> None:
+    def escalate(self) -> list[int]:
+        """Double the precision and freeze every root afresh from its current
+        point.  Returns the roots left unresolved.
+
+        A root frozen early with a wide disk would otherwise block a close
+        neighbour at every precision.
+        """
         old = self.horner.bits
         self.prec *= 2
         self.escalations += 1
         self.horner = FixedHorner(self.coeffs, self.prec + self.guard_bits)
         shift = self.horner.bits - old
         self.points = [(zr << shift, zi << shift) for zr, zi in self.points]
-        if unfreeze:
-            self.residuals = [None] * len(self.points)
+        self.residuals = [None] * len(self.points)
+        return self.freeze(list(range(len(self.points))))
 
     def roots(self) -> list:
         bits = self.horner.bits
@@ -603,10 +596,10 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     except that a real polynomial mirrors one start of each conjugate pair
     (``_conjugate_pairs``, ``_Solve.freeze``); the roots that validate are
     frozen, and only the rest are re-swept by multiprecision Aberth, first
-    at ``precision_bits`` and then at doubled precisions.  When the scaled
-    polynomial does not fit in doubles, the Newton-polygon starts go
-    straight to that sweep, each one held as a double of order one times
-    its own power of two.
+    at ``precision_bits`` and then at doubled precisions, where every root
+    is frozen afresh.  When the scaled polynomial does not fit in doubles,
+    the Newton-polygon starts go straight to that sweep, each one held as a
+    double of order one times its own power of two.
     """
     d = len(coeffs) - 1
     log_radii, angles = _newton_polygon_starts(coeffs)
@@ -630,28 +623,24 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
         unresolved = solve.freeze(unresolved, _conjugate_pairs(ys) if real else None)
     direct = d - len(unresolved)
 
-    while True:
+    while unresolved:
+        unresolved = solve.sweep(unresolved)
         if unresolved:
-            unresolved = solve.sweep(unresolved)
-        unfreeze = False
-        if not unresolved:
-            with mp.workprec(solve.horner.bits):
-                roots = solve.roots()
-                if _multiset_consistent(roots, coeffs, precision_bits):
-                    worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, solve.residuals))
-                    diagnostics = SolverDiagnostics(
-                        direct=direct, mirrored=solve.mirrored, reswept=len(solve.reswept),
-                        sweeps=solve.sweeps, escalations=solve.escalations,
-                        machine_iterations=iterations,
-                        worst_residual_log2=float(worst))
-                    return RootSet(roots=tuple(roots), residuals=tuple(solve.residuals),
-                                   precision_bits=solve.prec, diagnostics=diagnostics)
-            # A collapsed multiset: re-sweep every root at higher precision.
-            unresolved = list(range(d))
-            unfreeze = True
-        if 2 * solve.prec > MAX_PRECISION_BITS:
-            raise RootFindingError("roots failed residual validation up to the precision cap")
-        solve.escalate(unfreeze)
+            if 2 * solve.prec > MAX_PRECISION_BITS:
+                raise RootFindingError("roots failed residual validation up to the precision cap")
+            unresolved = solve.escalate()
+
+    bits = solve.horner.bits
+    residuals = [mp.ldexp(mp.mpf(r), -bits) for r in solve.residuals]
+    with mp.workprec(bits):
+        roots = solve.roots()
+        worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, residuals))
+    diagnostics = SolverDiagnostics(
+        direct=direct, mirrored=solve.mirrored, reswept=len(solve.reswept),
+        sweeps=solve.sweeps, escalations=solve.escalations,
+        machine_iterations=iterations, worst_residual_log2=float(worst))
+    return RootSet(roots=tuple(roots), residuals=tuple(residuals),
+                   precision_bits=solve.prec, diagnostics=diagnostics)
 
 
 def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> RootSet:
@@ -761,8 +750,8 @@ class Theorem1Report:
         return self.roots_within_bound and self.ratio_within_bound
 
 
-def check_modulus_bound(g: Multigraph, precision_bits: int = DEFAULT_PRECISION_BITS,
-                        slack: float = 1e-9) -> Theorem1Report:
+def check_modulus_bound(g: Multigraph,
+                        precision_bits: int = DEFAULT_PRECISION_BITS) -> Theorem1Report:
     """Verify the order bound on reliability root moduli for a 2-connected graph.
 
     Every root must satisfy |z| <= n-1, improving to n-2 when n >= 3 and some
@@ -795,7 +784,7 @@ def check_modulus_bound(g: Multigraph, precision_bits: int = DEFAULT_PRECISION_B
         max_mod = float(max(max(rs.moduli()), mp.mpf(1)))
     else:
         max_mod = 1.0
-    roots_ok = max_mod <= bound + slack
+    roots_ok = max_mod <= bound + MODULUS_SLACK
 
     return Theorem1Report(n=g.n, m=g.m, bound=bound, simple_vertex=simple_vertex,
                           max_modulus=max_mod, ratio=ratio,

@@ -88,7 +88,7 @@ def test_enestrom_kakeya_randomized():
         p = RatPoly(coeffs)
         ann = enestrom_kakeya(p)
         rs = find_roots(p, 128)
-        assert all(ann.contains(z, slack=1e-9) for z in rs.roots)
+        assert all(ann.contains(z) for z in rs.roots)
 
 
 def test_reliability_root_set_deflates():
@@ -310,6 +310,36 @@ def test_freeze_rejects_a_second_copy_of_a_root():
     assert solve.mirrored == 0 and solve.sweep([1, 2]) == []
     got = sorted((complex(z) for z in solve.roots()), key=lambda z: (round(z.real), z.imag))
     assert got == pytest.approx([-1j, 1j, 2, 3], abs=1e-30)
+
+
+def test_freeze_admits_close_roots_with_disjoint_disks():
+    # Roots 2^-30 apart are distinct for the disks D(z, 3·residual) at 64
+    # bits, however near they look against 2^-prec/2.
+    third = Fraction(1, 3)
+    exact = [third, third + Fraction(1, 2 ** 30), Fraction(2)]
+    p = _product(exact)
+    solve = _Solve([QComplex(c) for c in p.coeffs], [(float(r), 0) for r in exact], 64)
+    assert solve.freeze([0, 1, 2]) == []
+    rs = find_roots(p, 64)
+    assert rs.diagnostics.worst_residual_log2 <= -rs.precision_bits / 2 + 10
+    with mp.workprec(rs.precision_bits + 64):
+        disks = [(z, 3 * r) for z, r in zip(rs.roots, rs.residuals)]
+        for i, (z, r) in enumerate(disks):
+            assert all(abs(z - w) > r + s for w, s in disks[i + 1:])
+        for r in exact:
+            v = mp.mpf(r.numerator) / r.denominator
+            assert sum(abs(z - v) <= s for z, s in disks) == 1
+
+
+@pytest.mark.parametrize("center, gap_log2", [(1, 100), (1, 130), (1, 150), (1, 200),
+                                              (Fraction(1, 3), 125)])
+def test_tight_clusters_resolve(center, gap_log2):
+    # The multiprecision sweep's stop tightens with each escalation, so a
+    # pair closer than 2^-60 gets Newton starts inside its own basins.
+    exact = [Fraction(center), center + Fraction(1, 2 ** gap_log2), Fraction(2)]
+    rs = find_roots(_product(exact), 256)
+    with mp.workprec(rs.precision_bits + 64):
+        _assert_matches(rs, exact, mp.mpf(2) ** -(gap_log2 + 20))
 
 
 def test_fixed_horner_against_exact_evaluation():
