@@ -20,10 +20,9 @@ from .reliability import (SplitSpec, f_vector, rel_auto, rel_bruteforce,
 from .root_analysis import (Annulus, RootSet, SolverDiagnostics,
                             check_modulus_bound, enestrom_kakeya, find_roots,
                             max_modulus_root, reliability_root_set)
-from .stability import (BASE_ROOT_BOX, RATIO_BOX_K7, RATIO_BOX_K9, BoxPoly,
-                        CertificatePencil, ParamBox, SchurCohnReport,
-                        certificate_pencil, kth_root_ratio_box, schur_cohn,
-                        schur_cohn_box)
+from .stability import (BASE_ROOT_BOX, BoxPoly, CertificatePencil, ParamBox,
+                        SchurCohnReport, certificate_pencil, kth_root_ratio_box,
+                        schur_cohn, schur_cohn_box)
 from .substitution import (Gadget, bundle_gadget, complete_minus_edge_gadget,
                            substitute_edges, substituted_reliability,
                            substituted_root_poly, substituted_two_clique_graph)

@@ -25,9 +25,8 @@ from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
 from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
 from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
                             reliability_root_set)
-from .stability import (RATIO_BOX_K7, RATIO_BOX_K9, BASE_ROOT_BOX, ParamBox,
-                        certificate_pencil, kth_root_ratio_box, mpf_to_fraction,
-                        schur_cohn, schur_cohn_box)
+from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
+                        mpf_to_fraction, schur_cohn, schur_cohn_box)
 from .substitution import substituted_two_clique_graph
 
 # Published max-modulus reliability roots of the two-clique graphs with
@@ -159,40 +158,49 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
     return rows
 
 
+def root_disk_in_box(rs, degree: int, box: ParamBox) -> tuple[Fraction, Fraction, Fraction] | None:
+    """(re, im, radius) of a proven root disk of ``rs`` inside ``box``, or None.
+
+    A residual ρ bounds |a/a'| at its root z for the squarefree factor a
+    that z belongs to, so D(z, deg(a)·ρ) holds a root of a; any ``degree``
+    of at least deg(a), such as the degree of the solved polynomial, keeps
+    the disk valid.  The containment test is exact.
+    """
+    for z, rho in zip(rs.roots, rs.residuals):
+        re, im = mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
+        radius = degree * mpf_to_fraction(rho)
+        if box.contains(ParamBox.square(re, im, radius)):
+            return re, im, radius
+    return None
+
+
 def run_certificate(k: int, n: int, box: ParamBox | None = None,
                     precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Full certificate that the substituted graph has a reliability root
     outside the unit disk.
 
-    Uses the published parameter boxes for (k, n) = (9, 3) and (7, 4) so the
-    sign determination is float-free; other (k, n) derive their box from the
-    base-root enclosure.  Also re-verifies that the gadget's own deflated
-    roots stay strictly inside the unit circle, and that the graph's edge
-    connectivity is n-1.
+    The parameter box, unless given, is ``BASE_ROOT_BOX`` transported by
+    ``kth_root_ratio_box``.  ``pass`` also needs a proven disk about a root
+    of the deflated Rel(3,3,1,6) inside ``BASE_ROOT_BOX`` (``base_disk``,
+    checked with or without a given box), an exact Schur-Cohn count of
+    zero roots outside the unit circle for the gadget's deflated
+    reliability, and edge connectivity n-1.
     """
     if box is None:
-        if (k, n) == (9, 3):
-            box = RATIO_BOX_K9
-        elif (k, n) == (7, 4):
-            box = RATIO_BOX_K7
-        else:
-            box = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
-                                     BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, k,
-                                     precision_bits=max(precision_bits, 256))
+        box = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
+                                 BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, k)
+    base, _ = two_clique_reliability(TwoCliqueParams(m=3, n=3, a=1, b=6)).deflate_unit_roots()
+    disk = root_disk_in_box(find_roots(base, precision_bits), base.degree, BASE_ROOT_BOX)
     graph = substituted_two_clique_graph(k, n)
     lam = edge_connectivity(graph, upper_bound=n)
     pencil = certificate_pencil(n)
     report = schur_cohn_box(pencil.box_poly(box))
 
     h_gadget, _ = rel_complete_minus_edge(n).deflate_unit_roots()
-    if h_gadget.degree >= 1:
-        rs = find_roots(h_gadget, precision_bits)
-        inside = max(float(m) for m in rs.moduli()) < 1.0
-    else:
-        inside = True
+    inside = h_gadget.degree < 1 or schur_cohn(h_gadget).beta == 0
 
     passed = (report.determinate and report.beta is not None and report.beta >= 1 and inside
-              and lam == n - 1)
+              and lam == n - 1 and disk is not None)
     return {
         "k": k,
         "n": n,
@@ -201,6 +209,9 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
         "simple": graph.is_simple(),
         "edge_connectivity": lam,
         "box": box.to_dict(),
+        "base_disk": None if disk is None else {
+            name: f"{x.numerator}/{x.denominator}"
+            for name, x in zip(("re", "im", "radius"), disk)},
         "signs": list(report.signs),
         "beta": report.beta,
         "subdivision_depth": report.subdivision_depth,

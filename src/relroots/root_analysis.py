@@ -36,6 +36,7 @@ from typing import Sequence, Union
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp
 
 from .errors import (DisconnectedGraphError, InputError, NumericalError,
                      RootFindingError)
@@ -95,7 +96,8 @@ class RootSet:
     squarefree), and every copy of a repeated root carries it.  With d the
     degree of a, the disks D(z, d·residual) about its distinct roots are
     pairwise disjoint and each holds exactly one root of a.  Exact zero
-    roots have residual 0.
+    roots have residual 0.  Roots and residuals are the solver's exact
+    binary values, never rounded to a working precision.
     """
 
     roots: tuple
@@ -584,8 +586,9 @@ class _Solve:
         return self.freeze(list(range(len(self.points))))
 
     def roots(self) -> list:
+        """The points as exact mpc values, whatever the working precision."""
         bits = self.horner.bits
-        return [mp.mpc(mp.ldexp(mp.mpf(zr), -bits), mp.ldexp(mp.mpf(zi), -bits))
+        return [mp.make_mpc((from_man_exp(zr, -bits), from_man_exp(zi, -bits)))
                 for zr, zi in self.points]
 
 
@@ -631,9 +634,10 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
             unresolved = solve.escalate()
 
     bits = solve.horner.bits
-    residuals = [mp.ldexp(mp.mpf(r), -bits) for r in solve.residuals]
+    roots = solve.roots()
+    # Unrounded, like the roots: each disk D(z, d·ρ) stays proven.
+    residuals = [mp.make_mpf(from_man_exp(r, -bits)) for r in solve.residuals]
     with mp.workprec(bits):
-        roots = solve.roots()
         worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, residuals))
     diagnostics = SolverDiagnostics(
         direct=direct, mirrored=solve.mirrored, reswept=len(solve.reswept),

@@ -10,9 +10,9 @@ exact rational interval arithmetic.  When an interval sign is undecided the
 box is bisected along its longest side, and a certificate requires one
 uniform sign pattern across all leaves.
 
-Parameter boxes derived from a root enclosure are transported in mpmath's
-interval arithmetic, which rounds every endpoint outward, and returned as
-exact rational hulls.
+Every certificate box is the image of one root enclosure, transported as
+a single cell in mpmath's interval arithmetic, which rounds every endpoint
+outward, and returned as an exact rational hull.
 """
 
 from __future__ import annotations
@@ -119,21 +119,22 @@ class ParamBox:
         return (self.a_lo <= other.a_lo and other.a_hi <= self.a_hi
                 and self.b_lo <= other.b_lo and other.b_hi <= self.b_hi)
 
+    @classmethod
+    def square(cls, re: Fraction, im: Fraction, radius: Fraction) -> "ParamBox":
+        """The bounding square of the disk D(re + im i, radius)."""
+        return cls(re - radius, re + radius, im - radius, im + radius)
+
     def to_dict(self) -> dict:
         return {name: f"{getattr(self, name).numerator}/{getattr(self, name).denominator}"
                 for name in ("a_lo", "a_hi", "b_lo", "b_hi")}
 
 
-# Published enclosure of the large-modulus reliability root R of the
-# 6-vertex two-clique base graph (params m=n=3, a=1, b=6), and of the
-# transformed parameter z/(1-z) at the 9th and 7th principal roots of R.
-# These boxes keep the headline certificates float-free end to end.
+# Enclosure of the large-modulus reliability root R of the 6-vertex
+# two-clique base graph (params m=n=3, a=1, b=6).  ``cli.run_certificate``
+# proves that it holds a root disk and transports it to every certificate
+# box with ``kth_root_ratio_box``.
 BASE_ROOT_BOX = ParamBox.of(Fraction(69659, 100000), Fraction(69660, 100000),
                             Fraction(77393, 100000), Fraction(77394, 100000))
-RATIO_BOX_K9 = ParamBox.of(Fraction(-101749, 100000), Fraction(-101731, 100000),
-                           Fraction(1070762, 100000), Fraction(1070814, 100000))
-RATIO_BOX_K7 = ParamBox.of(Fraction(-90269, 100000), Fraction(-90254, 100000),
-                           Fraction(832420, 100000), Fraction(832462, 100000))
 
 
 @dataclass
@@ -533,24 +534,20 @@ def certificate_pencil(n: int) -> CertificatePencil:
 # Rigorous image box of z/(1-z) over k-th roots of a root enclosure
 # ---------------------------------------------------------------------------
 
-# Cells per side of the grid the input box is cut into.  Interval
-# arithmetic over a cell overestimates the image by an amount that shrinks
-# with the cell, so the hull of the cell images is tighter than the image
-# of the whole box.
-_GRID = 16
+# Working precision of the private interval context of the transport.
+_TRANSPORT_BITS = 256
 
 
-def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int,
-                       precision_bits: int = 256) -> ParamBox:
+def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int) -> ParamBox:
     """Enclose { z/(1-z) : z principal k-th root of w, w in the input box }.
 
-    The box is cut into a 16 x 16 grid.  Each cell, with its exact rational
-    endpoints rounded outward, is mapped through z = exp(log(w)/k) and
-    -1 + 1/(1-z) in mpmath's interval arithmetic, which rounds every
-    operation outward.  The arithmetic runs in a private interval context
-    at ``precision_bits``, so it neither reads nor changes mpmath's
-    process-wide precision.  The exact rational hull of the cell images is
-    returned, so it contains the true image without any pad.
+    The box, with its exact rational endpoints rounded outward, is mapped
+    as one interval cell through z = exp(log(w)/k) and -1 + 1/(1-z) in
+    mpmath's interval arithmetic, which rounds every operation outward.
+    The arithmetic runs in a private interval context at 256 bits, so it
+    neither reads nor changes mpmath's process-wide precision.  The exact
+    rational hull of the image is returned, so it contains the true image
+    without any pad.
     """
     if k < 1:
         raise InputError("root index k must be >= 1")
@@ -568,30 +565,18 @@ def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int,
         raise InputError("input box must avoid the negative real axis for k > 1")
 
     iv = MPIntervalContext()
-    iv.prec = precision_bits
+    iv.prec = _TRANSPORT_BITS
 
     def enclose(lo: Fraction, hi: Fraction):
         return iv.mpf((iv.mpf(lo.numerator) / lo.denominator,
                        iv.mpf(hi.numerator) / hi.denominator))
 
-    a_ends, b_ends = [], []
-    for re_cell in _grid_cells(re_lo, re_hi):
-        for im_cell in _grid_cells(im_lo, im_hi):
-            z = iv.mpc(enclose(*re_cell), enclose(*im_cell))
-            if k > 1:
-                z = iv.exp(iv.log(z) / k)
-            (a_lo, a_hi), (b_lo, b_hi) = (-1 + 1 / (1 - z))._mpci_
-            a_ends += (_exact_fraction(a_lo), _exact_fraction(a_hi))
-            b_ends += (_exact_fraction(b_lo), _exact_fraction(b_hi))
-    return ParamBox(min(a_ends), max(a_ends), min(b_ends), max(b_ends))
-
-
-def _grid_cells(lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """[lo, hi] cut into _GRID equal pieces, or the point itself."""
-    if lo == hi:
-        return [(lo, hi)]
-    step = (hi - lo) / _GRID
-    return [(lo + i * step, lo + (i + 1) * step) for i in range(_GRID)]
+    z = iv.mpc(enclose(re_lo, re_hi), enclose(im_lo, im_hi))
+    if k > 1:
+        z = iv.exp(iv.log(z) / k)
+    (a_lo, a_hi), (b_lo, b_hi) = (-1 + 1 / (1 - z))._mpci_
+    return ParamBox(_exact_fraction(a_lo), _exact_fraction(a_hi),
+                    _exact_fraction(b_lo), _exact_fraction(b_hi))
 
 
 def _exact_fraction(raw) -> Fraction:

@@ -25,11 +25,17 @@ from relroots import (Gadget, Multigraph, QComplex, RatPoly, SplitSpec,
                       sprel, sprel_complete_minus_edge, substitute_edges,
                       substituted_reliability, substituted_two_clique_graph,
                       two_clique_reliability)
-from relroots.stability import (BASE_ROOT_BOX, RATIO_BOX_K7, RATIO_BOX_K9,
-                                certificate_pencil, kth_root_ratio_box,
-                                schur_cohn_box)
+from relroots.stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil,
+                                kth_root_ratio_box, schur_cohn_box)
 from relroots.cli import TABLE1_REFERENCE
 from relroots.root_analysis import MODULUS_SLACK
+
+# Published enclosures of z/(1-z) at the 9th and 7th principal roots of the
+# base root R, the root of Rel(3,3,1,6) inside BASE_ROOT_BOX.
+PUBLISHED_BOX_K9 = ParamBox.of(Fraction(-101749, 100000), Fraction(-101731, 100000),
+                               Fraction(1070762, 100000), Fraction(1070814, 100000))
+PUBLISHED_BOX_K7 = ParamBox.of(Fraction(-90269, 100000), Fraction(-90254, 100000),
+                               Fraction(832420, 100000), Fraction(832462, 100000))
 
 
 def _report(num: int, text: str, ok: bool) -> None:
@@ -56,9 +62,16 @@ def test_criterion_01_table1_rows():
                f"worst component error {worst:.2e} <= {tol}", worst <= tol)
 
 
+def transported_box(k):
+    """BASE_ROOT_BOX carried to the parameter box of the k-th root."""
+    return kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
+                              BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, k)
+
+
 def test_criterion_02_degree_one_certificate():
     pen = certificate_pencil(3)
-    rep = schur_cohn_box(pen.box_poly(RATIO_BOX_K9))
+    rep = schur_cohn_box(pen.box_poly(PUBLISHED_BOX_K9))
+    derived = schur_cohn_box(pen.box_poly(transported_box(9)))
     symbolic_ok = True
     # M_1 and 4a+4 are both affine in (a, b); agreement on three points in
     # general position proves the identity.
@@ -67,21 +80,24 @@ def test_criterion_02_degree_one_certificate():
         coeffs = pen.exact_poly(a, b)
         if coeffs[1].abs2() - coeffs[0].abs2() != 4 * a + 4:
             symbolic_ok = False
-    ok = rep.signs == ("-",) and rep.beta == 1 and symbolic_ok
-    _report(2, f"gadget-order-3 certificate over the published box: signs={rep.signs}, "
-               f"beta={rep.beta}, M_1 = 4a+4 verified", ok)
+    ok = (rep.signs == derived.signs == ("-",) and rep.beta == derived.beta == 1
+          and symbolic_ok)
+    _report(2, f"gadget-order-3 certificate over the published and the transported box: "
+               f"signs={rep.signs}, beta={rep.beta}, M_1 = 4a+4 verified", ok)
 
 
 def test_criterion_03_degree_three_certificate():
-    rep = schur_cohn_box(certificate_pencil(4).box_poly(RATIO_BOX_K7))
-    ok = rep.signs == ("+", "+", "-") and rep.beta == 1
-    _report(3, f"gadget-order-4 certificate: signs={rep.signs}, beta={rep.beta}, "
-               f"subdivision depth {rep.subdivision_depth}", ok)
+    pen = certificate_pencil(4)
+    rep = schur_cohn_box(pen.box_poly(PUBLISHED_BOX_K7))
+    derived = schur_cohn_box(pen.box_poly(transported_box(7)))
+    ok = rep.signs == derived.signs == ("+", "+", "-") and rep.beta == derived.beta == 1
+    _report(3, f"gadget-order-4 certificate over the published and the transported box: "
+               f"signs={rep.signs}, beta={rep.beta}, subdivision depths "
+               f"{rep.subdivision_depth} and {derived.subdivision_depth}", ok)
 
 
 def test_criterion_04_higher_order_certificates():
-    box = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
-                             BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, 6)
+    box = transported_box(6)
     results = []
     for n in (5, 6):
         rep = schur_cohn_box(certificate_pencil(n).box_poly(box))

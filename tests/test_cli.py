@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from relroots import RatPoly, cli, rel_complete
+import mpmath as mp
+
+from relroots import ParamBox, RatPoly, RootSet, cli, rel_complete
 from relroots.cli import (TABLE1_REFERENCE, format_decimal, main,
-                          run_certificate, table1_rows)
+                          root_disk_in_box, run_certificate, table1_rows)
 
 K3 = '{"n":3,"edges":[[0,1,1],[1,2,1],[0,2,1]]}'
 P3 = '{"n":3,"edges":[[0,1,1],[1,2,1]]}'
@@ -140,6 +142,8 @@ def test_certify_command(capsys):
     assert doc["pass"] and doc["beta"] == 1 and doc["signs"] == ["-"]
     assert (doc["vertices"], doc["edges"]) == (546, 1080)
     assert doc["edge_connectivity"] == 2
+    disk = {key: Fraction(value) for key, value in doc["base_disk"].items()}
+    assert cli.BASE_ROOT_BOX.contains(ParamBox.square(disk["re"], disk["im"], disk["radius"]))
 
 
 def test_certify_indeterminate_exit(capsys):
@@ -194,3 +198,31 @@ def test_run_certificate_dict_shape(monkeypatch):
     # the connectivity claim is part of the pass
     monkeypatch.setattr(cli, "edge_connectivity", lambda g, upper_bound: 2)
     assert not run_certificate(7, 4)["pass"]
+
+
+def test_certify_needs_the_base_disk_in_the_base_box(monkeypatch):
+    # Shifted by 1e-5 in a, the box still transports to a box with the same
+    # signs, but no proven root disk of Rel(3,3,1,6) lies inside it.
+    box, shift = cli.BASE_ROOT_BOX, Fraction(1, 10 ** 5)
+    monkeypatch.setattr(cli, "BASE_ROOT_BOX",
+                        ParamBox(box.a_lo + shift, box.a_hi + shift, box.b_lo, box.b_hi))
+    cert = run_certificate(9, 3)
+    assert cert["signs"] == ["-"] and cert["base_disk"] is None
+    assert not cert["pass"]
+
+
+def test_certify_gadget_check_is_exact(monkeypatch):
+    # A gadget polynomial with the extra root 2 fails the exact count.
+    gadget = cli.rel_complete_minus_edge
+    monkeypatch.setattr(cli, "rel_complete_minus_edge", lambda n: gadget(n) * RatPoly([-2, 1]))
+    cert = run_certificate(9, 3)
+    assert not cert["gadget_roots_inside"] and not cert["pass"]
+
+
+def test_root_disk_in_box_scales_the_residual_by_the_degree():
+    # The disk about z is D(z, 4ρ), not D(z, ρ): a box edge between z + ρ
+    # and z + 4ρ must reject it, and the edge at z + 4ρ admits it.
+    z, rho = Fraction(1, 2), Fraction(1, 2 ** 10)
+    rs = RootSet(roots=(mp.mpc(0.5, 0.5),), residuals=(mp.mpf(2) ** -10,), precision_bits=53)
+    assert root_disk_in_box(rs, 4, ParamBox.of(0, z + 2 * rho, 0, 1)) is None
+    assert root_disk_in_box(rs, 4, ParamBox.of(0, z + 4 * rho, 0, 1)) == (z, z, 4 * rho)

@@ -14,6 +14,7 @@ from relroots import polynomials, root_analysis
 from relroots.cli import main
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
 from relroots.root_analysis import FixedHorner, _Solve
+from relroots.stability import mpf_to_fraction
 
 
 def _close(z, re, im, tol=1e-12):
@@ -219,6 +220,30 @@ def test_mirrored_roots_are_exact_conjugates(monkeypatch):
         assert rs.roots[k].real == rs.roots[j].real and rs.roots[k].imag + rs.roots[j].imag == 0
         assert rs.roots[j].imag > 0
         assert rs.residuals[k] == rs.residuals[j]
+
+
+def test_roots_and_residuals_are_exact_dyadics(monkeypatch):
+    # The returned values are the fixed-point integers times 2^-bits,
+    # unrounded: roots of modulus > 1 carry more bits than the working
+    # precision, and the cluster's residuals more than 53.
+    solves = []
+    roots = _Solve.roots
+
+    def recording(self):
+        solves.append((self.horner.bits, list(self.points), list(self.residuals)))
+        return roots(self)
+
+    monkeypatch.setattr(_Solve, "roots", recording)
+    eps = Fraction(1, 10 ** 30)
+    rs = find_roots(_product([2 + eps, 2 + 2 * eps, 2 + 3 * eps]), 128)
+    ((bits, points, residuals),) = solves
+    assert max(r.bit_length() for r in residuals) > 53
+    assert max(zr.bit_length() for zr, _ in points) > bits
+    scale = Fraction(1, 2 ** bits)
+    for z, rho, (zr, zi), r in zip(rs.roots, rs.residuals, points, residuals):
+        assert mpf_to_fraction(z.real) == zr * scale
+        assert mpf_to_fraction(z.imag) == zi * scale
+        assert mpf_to_fraction(rho) == r * scale
 
 
 def _conjugate_pair_product(pairs, reals) -> tuple[list, dict]:

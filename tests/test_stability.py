@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from relroots import (InputError, QComplex, RatPoly, SchurCohnHypothesisError,
-                      find_roots)
+                      TwoCliqueParams, find_roots, two_clique_reliability)
 from relroots import stability
-from relroots.stability import (BASE_ROOT_BOX, RATIO_BOX_K7, RATIO_BOX_K9,
-                                ParamBox, _clear_denominators,
+from relroots.cli import root_disk_in_box
+from relroots.stability import (BASE_ROOT_BOX, ParamBox, _clear_denominators,
                                 _det_sign_polynomials, _exact_mk, _nested_dets,
                                 _real_det, certificate_pencil,
                                 kth_root_ratio_box, schur_cohn, schur_cohn_box)
+from test_acceptance import PUBLISHED_BOX_K7, PUBLISHED_BOX_K9, transported_box
 
 
 def test_exact_linear_cases():
@@ -67,10 +68,12 @@ def test_pencil_divisibility_all_orders():
 
 
 def test_box_certificates_published_boxes():
-    rep = schur_cohn_box(certificate_pencil(3).box_poly(RATIO_BOX_K9))
+    # The boxes of the published (9,3) and (7,4) constructions, as certify
+    # derives them: one transport of the base box.
+    rep = schur_cohn_box(certificate_pencil(3).box_poly(transported_box(9)))
     assert rep.signs == ("-",) and rep.beta == 1
 
-    rep = schur_cohn_box(certificate_pencil(4).box_poly(RATIO_BOX_K7))
+    rep = schur_cohn_box(certificate_pencil(4).box_poly(transported_box(7)))
     assert rep.signs == ("+", "+", "-") and rep.beta == 1
     assert rep.subdivision_depth <= 12
 
@@ -84,7 +87,7 @@ def test_box_certificate_wide_box_indeterminate():
 
 def test_box_subdivision_consistent_with_parent():
     pen = certificate_pencil(4)
-    parent = RATIO_BOX_K7
+    parent = transported_box(7)
     rep_parent = schur_cohn_box(pen.box_poly(parent))
     assert rep_parent.determinate
     for child in parent.split():
@@ -103,9 +106,8 @@ def test_box_signs_match_exact_points():
     # The box path reads signs off the interpolated determinant polynomials;
     # at exact points those must equal the kernel's determinants, and the
     # exact test must agree with the certified box signs.
-    derived = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
-                                 BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, 6)
-    for n, box in ((3, RATIO_BOX_K9), (4, RATIO_BOX_K7), (5, derived), (6, derived)):
+    for n, k in ((3, 9), (4, 7), (5, 6), (6, 6)):
+        box = transported_box(k)
         pen = certificate_pencil(n)
         polys = _det_sign_polynomials(n)
         box_signs = schur_cohn_box(pen.box_poly(box)).signs
@@ -120,9 +122,16 @@ def test_box_signs_match_exact_points():
 
 
 def test_ratio_boxes_contained_in_published():
-    args = (BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi, BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi)
-    assert RATIO_BOX_K9.contains(kth_root_ratio_box(*args, 9))
-    assert RATIO_BOX_K7.contains(kth_root_ratio_box(*args, 7))
+    # The published boxes hold the image of the proven base-root disk; the
+    # single-cell image of the whole base box is wider than they are.
+    base, _ = two_clique_reliability(TwoCliqueParams(3, 3, 1, 6)).deflate_unit_roots()
+    disk = root_disk_in_box(find_roots(base), base.degree, BASE_ROOT_BOX)
+    assert disk is not None
+    square = ParamBox.square(*disk)
+    for k, published in ((9, PUBLISHED_BOX_K9), (7, PUBLISHED_BOX_K7)):
+        assert published.contains(
+            kth_root_ratio_box(square.a_lo, square.a_hi, square.b_lo, square.b_hi, k))
+        assert not published.contains(transported_box(k))
 
 
 def test_ratio_box_point_and_errors():
@@ -151,13 +160,12 @@ def test_ratio_box_point_images_are_tight():
 
 def test_ratio_box_ignores_global_precision():
     import mpmath as mp
-    args = (BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi, BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi)
-    reference = kth_root_ratio_box(*args, 6)
+    reference = transported_box(6)
     saved = mp.iv.prec
     try:
         mp.iv.prec = 20
         with mp.workprec(53):
-            assert kth_root_ratio_box(*args, 6) == reference
+            assert transported_box(6) == reference
             assert mp.mp.prec == 53
         assert mp.iv.prec == 20
     finally:
@@ -179,9 +187,8 @@ def test_box_degree_check_is_exact():
 
 def test_ratio_box_encloses_sampled_images():
     import mpmath as mp
-    args = (BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi, BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi)
     for k in (6, 7, 9):
-        box = kth_root_ratio_box(*args, k)
+        box = transported_box(k)
         rng = random.Random(k)
         with mp.workprec(120):
             for _ in range(200):
@@ -281,7 +288,7 @@ def test_parambox_split_and_json():
     box = ParamBox.of(0, 4, 0, 1)
     left, right = box.split()
     assert left.a_hi == right.a_lo == 2
-    doc = RATIO_BOX_K9.to_dict()
-    assert doc["a_lo"] == "-101749/100000"
+    doc = ParamBox.of(Fraction(-101749, 100000), -1, 10, 11).to_dict()
+    assert doc["a_lo"] == "-101749/100000" and doc["b_hi"] == "11/1"
     with pytest.raises(InputError):
         ParamBox.of(1, 0, 0, 1)
