@@ -19,7 +19,7 @@ import mpmath as mp
 from .chip_firing import h_vector_chip
 from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_graph, \
     two_clique_reliability
-from .errors import IndeterminateError, InputError, ToolkitError
+from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
 from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
 from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
 from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
@@ -143,14 +143,26 @@ def compute_rel(g: Multigraph, method: str = "auto", guard: int = DEFAULT_GUARD_
 
 def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
                 digits: int = 10) -> list[tuple[int, str, str, str]]:
-    """Max-modulus reliability root of the (n,n,1,6) two-clique graph, n = 3..max_n."""
+    """Max-modulus reliability root of the (n,n,1,6) two-clique graph, n = 3..max_n.
+
+    Each row is proven to lie outside the unit disk.  The reported root z
+    of the deflated reliability h carries a residual ρ, so D(z, dρ), with d
+    the degree of h, holds a root of h, and of Rel.  That disk lies outside
+    the closed unit disk when |z| > 1 + dρ, checked exactly in rationals;
+    otherwise the row raises ``NumericalError``.
+    """
     if not 3 <= max_n <= 12:
         raise InputError("table supports max_n in 3..12")
     rows = []
     for n in range(3, max_n + 1):
-        rel = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6))
-        rs = reliability_root_set(rel, precision_bits)
+        h, _ = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6)).deflate_unit_roots()
+        rs = find_roots(h, precision_bits)
         z = max_modulus_root(rs)
+        re, im = mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
+        radius = h.degree * mpf_to_fraction(rs.residuals[rs.roots.index(z)])
+        if re * re + im * im <= (1 + radius) ** 2:
+            raise NumericalError(f"table1 row n={n}: the root disk of radius {float(radius):.3g} "
+                                 f"about {mp.nstr(z, 12)} is not proven outside the unit disk")
         with mp.workprec(rs.precision_bits):
             modulus = abs(z)
         rows.append((n, format_decimal(z.real, digits), format_decimal(z.imag, digits),

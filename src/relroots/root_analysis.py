@@ -11,7 +11,7 @@ on its own: once its step is below 1e-13 relative, or once |p(z)| has
 stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
 iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
-bits or more (``FixedHorner``).  A root z is frozen once its residual bound
+bits or more (``FixedEval``).  A root z is frozen once its residual bound
 ρ ≥ |p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and its disk D(z, dρ), d the
 degree, which holds a root, is disjoint from the disk of every frozen root,
 compared exactly in integers; the d frozen disks then hold every root
@@ -25,6 +25,17 @@ cap), every root is frozen afresh from its current point, and the leftovers
 are re-swept with a stop that tightens with the precision.  Every
 multiprecision evaluation of p and p' goes through that one fixed-point
 path, whose error bound enters each reported residual.
+
+At z = x + iy that path runs one real second-order recurrence,
+b_k = c_k + 2x·b_{k+1} − |z|²·b_{k+2}, which divides p by the real
+quadratic (X − z)(X − z̄) (Knuth, TAOCP vol. 2, §4.6.4), and the same
+recurrence over b_d..b_2 for the quotient Q: p(z) = (b_0 − x·b_1) + i·y·b_1
+and p'(z) = b_1 + 2iy·Q(z), at four real products per step where complex
+Horner takes eight.  Complex coefficients run it on their real and their
+imaginary parts.  Each step floors once, and a floor only perturbs a
+coefficient, by less than 3/2 units with its rounding; so p is off by at
+most (3/2)·Σ|z|^k units and p' by (3/2)·Σ k·|z|^(k−1) + 2·Σ|z|^k, per
+part (``FixedEval`` has the proof).
 """
 
 from __future__ import annotations
@@ -107,9 +118,6 @@ class RootSet:
 
     def moduli(self) -> list:
         return [abs(z) for z in self.roots]
-
-    def max_modulus(self):
-        return max(self.moduli())
 
     def __len__(self):
         return len(self.roots)
@@ -356,39 +364,84 @@ def _modulus(zr: int, zi: int) -> int:
     return math.isqrt(zr * zr + zi * zi)
 
 
-class FixedHorner:
+def _remainders(table: list[int], zr: int, r2: int, bits: int) -> tuple[int, int, int, int]:
+    """(b_0, b_1, e_2, e_3) of ``FixedEval``'s two recurrences over one real
+    coefficient table, highest degree first, at a point with real part
+    zr / 2^bits and squared modulus r2 / 2^(2·bits)."""
+    two_bits, shift = 2 * bits, bits + 1
+    b1 = b2 = e1 = e2 = 0
+    for c in table[:-2]:
+        b1, b2 = c + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
+        e1, e2 = b1 + ((((zr * e1) << shift) - r2 * e2) >> two_bits), e1
+    b1, b2 = table[-2] + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
+    b0 = table[-1] + ((((zr * b1) << shift) - r2 * b2) >> two_bits)
+    return b0, b1, e1, e2
+
+
+class FixedEval:
     """p and p' at fixed-point points, in Python integers at ``bits`` bits.
 
-    At a point z the coefficients are the Gaussian integers
-    ĉ_k = round(c_k 2^t).  The scale t comes from the polynomial, as
+    At a point z the coefficients are the integers round(c_k 2^t), real and
+    imaginary parts apart.  The scale t comes from the polynomial, as
     ``_machine_coeffs`` chooses its shift: the largest term |c_k| |z|^k,
-    times 2^t, is at least 2^bits times the error bound below, so tiny,
+    times 2^t, is at least 2^bits times the bound err_dp below, so tiny,
     huge or complex rational coefficients keep their relative accuracy.
-    Scaled coefficient lists are cached for t in steps of 16 bits.
+    Scaled coefficient tables are cached for t in steps of 16 bits.
 
-    Error bound: each coefficient rounding costs at most √2/2 and each
-    floored product at most √2 units of 2^-t, so with G = Σ_{k≤d} |z|^k the
-    returned p and p' (in units of 2^-t) lie within (3√2/2)·G of 2^t p(z)
-    and within (3√2/2)·d·G + √2·G of 2^t p'(z).  ``evaluate`` returns
-    integers err_p = 3·Ĝ and err_dp = 3(d+1)·Ĝ, where Ĝ = (d+1)·2^e ≥ G
-    and 2^e ≥ max(1, |z|)^d with one spare bit for the float logarithm.
+    Recurrence (Knuth, TAOCP vol. 2, §4.6.4).  With z = x + iy, s = 2x and
+    r = |z|², z is a root of q(X) = X² − sX + r.  For real a_0..a_d, the
+    recurrence b_k = a_k + s·b_{k+1} − r·b_{k+2} (b_{d+1} = b_{d+2} = 0)
+    gives the polynomial identity
+
+        Σ a_k X^k = q(X)·Q(X) + b_1·(X − s) + b_0,   Q(X) = Σ_{k≥2} b_k X^(k−2),
+
+    so P(z) = (b_0 − x·b_1) + i·y·b_1 and P'(z) = b_1 + 2iy·Q(z).  The same
+    recurrence over b_d..b_2, e_k = b_k + s·e_{k+1} − r·e_{k+2}, gives
+    Q(z) = (e_2 − x·e_3) + i·y·e_3.  A step costs two real products where
+    complex Horner costs four per value.  A complex table runs the loop on
+    its real and its imaginary parts, p = P_re + i·P_im.  s and r are
+    exact (r at 2·bits), so each step rounds once, by a floor.
+
+    Error bound, in units of 2^-t (after W. M. Gentleman, Computer J. 1969).
+    Let a_k be a part's exact scaled coefficients and M = max(1, |z|).
+    - Rounding a_k to an integer (at most 1/2) and the floor φ_k ∈ [0, 1)
+      of step k only change the coefficient: the computed b_k are the exact
+      remainders of P̃ with coefficients a_k + δ_k, |δ_k| < 3/2.  The
+      identity holds for P̃ exactly, so the b's give P̃(z) and P̃'(z), with
+      |P̃(z) − P(z)| ≤ (3/2)·G, G = Σ_{k≤d} |z|^k, and
+      |P̃'(z) − P'(z)| ≤ (3/2)·G₁, G₁ = Σ_{k≤d} k·|z|^(k−1).
+    - Seen forward, an error at step j reaches b_k through
+      U_m = (z^(m+1) − z̄^(m+1))/(z − z̄) = Σ_{i≤m} z^i z̄^(m−i), m = j − k,
+      and |U_m| ≤ (m+1)·M^m.  At a real z the bound is attained and b_1 is
+      P̃'(x): the factor m + 1 is the k of G₁ and cannot be dropped.
+    - The floors ψ_k ∈ [0, 1) of the e-recurrence make it evaluate
+      Q − Σ ψ_k X^(k−2), exactly as above.  Times 2iy that costs at most
+      2|y|·Σ_{k≤d−2} |z|^k ≤ 2G.
+    - p and p' then round once per real component, under √2 each.
+    With 2^e ≥ M^d (one spare bit for the float logarithm),
+    G ≤ (d+1)·2^e and G₁ ≤ d(d+1)/2·2^e.  With n = 1 part for a real table
+    and 2 for a complex one, ``evaluate`` returns the integers
+    err_p = 3n(d+1)·2^(e−1) + 2 ≥ n·(3/2)·G + √2 and
+    err_dp = n(3d+8)(d+1)·2^(e−2) + 2 ≥ n·((3/2)·G₁ + 2G) + √2.
     """
 
     def __init__(self, coeffs: list[QComplex], bits: int):
         self.coeffs = coeffs
         self.bits = bits
         self.degree = len(coeffs) - 1
+        self.real = all(c.im == 0 for c in coeffs)
         logs = [_log2_abs(c) for c in coeffs]
         self._logs = np.array([-math.inf if lg is None else lg for lg in logs])
         self._powers = np.arange(len(coeffs), dtype=float)
-        self._scaled: dict[int, tuple[list[int], list[int]]] = {}
+        self._scaled: dict[int, tuple[list[int], list[int] | None]] = {}
 
-    def _table(self, t: int) -> tuple[list[int], list[int]]:
-        """Real and imaginary parts of round(c_k 2^t), highest degree first."""
+    def _table(self, t: int) -> tuple[list[int], list[int] | None]:
+        """Real and imaginary parts of round(c_k 2^t), highest degree first;
+        no imaginary table for a real polynomial."""
         table = self._scaled.get(t)
         if table is None:
             table = ([_scaled_int(c.re, t) for c in reversed(self.coeffs)],
-                     [_scaled_int(c.im, t) for c in reversed(self.coeffs)])
+                     None if self.real else [_scaled_int(c.im, t) for c in reversed(self.coeffs)])
             self._scaled[t] = table
         return table
 
@@ -397,17 +450,24 @@ class FixedHorner:
         bits, d = self.bits, self.degree
         log_mod = math.log2(_modulus(zr, zi) + 1) - bits
         e = math.ceil(d * max(log_mod, 0.0)) + 1
-        g_log = e + math.log2(d + 1)
-        top = float(np.max(self._logs + self._powers * log_mod))
-        t = math.ceil((bits + g_log + 2 + math.log2(d + 1) - top) / _SCALE_STEP) * _SCALE_STEP
-        cr, ci = self._table(t)
-        ar, ai = cr[0], ci[0]
-        dr = di = 0
-        for c_re, c_im in zip(cr[1:], ci[1:]):
-            dr, di = ((dr * zr - di * zi) >> bits) + ar, ((dr * zi + di * zr) >> bits) + ai
-            ar, ai = ((ar * zr - ai * zi) >> bits) + c_re, ((ar * zi + ai * zr) >> bits) + c_im
         g = (d + 1) << e
-        return ar, ai, dr, di, 3 * g, 3 * (d + 1) * g, t
+        parts = 1 if self.real else 2
+        err_p = (3 * parts * g >> 1) + 2
+        err_dp = (parts * (3 * d + 8) * g >> 2) + 2    # exact: (d+1)(3d+8) is even, e ≥ 1
+        top = float(np.max(self._logs + self._powers * log_mod))
+        t = math.ceil((bits + math.log2(err_dp) + 1 - top) / _SCALE_STEP) * _SCALE_STEP
+        re_table, im_table = self._table(t)
+        r2 = zr * zr + zi * zi
+        b0, b1, e2, e3 = _remainders(re_table, zr, r2, bits)
+        # f: the imaginary part's remainders, zero for a real polynomial.
+        f0, f1, f2, f3 = _remainders(im_table, zr, r2, bits) if im_table else (0, 0, 0, 0)
+        pr = b0 + ((-zr * b1 - zi * f1) >> bits)
+        pi = f0 + ((zi * b1 - zr * f1) >> bits)
+        # 2^bits (e_2 − x e_3) and 2^bits (f_2 − x f_3), exact.
+        qr, qi = (e2 << bits) - zr * e3, (f2 << bits) - zr * f3
+        dr = b1 + ((-2 * zi * (zi * e3 + qi)) >> (2 * bits))
+        di = f1 + ((2 * zi * (qr - zi * f3)) >> (2 * bits))
+        return pr, pi, dr, di, err_p, err_dp, t
 
     def newton_step(self, zr: int, zi: int) -> tuple[int, int] | None:
         pr, pi, dr, di = self.evaluate(zr, zi)[:4]
@@ -423,7 +483,7 @@ class FixedHorner:
         return -((-num << self.bits) // den)
 
 
-def _polish(horner: FixedHorner, z: tuple[int, int], prec: int) -> tuple[int, int]:
+def _polish(evaluator: FixedEval, z: tuple[int, int], prec: int) -> tuple[int, int]:
     """Newton polishing from a start near a simple root.
 
     A start whose steps stop halving (from step 5 on), or that has not
@@ -433,7 +493,7 @@ def _polish(horner: FixedHorner, z: tuple[int, int], prec: int) -> tuple[int, in
     zr, zi = z
     prev_step = None
     for it in range(_POLISH_STEPS):
-        step = horner.newton_step(zr, zi)
+        step = evaluator.newton_step(zr, zi)
         if step is None:
             break
         zr, zi = zr - step[0], zi - step[1]
@@ -446,7 +506,7 @@ def _polish(horner: FixedHorner, z: tuple[int, int], prec: int) -> tuple[int, in
     return zr, zi
 
 
-def _aberth(horner: FixedHorner, points: list, active: list[int], tol_shift: int) -> int:
+def _aberth(evaluator: FixedEval, points: list, active: list[int], tol_shift: int) -> int:
     """Aberth sweeps in fixed point that move only the points in ``active``.
 
     The Aberth sum runs over every current point, frozen roots included, so
@@ -455,14 +515,14 @@ def _aberth(horner: FixedHorner, points: list, active: list[int], tol_shift: int
     once no active point moves by more than 2^-tol_shift of its modulus.
     Returns the number of sweeps.
     """
-    bits = horner.bits
+    bits = evaluator.bits
     two_bits = 2 * bits
     one = 1 << bits
     for sweep in range(1, _ABERTH_SWEEPS + 1):
         settled = True
         for k in active:
             zr, zi = points[k]
-            w = horner.newton_step(zr, zi)
+            w = evaluator.newton_step(zr, zi)
             if w is None:
                 settled = False
                 continue
@@ -501,8 +561,8 @@ class _Solve:
         # 1 / (a bound on the roots of the reversed polynomial) bounds every
         # root from below.
         self.guard_bits = _GUARD_BITS + max(0, math.ceil(_root_bound_log2(coeffs[::-1])))
-        self.horner = FixedHorner(coeffs, prec + self.guard_bits)
-        self.points = [_to_fixed(complex(y), self.horner.bits + int(e)) for y, e in starts]
+        self.evaluator = FixedEval(coeffs, prec + self.guard_bits)
+        self.points = [_to_fixed(complex(y), self.evaluator.bits + int(e)) for y, e in starts]
         self.residuals: list = [None] * len(self.points)
         self.reswept: set[int] = set()
         self.mirrored = 0
@@ -528,7 +588,7 @@ class _Solve:
         disjoint from every frozen disk, and k stays unresolved with j when
         j fails.
         """
-        horner, d = self.horner, self.horner.degree
+        evaluator, d = self.evaluator, self.evaluator.degree
         mirrors = mirrors or {}
         limit_shift = self.prec // 2 - 10
         frozen = [(z, d * r) for z, r in zip(self.points, self.residuals) if r is not None]
@@ -548,8 +608,8 @@ class _Solve:
         for j in candidates:
             if j in partners:
                 continue
-            z = _polish(horner, self.points[j], self.prec)
-            residual = horner.residual(*z)
+            z = _polish(evaluator, self.points[j], self.prec)
+            residual = evaluator.residual(*z)
             if (residual is None or residual > _modulus(*z) >> limit_shift
                     or not admit(j, z, residual)):
                 unresolved += [j, mirrors[j]] if j in mirrors else [j]
@@ -566,7 +626,7 @@ class _Solve:
         # escalation adds: a cluster narrower than the stop would hand Newton
         # starts that fall into a frozen neighbour at every precision.
         tol_shift = min(self.prec // 2, 60 + (self.prec - self.requested) // 2)
-        self.sweeps += _aberth(self.horner, self.points, active, tol_shift)
+        self.sweeps += _aberth(self.evaluator, self.points, active, tol_shift)
         return self.freeze(active)
 
     def escalate(self) -> list[int]:
@@ -576,18 +636,18 @@ class _Solve:
         A root frozen early with a wide disk would otherwise block a close
         neighbour at every precision.
         """
-        old = self.horner.bits
+        old = self.evaluator.bits
         self.prec *= 2
         self.escalations += 1
-        self.horner = FixedHorner(self.coeffs, self.prec + self.guard_bits)
-        shift = self.horner.bits - old
+        self.evaluator = FixedEval(self.coeffs, self.prec + self.guard_bits)
+        shift = self.evaluator.bits - old
         self.points = [(zr << shift, zi << shift) for zr, zi in self.points]
         self.residuals = [None] * len(self.points)
         return self.freeze(list(range(len(self.points))))
 
     def roots(self) -> list:
         """The points as exact mpc values, whatever the working precision."""
-        bits = self.horner.bits
+        bits = self.evaluator.bits
         return [mp.make_mpc((from_man_exp(zr, -bits), from_man_exp(zi, -bits)))
                 for zr, zi in self.points]
 
@@ -633,7 +693,7 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
                 raise RootFindingError("roots failed residual validation up to the precision cap")
             unresolved = solve.escalate()
 
-    bits = solve.horner.bits
+    bits = solve.evaluator.bits
     roots = solve.roots()
     # Unrounded, like the roots: each disk D(z, d·ρ) stays proven.
     residuals = [mp.make_mpf(from_man_exp(r, -bits)) for r in solve.residuals]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -168,6 +169,24 @@ def test_table1_digits_beyond_double_precision(capsys):
     assert out.splitlines()[1] == ("3,0.696597809364082419277710868395,"
                                    "0.773934477491224279225101547629,"
                                    "1.041260334143413365031437602639")
+
+
+@pytest.mark.parametrize("margin, code", [(0.999, 0), (1.001, 4)])
+def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin, code):
+    # Every residual becomes margin·(|z| - 1)/d for the row's root z, with d
+    # the degree of the deflated h, so the disk D(z, d·residual) misses the
+    # unit disk just barely, or reaches into it just barely.
+    solve = cli.find_roots
+
+    def inflated(h, precision_bits):
+        rs = solve(h, precision_bits)
+        rho = margin * (abs(cli.max_modulus_root(rs)) - 1) / h.degree
+        return dataclasses.replace(rs, residuals=tuple(mp.mpf(rho) for _ in rs.roots))
+
+    monkeypatch.setattr(cli, "find_roots", inflated)
+    assert main(["table1", "3"]) == code
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == (["3," + ",".join(TABLE1_REFERENCE[3])] if code == 0 else [])
 
 
 def test_digits_capacity_check(capsys):

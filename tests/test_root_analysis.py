@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
 from relroots import polynomials, root_analysis
 from relroots.cli import main
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
-from relroots.root_analysis import FixedHorner, _Solve
+from relroots.root_analysis import FixedEval, _Solve
 from relroots.stability import mpf_to_fraction
 
 
@@ -170,13 +171,13 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # The modular certificate proves each row squarefree: no exact gcd runs.
     monkeypatch.setattr(polynomials, "_cgcd", None)
     evaluations = []
-    evaluate = FixedHorner.evaluate
+    evaluate = FixedEval.evaluate
 
     def counted(self, zr, zi):
         evaluations.append(1)
         return evaluate(self, zr, zi)
 
-    monkeypatch.setattr(FixedHorner, "evaluate", counted)
+    monkeypatch.setattr(FixedEval, "evaluate", counted)
     # Mirroring one root of each conjugate pair halves the fixed-point work
     # (220, 428, 775 and 1,277 evaluations when every start is polished).
     budget = {3: (116, 26), 4: (223, 49), 5: (395, 79), 6: (648, 116)}
@@ -230,7 +231,7 @@ def test_roots_and_residuals_are_exact_dyadics(monkeypatch):
     roots = _Solve.roots
 
     def recording(self):
-        solves.append((self.horner.bits, list(self.points), list(self.residuals)))
+        solves.append((self.evaluator.bits, list(self.points), list(self.residuals)))
         return roots(self)
 
     monkeypatch.setattr(_Solve, "roots", recording)
@@ -367,12 +368,65 @@ def test_tight_clusters_resolve(center, gap_log2):
         _assert_matches(rs, exact, mp.mpf(2) ** -(gap_log2 + 20))
 
 
-def test_fixed_horner_against_exact_evaluation():
+def _exact_reference(coeffs):
+    """(zr, zi, bits) -> exact p(z), p'(z) and max_k |c_k|^2 |z|^(2k) at
+    z = (zr + i·zi) / 2^bits.
+
+    With D the common denominator of the coefficients, Horner over Gaussian
+    integers gives sum_k D·c_k·(zr + i·zi)^k·2^(bits·(n−1−k)) = D·2^(bits·(n−1))·q(z)
+    for a list q of n coefficients.  Floats only pick the candidates for the
+    largest term, which is then taken exactly.
+    """
+    den = math.lcm(*(x.denominator for c in coeffs for x in (c.re, c.im)))
+    ints = [(int(c.re * den), int(c.im * den)) for c in coeffs]
+    dints = [(k * nr, k * ni) for k, (nr, ni) in enumerate(ints)][1:]
+    sizes = [(c.abs2(), k) for k, c in enumerate(coeffs) if not c.is_zero()]
+
+    def log2(x: Fraction) -> float:
+        return math.log2(x.numerator) - math.log2(x.denominator)
+
+    def at(zr: int, zi: int, bits: int):
+        # Cancel the common power of two, so that short dyadic points stay cheap.
+        shift = min((v & -v).bit_length() - 1 for v in (zr, zi, 1 << bits) if v)
+        zr, zi, bits = zr >> shift, zi >> shift, bits - shift
+
+        def value(ints):
+            ar = ai = 0
+            for j, (nr, ni) in enumerate(reversed(ints)):
+                ar, ai = (ar * zr - ai * zi + (nr << (bits * j)),
+                          ar * zi + ai * zr + (ni << (bits * j)))
+            scale = den << (bits * (len(ints) - 1))
+            return QComplex(Fraction(ar, scale), Fraction(ai, scale))
+
+        r2 = Fraction(zr * zr + zi * zi, 1 << (2 * bits))
+        if r2 == 0:
+            top2 = coeffs[0].abs2()
+        else:
+            logs = [log2(s) + k * log2(r2) for s, k in sizes]
+            top2 = max(s * r2 ** k for (s, k), lg in zip(sizes, logs) if lg >= max(logs) - 2)
+        return value(ints), value(dints), top2
+
+    return at
+
+
+def test_fixed_eval_against_exact_evaluation():
     rng = random.Random(2718)
 
     def rand_frac(spread):
         return Fraction(rng.randint(1, 2 ** 40) * rng.choice([-1, 1]),
                         rng.randint(1, 2 ** 40)) * Fraction(2) ** rng.randint(-spread, spread)
+
+    def check(reference, evaluator, zr, zi):
+        bits = evaluator.bits
+        p, dp, top2 = reference(zr, zi, bits)
+        pr, pi, dr, di, err_p, err_dp, t = evaluator.evaluate(zr, zi)
+        unit = Fraction(2) ** -t
+        p_err2 = (QComplex(pr * unit, pi * unit) - p).abs2()
+        dp_err2 = (QComplex(dr * unit, di * unit) - dp).abs2()
+        assert p_err2 <= (err_p * unit) ** 2
+        assert dp_err2 <= (err_dp * unit) ** 2
+        # The scale keeps the bound below 2^-bits of the largest term.
+        assert (err_dp * unit * 2 ** bits) ** 2 <= top2
 
     for trial in range(60):
         d = rng.randint(1, 40)
@@ -380,26 +434,33 @@ def test_fixed_horner_against_exact_evaluation():
         coeffs = [QComplex(rand_frac(spread), rand_frac(spread) if trial % 3 else Fraction(0))
                   for _ in range(d + 1)]
         bits = rng.choice([83, 158, 286])
-        horner = FixedHorner(coeffs, bits)
+        evaluator, reference = FixedEval(coeffs, bits), _exact_reference(coeffs)
         for _ in range(4):
             # A dyadic point, exactly representable at ``bits`` bits.
             scale = rng.randint(0, 48)
             zr = rng.randint(-2 ** 50, 2 ** 50) << (bits - scale)
             zi = rng.randint(-2 ** 50, 2 ** 50) << (bits - scale)
-            z = QComplex(Fraction(zr, 2 ** bits), Fraction(zi, 2 ** bits))
-            p, dp = QComplex(Fraction(0)), QComplex(Fraction(0))
-            for c in reversed(coeffs):
-                dp = dp * z + p
-                p = p * z + c
-            pr, pi, dr, di, err_p, err_dp, t = horner.evaluate(zr, zi)
-            unit = Fraction(2) ** -t
-            p_err2 = (QComplex(pr * unit, pi * unit) - p).abs2()
-            dp_err2 = (QComplex(dr * unit, di * unit) - dp).abs2()
-            assert p_err2 <= (err_p * unit) ** 2
-            assert dp_err2 <= (err_dp * unit) ** 2
-            # The scale keeps the bound below 2^-bits of the largest term.
-            top2 = max((c.abs2() * z.abs2() ** k for k, c in enumerate(coeffs)))
-            assert (err_dp * unit * 2 ** bits) ** 2 <= top2
+            check(reference, evaluator, zr, zi)
+
+    # Degree 240, beyond the largest table1 row, and degree 16, each with a
+    # real and a complex table.  At a real point near 1 the floors of the
+    # recurrence add up in p' as sum_k k x^(k-1) floor_k: a bound without
+    # the factor k fails there.  Near-real points, and points far inside
+    # and outside the unit circle, follow.
+    bits = 286
+    for d, far in [(240, 4), (16, 2 ** 20)]:
+        for complex_coeffs in (False, True):
+            coeffs = [QComplex(rand_frac(8), rand_frac(8) if complex_coeffs else Fraction(0))
+                      for _ in range(d + 1)]
+            evaluator, reference = FixedEval(coeffs, bits), _exact_reference(coeffs)
+            for x in (1 - Fraction(1, 2 ** 20), Fraction(-127, 128), Fraction(1, 2 ** 30),
+                      Fraction(far), Fraction(-far)):
+                zr = root_analysis._scaled_int(x, bits)
+                for zi in (0, 1 << (bits - 60), -(zr >> 40)):
+                    check(reference, evaluator, zr, zi)
+            for radius in (Fraction(1, 2 ** 30), Fraction(1), Fraction(far)):
+                check(reference, evaluator, root_analysis._scaled_int(radius * Fraction(3, 4), bits),
+                      root_analysis._scaled_int(radius * Fraction(5, 8), bits))
 
 
 def _assert_multiplicities(rs, exact, tol):
