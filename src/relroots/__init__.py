@@ -16,7 +16,7 @@ from .multigraph import (Block, Multigraph, blocks, bundle_replace,
 from .polynomials import (FVector, HVector, QComplex, RatPoly, f_from_rel,
                           f_to_h, h_to_rel, parse_complex_rational, rel_from_f)
 from .reliability import (SplitSpec, f_vector, rel_auto, rel_bruteforce,
-                          rel_deletion_contraction, rel_via_blocks, sprel)
+                          rel_via_blocks, sprel)
 from .root_analysis import (Annulus, RootSet, SolverDiagnostics,
                             check_modulus_bound, enestrom_kakeya, find_roots,
                             max_modulus_root, reliability_root_set)

@@ -34,10 +34,6 @@ class Configuration:
     theta: tuple[int, ...]
     sink: int
 
-    def is_stable(self, degrees: list[int]) -> bool:
-        return all(self.theta[v] < degrees[v]
-                   for v in range(len(self.theta)) if v != self.sink)
-
 
 @dataclass(frozen=True)
 class CriticalMonomial:

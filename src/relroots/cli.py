@@ -126,12 +126,7 @@ def _check_digits(digits: int, precision_bits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def compute_rel(g: Multigraph, method: str = "auto", guard: int = DEFAULT_GUARD_PAIRS,
-                family: TwoCliqueParams | None = None) -> RatPoly:
-    if method == "family" or (method == "auto" and family is not None):
-        if family is None:
-            raise InputError("--method family needs --family M N A B")
-        return two_clique_reliability(family)
+def compute_rel(g: Multigraph, method: str = "auto", guard: int = DEFAULT_GUARD_PAIRS) -> RatPoly:
     if not is_connected(g):
         raise InputError("reliability of a disconnected graph is not defined here")
     if method == "brute":
@@ -269,8 +264,7 @@ def _build_parser() -> _Parser:
 
     s = add_parser("rel", help="reliability polynomial of a graph file")
     s.add_argument("graph", type=str)
-    s.add_argument("--method", choices=("auto", "brute", "family"), default="auto")
-    s.add_argument("--family", nargs=4, type=int, metavar=("M", "N", "A", "B"))
+    s.add_argument("--method", choices=("auto", "brute"), default="auto")
 
     s = add_parser("roots", help="roots of a polynomial JSON file")
     s.add_argument("poly", type=str)
@@ -360,9 +354,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "rel":
-        family = TwoCliqueParams(*args.family) if args.family else None
         g = parse_graph(_read(args.graph))
-        rel = compute_rel(g, args.method, args.guard_m, family)
+        rel = compute_rel(g, args.method, args.guard_m)
         _emit(rel.to_json() + "\n", args.out)
         return 0
 

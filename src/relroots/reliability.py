@@ -197,13 +197,16 @@ def _delete(edges: tuple[tuple[int, int, int], ...], idx: int):
     return edges[:idx] + edges[idx + 1:]
 
 
-def rel_deletion_contraction(g: Multigraph, max_expansions: int = DEFAULT_DC_BUDGET) -> RatPoly:
-    """Rel(G;q) by the bundle factor/contract recursion with memoization.
+def rel_auto(g: Multigraph, max_expansions: int = DEFAULT_DC_BUDGET) -> RatPoly:
+    """Rel(G;q) by the default route, the bundle factor/contract recursion
+    with memoization.
 
     A bundle of multiplicity k is operational (contract) with probability
     1-q^k and fails entirely (delete) with probability q^k; deleting a
     bridge bundle contributes nothing.  Memo keys are canonical sorted edge
     multisets after first-seen relabelling; no isomorphism reduction.
+    Subset enumeration (``rel_bruteforce``) costs 2^pairs connectivity
+    tests and is kept only as an independent oracle.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("deletion-contraction requires a connected graph")
@@ -240,12 +243,3 @@ def rel_deletion_contraction(g: Multigraph, max_expansions: int = DEFAULT_DC_BUD
         return out
 
     return RatPoly(solve(g.n, g.edges))
-
-
-def rel_auto(g: Multigraph, max_expansions: int = DEFAULT_DC_BUDGET) -> RatPoly:
-    """Rel(G;q) by the default route, deletion-contraction.
-
-    Subset enumeration (``rel_bruteforce``) costs 2^pairs connectivity
-    tests and is kept only as an independent oracle.
-    """
-    return rel_deletion_contraction(g, max_expansions)

@@ -5,14 +5,15 @@ complex-rational coefficients (fraction-free elimination over Gaussian
 integers after clearing denominators, which rescales every determinant by
 a positive factor).  For the certificate pencil, whose coefficients depend
 on a complex parameter a+bi ranging over a rational box, the determinants
-are exact bivariate polynomials in the parameter, bounded over the box in
-exact rational interval arithmetic.  When an interval sign is undecided the
-box is bisected along its longest side, and a certificate requires one
-uniform sign pattern across all leaves.
+are exact bivariate polynomials in the parameter, bounded over the box by
+interval Horner evaluation.  When an interval sign is undecided the box is
+bisected along its longest side, and a certificate requires one uniform
+sign pattern across all leaves.
 
 Every certificate box is the image of one root enclosure, transported as
-a single cell in mpmath's interval arithmetic, which rounds every endpoint
-outward, and returned as an exact rational hull.
+a single cell and returned as an exact rational hull.  The transport and
+the sign bounds run in one private mpmath interval context at 256 bits,
+which rounds every endpoint outward.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import comb, lcm
 from typing import Iterator, Optional, Sequence
@@ -31,53 +33,6 @@ from mpmath.libmp import fzero
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
 from .errors import InputError, NumericalError, SchurCohnHypothesisError
 from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
-
-
-@dataclass(frozen=True)
-class QInterval:
-    """Closed interval with exact rational endpoints.
-
-    Ring operations on exact endpoints are exact set enclosures, so no
-    rounding is ever needed; only dependency between repeated variables
-    widens results.
-    """
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InputError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def point(cls, x) -> "QInterval":
-        x = Fraction(x)
-        return cls(x, x)
-
-    def sign(self) -> int:
-        """+1 / -1 when the interval excludes zero, 0 when it straddles it."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
-    def __add__(self, other: "QInterval") -> "QInterval":
-        return QInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other: "QInterval") -> "QInterval":
-        a = self.lo * other.lo
-        b = self.lo * other.hi
-        c = self.hi * other.lo
-        d = self.hi * other.hi
-        return QInterval(min(a, b, c, d), max(a, b, c, d))
-
-    def square(self) -> "QInterval":
-        if self.lo >= 0:
-            return QInterval(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return QInterval(self.hi * self.hi, self.lo * self.lo)
-        return QInterval(Fraction(0), max(self.lo * self.lo, self.hi * self.hi))
 
 
 @dataclass(frozen=True)
@@ -96,14 +51,6 @@ class ParamBox:
     @classmethod
     def of(cls, a_lo, a_hi, b_lo, b_hi) -> "ParamBox":
         return cls(Fraction(a_lo), Fraction(a_hi), Fraction(b_lo), Fraction(b_hi))
-
-    @property
-    def a(self) -> QInterval:
-        return QInterval(self.a_lo, self.a_hi)
-
-    @property
-    def b(self) -> QInterval:
-        return QInterval(self.b_lo, self.b_hi)
 
     def split(self) -> tuple["ParamBox", "ParamBox"]:
         """Bisect along the longest side."""
@@ -287,6 +234,26 @@ def _exact_mks(coeffs: Sequence[QComplex]) -> list[Fraction]:
 # Box path
 # ---------------------------------------------------------------------------
 
+# Working precision of the private interval context of the box transport
+# and the certificate sign checks; it holds every determinant polynomial
+# coefficient (at most 152 bits) exactly.
+_INTERVAL_BITS = 256
+
+
+@cache
+def _interval_context() -> MPIntervalContext:
+    """The one private context, so no call reads or sets mpmath's global
+    precision.  Nothing changes its precision, so calls may run concurrently."""
+    iv = MPIntervalContext()
+    iv.prec = _INTERVAL_BITS
+    return iv
+
+
+def _enclose(iv: MPIntervalContext, lo: Fraction, hi: Fraction):
+    """An interval of ``iv`` holding [lo, hi], its rational endpoints rounded outward."""
+    return iv.mpf((iv.mpf(lo.numerator) / lo.denominator,
+                   iv.mpf(hi.numerator) / hi.denominator))
+
 
 @dataclass
 class BoxPoly:
@@ -321,6 +288,10 @@ class BoxPoly:
 def _box_signs(bp: BoxPoly) -> list[str]:
     """Evaluate the exact determinant polynomials over the box.
 
+    Each P_k(a, t = b^2) takes one interval Horner pass in the private
+    interval context, and its sign is '+' or '-' only when the whole
+    interval excludes 0.
+
     Interval elimination on the coefficient intervals would ignore that
     every matrix entry shares the one parameter a+bi, and its dependency
     blowup swamps the sign for the larger gadgets; the precomputed bivariate
@@ -328,23 +299,22 @@ def _box_signs(bp: BoxPoly) -> list[str]:
     """
     if not bp.valid_degree:
         return ["?"] * bp.degree
-    t_iv = bp.box.b.square()
+    iv = _interval_context()
+    box = bp.box
+    a = _enclose(iv, box.a_lo, box.a_hi)
+    # An even power, not b * b: the product of a b interval straddling 0
+    # with itself takes a negative lower end.
+    t = _enclose(iv, box.b_lo, box.b_hi) ** 2
     signs = []
     for p in _det_sign_polynomials(bp.pencil.n):
-        val = _eval_poly2_interval(p, bp.box.a, t_iv)
-        s = val.sign()
-        signs.append("+" if s > 0 else "-" if s < 0 else "?")
+        val = iv.mpf(0)
+        for row in reversed(p):
+            inner = iv.mpf(0)
+            for c in reversed(row):
+                inner = inner * t + c.numerator
+            val = val * a + inner
+        signs.append("+" if val.a > 0 else "-" if val.b < 0 else "?")
     return signs
-
-
-def _eval_poly2_interval(p, a_iv: QInterval, t_iv: QInterval) -> QInterval:
-    acc = QInterval.point(0)
-    for row in reversed(p):
-        inner = QInterval.point(0)
-        for c in reversed(row):
-            inner = inner * t_iv + QInterval.point(c)
-        acc = acc * a_iv + inner
-    return acc
 
 
 def schur_cohn_box(bp: BoxPoly, max_depth: int = 12) -> SchurCohnReport:
@@ -534,10 +504,6 @@ def certificate_pencil(n: int) -> CertificatePencil:
 # Rigorous image box of z/(1-z) over k-th roots of a root enclosure
 # ---------------------------------------------------------------------------
 
-# Working precision of the private interval context of the transport.
-_TRANSPORT_BITS = 256
-
-
 def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int) -> ParamBox:
     """Enclose { z/(1-z) : z principal k-th root of w, w in the input box }.
 
@@ -564,14 +530,8 @@ def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int) -> ParamBox:
     if k > 1 and not (re_lo > 0 or im_lo > 0 or im_hi < 0):
         raise InputError("input box must avoid the negative real axis for k > 1")
 
-    iv = MPIntervalContext()
-    iv.prec = _TRANSPORT_BITS
-
-    def enclose(lo: Fraction, hi: Fraction):
-        return iv.mpf((iv.mpf(lo.numerator) / lo.denominator,
-                       iv.mpf(hi.numerator) / hi.denominator))
-
-    z = iv.mpc(enclose(re_lo, re_hi), enclose(im_lo, im_hi))
+    iv = _interval_context()
+    z = iv.mpc(_enclose(iv, re_lo, re_hi), _enclose(iv, im_lo, im_hi))
     if k > 1:
         z = iv.exp(iv.log(z) / k)
     (a_lo, a_hi), (b_lo, b_hi) = (-1 + 1 / (1 - z))._mpci_

@@ -19,8 +19,8 @@ from relroots import (Gadget, Multigraph, QComplex, RatPoly, SplitSpec,
                       bundle_gadget, check_modulus_bound,
                       complete_minus_edge_gadget, edge_connectivity, f_to_h,
                       f_vector, find_roots, h_vector_chip, max_modulus_root,
-                      rel_bruteforce, rel_complete_minus_edge,
-                      rel_deletion_contraction, rel_via_blocks,
+                      rel_auto, rel_bruteforce, rel_complete_minus_edge,
+                      rel_via_blocks,
                       reliability_root_set, schur_cohn, spanning_tree_count,
                       sprel, sprel_complete_minus_edge, substitute_edges,
                       substituted_reliability, substituted_two_clique_graph,
@@ -139,7 +139,7 @@ def test_criterion_06_closed_form_identities():
 def test_criterion_07_oracle_equivalence(corpus):
     for i, g in enumerate(corpus):
         bf = rel_bruteforce(g)
-        assert bf == rel_deletion_contraction(g), f"graph {i}"
+        assert bf == rel_auto(g), f"graph {i}"
         assert bf == rel_via_blocks(g), f"graph {i}"
         h_ref = f_to_h(f_vector(g))
         for w in range(g.n):

@@ -28,9 +28,12 @@ def test_rel_command(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["coeffs"] == ["1/1", "0/1", "-3/1", "2/1"]
-    # deletion-contraction is what `auto` runs; there is no separate `dc`
-    with pytest.raises(SystemExit):
-        main(["rel", str(f), "--method", "dc"])
+    # deletion-contraction is what `auto` runs; there is no separate `dc`,
+    # and the two-clique closed form is the `family` command, not a method
+    for flags in (["--method", "dc"], ["--method", "family"], ["--family", "2", "2", "6", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["rel", str(f), *flags])
+        assert exc.value.code == 1
     capsys.readouterr()
 
 

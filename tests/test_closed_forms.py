@@ -8,7 +8,7 @@ from relroots import (InputError, RatPoly, SplitSpec, TwoCliqueParams,
                       rel_complete_minus_edge, sprel,
                       sprel_complete_minus_edge, two_clique_graph,
                       two_clique_reliability)
-from relroots.reliability import rel_deletion_contraction
+from relroots.reliability import rel_auto
 
 ONE_MINUS_Q = RatPoly([1, -1])
 
@@ -75,7 +75,7 @@ def test_two_clique_reliability_endpoints_and_degree():
 
 def test_two_clique_reliability_against_deletion_contraction():
     p = TwoCliqueParams(3, 2, 1, 2)
-    assert two_clique_reliability(p) == rel_deletion_contraction(two_clique_graph(p))
+    assert two_clique_reliability(p) == rel_auto(two_clique_graph(p))
 
 
 def test_two_clique_h_ratio_for_complete_graphs():

@@ -8,7 +8,7 @@ from conftest import (complete_graph, oracle_rel, oracle_sprel,
 from relroots import (DisconnectedGraphError, Gadget, GuardExceededError,
                       Multigraph, RatPoly, SplitSpec, f_from_rel, f_to_h,
                       f_vector, rel_auto, rel_bruteforce, rel_complete,
-                      rel_deletion_contraction, rel_via_blocks,
+                      rel_via_blocks,
                       spanning_tree_count, sprel, substitute_edges,
                       substituted_reliability, substituted_root_poly)
 from relroots import reliability
@@ -55,15 +55,15 @@ def test_bruteforce_matches_independent_oracle():
 
 
 def test_deletion_contraction_agrees():
-    assert rel_deletion_contraction(complete_graph(3)) == RatPoly([1, 0, -3, 2])
-    assert rel_deletion_contraction(complete_graph(4)) == rel_bruteforce(complete_graph(4))
+    assert rel_auto(complete_graph(3)) == RatPoly([1, 0, -3, 2])
+    assert rel_auto(complete_graph(4)) == rel_bruteforce(complete_graph(4))
     p3 = Multigraph.from_edges(3, [(0, 1, 1), (1, 2, 1)])
-    assert rel_deletion_contraction(p3) == RatPoly([1, -1]) ** 2
+    assert rel_auto(p3) == RatPoly([1, -1]) ** 2
 
 
 def test_deletion_contraction_budget():
     with pytest.raises(GuardExceededError):
-        rel_deletion_contraction(complete_graph(6), max_expansions=3)
+        rel_auto(complete_graph(6), max_expansions=3)
 
 
 def test_rel_via_blocks():
@@ -82,7 +82,7 @@ def test_three_routes_agree_randomized():
     for _ in range(40):
         g = random_connected_multigraph(rng)
         bf = rel_bruteforce(g)
-        assert bf == rel_deletion_contraction(g)
+        assert bf == rel_auto(g)
         assert bf == rel_via_blocks(g)
 
 

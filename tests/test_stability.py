@@ -83,6 +83,14 @@ def test_box_certificate_wide_box_indeterminate():
     bp = certificate_pencil(3).box_poly(ParamBox.of(-2, 2, 0, 1))
     rep = schur_cohn_box(bp, max_depth=3)
     assert not rep.determinate and rep.beta is None
+    # M_k is even in b, so a box straddling b = 0 must bound the signs as
+    # tightly as its b >= 0 half: t = b^2 is an even power of the b
+    # interval, [0, 1/4] here, not the product [-1/4, 1/4].
+    pen = certificate_pencil(4)
+    whole = ParamBox.of(Fraction(-1, 6), Fraction(5, 6), Fraction(-1, 2), Fraction(1, 2))
+    half = ParamBox.of(Fraction(-1, 6), Fraction(5, 6), 0, Fraction(1, 2))
+    for box in (whole, half):
+        assert schur_cohn_box(pen.box_poly(box), max_depth=0).signs == ("+", "+", "?")
 
 
 def test_box_subdivision_consistent_with_parent():
@@ -102,6 +110,16 @@ def _centre_and_corners(box):
             yield a, b
 
 
+def _non_dyadic(rng, centre):
+    """An odd numerator over an even multiple of 3 or 7 near ``centre``,
+    never an integer and never a dyadic rational."""
+    while True:
+        den = rng.choice((6, 14)) * rng.randint(1, 10)
+        x = Fraction(2 * round(centre * den / 2) + 1, den)
+        if x.denominator & (x.denominator - 1):
+            return x
+
+
 def test_box_signs_match_exact_points():
     # The box path reads signs off the interpolated determinant polynomials;
     # at exact points those must equal the kernel's determinants, and the
@@ -119,6 +137,16 @@ def test_box_signs_match_exact_points():
                             for i, row in enumerate(p) for j, c in enumerate(row))
                 assert value == _exact_mk(coeffs, k)
             assert schur_cohn(coeffs).signs == box_signs
+        # A point box at a non-dyadic rational rounds its endpoints outward
+        # once; its signs must still be exactly those of the exact test,
+        # near the certificate box and elsewhere.
+        rng = random.Random(n)
+        centre = (box.a_lo + box.a_hi) / 2, (box.b_lo + box.b_hi) / 2
+        for centre_a, centre_b in [centre] * 3 + [(rng.randint(-2, 2), rng.randint(-2, 2))
+                                                  for _ in range(3)]:
+            a, b = _non_dyadic(rng, centre_a), _non_dyadic(rng, centre_b)
+            point = schur_cohn_box(pen.box_poly(ParamBox.of(a, a, b, b)), max_depth=0)
+            assert point.signs == schur_cohn(pen.exact_poly(a, b)).signs
 
 
 def test_ratio_boxes_contained_in_published():
@@ -159,15 +187,21 @@ def test_ratio_box_point_images_are_tight():
 
 
 def test_ratio_box_ignores_global_precision():
+    # The transport and the sign checks run in their own interval context.
+    # At 10 bits mpmath's global interval context loses the last (6,6) sign.
     import mpmath as mp
     reference = transported_box(6)
+    pen = certificate_pencil(6)
+    signs = schur_cohn_box(pen.box_poly(reference), max_depth=0).signs
+    assert "?" not in signs
     saved = mp.iv.prec
     try:
-        mp.iv.prec = 20
+        mp.iv.prec = 10
         with mp.workprec(53):
             assert transported_box(6) == reference
+            assert schur_cohn_box(pen.box_poly(reference), max_depth=0).signs == signs
             assert mp.mp.prec == 53
-        assert mp.iv.prec == 20
+        assert mp.iv.prec == 10
     finally:
         mp.iv.prec = saved
 
