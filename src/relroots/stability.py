@@ -115,36 +115,32 @@ def _sign_changes(signs: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact path: Gaussian-integer fraction-free elimination
+# Exact path: the Hermitian Schur-Cohn matrix over the Gaussian integers
 # ---------------------------------------------------------------------------
 
 
-def _test_matrix_exact(coeffs: list[GInt], k: int) -> list[list[GInt]]:
-    """The 2k x 2k block matrix [[B*, A],[A*, B]] for the degree-n input.
+def _schur_cohn_matrix(coeffs: list[GInt], k: int) -> list[list[GInt]]:
+    """The k x k Hermitian Schur-Cohn matrix H = B*B - A*A of the input.
 
-    A is upper triangular from the low coefficients, B upper triangular from
-    the conjugated high ones; the starred blocks are conjugate transposes.
+    For c_0 + c_1 q + ... + c_d q^d, A is the k x k upper triangular Toeplitz
+    matrix with A[i][j] = c_{j-i} and B the one with B[i][j] = conj(c_{d-j+i});
+    the starred blocks are conjugate transposes.  H[i][j] sums over l from 0
+    to min(i, j); its l = 0 term is c_{d-i} conj(c_{d-j}) - conj(c_i) c_j and
+    the rest is H[i-1][j-1], so the upper triangle fills in O(k^2), and
+    H[j][i] = conj(H[i][j]).
     """
-    n = len(coeffs) - 1
-    zero: GInt = (0, 0)
-
-    def conj(x: GInt) -> GInt:
-        return (x[0], -x[1])
-
-    def a_entry(i: int, j: int) -> GInt:
-        return coeffs[j - i] if j >= i else zero
-
-    def b_entry(i: int, j: int) -> GInt:
-        return conj(coeffs[n - (j - i)]) if j >= i else zero
-
-    out = []
+    d = len(coeffs) - 1
+    h = [[(0, 0)] * k for _ in range(k)]
     for i in range(k):
-        row = [conj(b_entry(j, i)) for j in range(k)] + [a_entry(i, j) for j in range(k)]
-        out.append(row)
-    for i in range(k):
-        row = [conj(a_entry(j, i)) for j in range(k)] + [b_entry(i, j) for j in range(k)]
-        out.append(row)
-    return out
+        (hr, hi), (lr, li) = coeffs[d - i], coeffs[i]
+        for j in range(i, k):
+            (br, bi), (cr, ci) = coeffs[d - j], coeffs[j]
+            re = hr * br + hi * bi - lr * cr - li * ci
+            im = hi * br - hr * bi - lr * ci + li * cr
+            if i:
+                re, im = re + h[i - 1][j - 1][0], im + h[i - 1][j - 1][1]
+            h[i][j], h[j][i] = (re, im), (re, -im)
+    return h
 
 
 def schur_cohn(p) -> SchurCohnReport:
@@ -185,7 +181,7 @@ def _clear_denominators(coeffs: Sequence[QComplex]) -> tuple[list[GInt], int]:
 
 
 def _real(det: GInt) -> int:
-    """A test determinant as an int; the test matrix is Hermitian."""
+    """A leading principal minor of the Hermitian test matrix H, which is real, as an int."""
     re, im = det
     if im != 0:
         raise NumericalError("test determinant came out non-real")
@@ -193,38 +189,35 @@ def _real(det: GInt) -> int:
 
 
 def _real_det(gcoeffs: list[GInt], k: int) -> int:
-    """M_k of Gaussian-integer coefficients, from its own elimination."""
-    return _real(bareiss_det(_test_matrix_exact(gcoeffs, k))[0])
+    """M_k of Gaussian-integer coefficients: the determinant of H's leading
+    k x k block, from its own elimination."""
+    return _real(bareiss_det(_schur_cohn_matrix(gcoeffs, k))[0])
 
 
 def _nested_dets(gcoeffs: list[GInt]) -> list[int]:
-    """M_1..M_n of Gaussian-integer coefficients, from one elimination.
+    """M_1..M_d of Gaussian-integer coefficients, from one elimination.
 
-    The entries of ``_test_matrix_exact(g, k)`` depend only on their row
-    and column indices and on g, not on k, so it is the submatrix of
-    ``_test_matrix_exact(g, n)`` on rows and columns {0..k-1} and
-    {n..n+k-1}.  With the rows and columns of the latter taken in the order
-    0, n, 1, n+1, ... (one permutation on both sides, which keeps every
-    determinant), M_k is its leading principal minor of order 2k, which
-    ``bareiss_det`` reports until its first row swap.  Each M_k past that
-    swap comes from its own determinant.
+    The Schur-Cohn determinant M_k is det [[B*, A], [A*, B]] with the k x k
+    blocks of ``_schur_cohn_matrix``.  B* and A* are lower triangular
+    Toeplitz, so both are polynomials in the lower shift and commute.  Where
+    B* is invertible, det = det(B*) det(B - A* B*^-1 A) = det(B*B - B*A*B*^-1 A)
+    = det(B*B - A*A); both sides are polynomials in the coefficients, so
+    M_k = det H_k everywhere (J. R. Silvester, Math. Gazette 84, 2000).
+
+    Nesting: A and B are upper triangular, so an entry of B*B - A*A sums only
+    over l <= min(i, j) < k, and the coefficients it reads do not depend on k.
+    So H_k is the leading k x k block of H_d and M_k its leading principal
+    minor of order k, which ``bareiss_det`` reports until its first row swap.
+    Each M_k past that swap comes from its own determinant.
     """
-    n = len(gcoeffs) - 1
-    full = _test_matrix_exact(gcoeffs, n)
-    order = [r for k in range(n) for r in (k, n + k)]
-    _, minors = bareiss_det([[full[r][c] for c in order] for r in order])
-    return [_real(minors[2 * k - 1]) if 2 * k <= len(minors) else _real_det(gcoeffs, k)
-            for k in range(1, n + 1)]
-
-
-def _exact_mk(coeffs: Sequence[QComplex], k: int) -> Fraction:
-    """Exact M_k for complex-rational coefficients, via the scaled integer path."""
-    gcoeffs, denom = _clear_denominators(coeffs)
-    return Fraction(_real_det(gcoeffs, k), denom ** (2 * k))
+    d = len(gcoeffs) - 1
+    _, minors = bareiss_det(_schur_cohn_matrix(gcoeffs, d))
+    return [_real(minors[k - 1]) if k <= len(minors) else _real_det(gcoeffs, k)
+            for k in range(1, d + 1)]
 
 
 def _exact_mks(coeffs: Sequence[QComplex]) -> list[Fraction]:
-    """Exact M_1..M_n for complex-rational coefficients, from one elimination."""
+    """Exact M_1..M_d for complex-rational coefficients, from one elimination."""
     gcoeffs, denom = _clear_denominators(coeffs)
     return [Fraction(det, denom ** (2 * k))
             for k, det in enumerate(_nested_dets(gcoeffs), start=1)]
@@ -321,15 +314,18 @@ def schur_cohn_box(bp: BoxPoly, max_depth: int = 12) -> SchurCohnReport:
     """Certified sign pattern over a parameter box.
 
     If some determinant interval straddles zero, the box is bisected along
-    its longest side (up to ``max_depth``) and all leaves must agree on one
-    sign pattern; otherwise the report comes back indeterminate.
+    its longest side (up to ``max_depth``, and never a point box, which has
+    no width to split) and all leaves must agree on one sign pattern;
+    otherwise the report comes back indeterminate.
     """
 
     def solve(poly: BoxPoly, depth: int) -> tuple[tuple[str, ...], int]:
         signs = tuple(_box_signs(poly))
-        if "?" not in signs or depth >= max_depth:
+        box = poly.box
+        if ("?" not in signs or depth >= max_depth
+                or (box.a_lo == box.a_hi and box.b_lo == box.b_hi)):
             return signs, depth
-        left, right = poly.box.split()
+        left, right = box.split()
         s1, d1 = solve(poly.pencil.box_poly(left), depth + 1)
         s2, d2 = solve(poly.pencil.box_poly(right), depth + 1)
         if "?" in s1 or "?" in s2 or s1 != s2:
@@ -411,16 +407,16 @@ def _det_sign_polynomials(n: int):
     Two exact facts bring the work down to one elimination per node of one
     shared grid.
 
-    Nested minors.  The test matrix for k is a submatrix of the one for the
-    pencil degree d, and with the rows and columns of the latter in the
-    order 0, d, 1, d+1, ... M_k is its leading principal minor of order 2k
-    (proof at ``_nested_dets``).  So one fraction-free elimination per node
-    gives M_1..M_d.
+    Nested minors.  M_k is the leading principal minor of order k of the
+    d x d Hermitian Schur-Cohn matrix H of the pencil, d its degree (proof
+    at ``_nested_dets``).  So one fraction-free elimination per node gives
+    M_1..M_d.
 
     Lower-set support.  Every pencil coefficient s_i - (a+bi) r_i is affine
-    in (a, b), so the 2k x 2k determinant M_k has total degree <= 2k.
-    Negating b conjugates the coefficients and hence the Hermitian test
-    matrix, which leaves its real determinant fixed, so M_k is even in b.
+    in (a, b), and every entry of H is a sum of products of two of them, so
+    the k x k determinant M_k has total degree <= 2k.  Negating b conjugates
+    the coefficients, which turns the Hermitian H into conj(H) = H^T, whose
+    leading principal minors are those of H, so M_k is even in b.
     In t = b^2 its monomials a^i t^j therefore have i + 2j <= 2k.  Write
     P_k = sum_j C_j(a) N_j(t) in the Newton basis
     N_j = (t - t_0)...(t - t_{j-1}); as t^j is a combination of N_0..N_j,
@@ -432,7 +428,8 @@ def _det_sign_polynomials(n: int):
     off the one grid for k = d: (d + 1)^2 nodes, 121 at n = 6.
 
     Every coefficient must come out an integer, and each P_k is checked
-    against its own determinant at an off-grid rational point.
+    against the exact M_k at one off-grid rational point, all k from one
+    more elimination.
     """
     cached = _det_poly_cache.get(n)
     if cached is not None:
@@ -444,6 +441,10 @@ def _det_sign_polynomials(n: int):
     # grid[i][j][k - 1] = M_k(a_i, b_j) on the lower set i + 2j <= 2d.
     grid = [[_exact_mks(pencil.exact_poly(a, b)) for b in range((2 * d - i) // 2 + 1)]
             for i, a in enumerate(a_nodes)]
+    # Spot check at an off-grid rational point.
+    a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
+    t_chk = b_chk * b_chk
+    direct = _exact_mks(pencil.exact_poly(a_chk, b_chk))
     polys = []
     for k in range(1, d + 1):
         # newton[i][j] = C_j(a_i), from the t-nodes b_0..b_j with i + 2j <= 2k.
@@ -464,13 +465,9 @@ def _det_sign_polynomials(n: int):
             basis = basis * RatPoly([-t_nodes[j], 1])
         if any(c.denominator != 1 for row in p for c in row):
             raise NumericalError("determinant polynomial interpolation went non-integral")
-        # Spot check at an off-grid rational point.
-        a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
-        direct = _exact_mk(pencil.exact_poly(a_chk, b_chk), k)
-        t_chk = b_chk * b_chk
         interp = sum(p[i][j] * a_chk ** i * t_chk ** j
                      for i in range(len(p)) for j in range(len(p[i])))
-        if direct != interp:
+        if direct[k - 1] != interp:
             raise NumericalError("determinant polynomial failed its spot check")
         polys.append(tuple(tuple(row) for row in p))
     result = tuple(polys)

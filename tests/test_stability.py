@@ -8,11 +8,13 @@ from relroots import (InputError, QComplex, RatPoly, SchurCohnHypothesisError,
                       TwoCliqueParams, find_roots, two_clique_reliability)
 from relroots import stability
 from relroots.cli import root_disk_in_box
+from relroots.polynomials import bareiss_det
 from relroots.stability import (BASE_ROOT_BOX, ParamBox, _clear_denominators,
-                                _det_sign_polynomials, _exact_mk, _nested_dets,
-                                _real_det, certificate_pencil,
+                                _det_sign_polynomials, _exact_mks, _nested_dets,
+                                _real_det, _schur_cohn_matrix, certificate_pencil,
                                 kth_root_ratio_box, schur_cohn, schur_cohn_box)
 from test_acceptance import PUBLISHED_BOX_K7, PUBLISHED_BOX_K9, transported_box
+from test_polynomials import _elimination_det
 
 
 def test_exact_linear_cases():
@@ -93,6 +95,25 @@ def test_box_certificate_wide_box_indeterminate():
         assert schur_cohn_box(pen.box_poly(box), max_depth=0).signs == ("+", "+", "?")
 
 
+def test_point_box_is_not_bisected(monkeypatch):
+    # M_1 = 4a + 4 vanishes at a = -1, so a point box there stays undecided;
+    # it has no width to split, so it takes one evaluation at depth 0.
+    boxes = []
+    box_signs = stability._box_signs
+
+    def counting(bp):
+        boxes.append(bp.box)
+        return box_signs(bp)
+
+    monkeypatch.setattr(stability, "_box_signs", counting)
+    rep = schur_cohn_box(certificate_pencil(3).box_poly(ParamBox.of(-1, -1, 1, 1)))
+    assert rep.signs == ("?",) and rep.beta is None and rep.subdivision_depth == 0
+    assert len(boxes) == 1
+    # A box with width along one side only is still bisected along it.
+    rep = schur_cohn_box(certificate_pencil(3).box_poly(ParamBox.of(-2, 2, 1, 1)), max_depth=3)
+    assert rep.signs == ("?",) and rep.subdivision_depth == 3
+
+
 def test_box_subdivision_consistent_with_parent():
     pen = certificate_pencil(4)
     parent = transported_box(7)
@@ -132,10 +153,11 @@ def test_box_signs_match_exact_points():
         assert "?" not in box_signs
         for a, b in _centre_and_corners(box):
             coeffs = pen.exact_poly(a, b)
+            mks = _exact_mks(coeffs)
             for k, p in enumerate(polys, start=1):
                 value = sum(c * a ** i * (b * b) ** j
                             for i, row in enumerate(p) for j, c in enumerate(row))
-                assert value == _exact_mk(coeffs, k)
+                assert value == mks[k - 1]
             assert schur_cohn(coeffs).signs == box_signs
         # A point box at a non-dyadic rational rounds its endpoints outward
         # once; its signs must still be exactly those of the exact test,
@@ -282,10 +304,60 @@ def test_nested_dets_match_per_k_determinants(monkeypatch):
     assert len(fallbacks) >= 20
 
 
+def _block_matrix(gcoeffs, k):
+    """The classical 2k x 2k Schur-Cohn matrix [[B*, A], [A*, B]], with A and B
+    upper triangular, A[i][j] = c_{j-i} and B[i][j] = conj(c_{d-j+i}), and the
+    starred blocks their conjugate transposes."""
+    d = len(gcoeffs) - 1
+
+    def conj(x):
+        return (x[0], -x[1])
+
+    def a_entry(i, j):
+        return gcoeffs[j - i] if j >= i else (0, 0)
+
+    def b_entry(i, j):
+        return conj(gcoeffs[d - j + i]) if j >= i else (0, 0)
+
+    top = [[conj(b_entry(j, i)) for j in range(k)] + [a_entry(i, j) for j in range(k)]
+           for i in range(k)]
+    bottom = [[conj(a_entry(j, i)) for j in range(k)] + [b_entry(i, j) for j in range(k)]
+              for i in range(k)]
+    return top + bottom
+
+
+def test_nested_dets_match_block_determinants(monkeypatch):
+    # M_k is defined by the 2k x 2k block matrix; _nested_dets reads every M_k
+    # off one d x d Hermitian matrix.  Textbook elimination over exact complex
+    # rationals on the block matrix checks the block identity, the nesting and
+    # the fallback after a row swap.  Small coefficients with zeros make zero
+    # leading minors common.
+    fallbacks = []
+
+    def per_k(gcoeffs, k):
+        fallbacks.append(k)
+        return _real_det(gcoeffs, k)
+
+    monkeypatch.setattr(stability, "_real_det", per_k)
+    rng = random.Random(1936)
+    cases = [[(rng.randint(-2, 2), rng.randint(-2, 2) if trial % 2 else 0)
+              for _ in range(rng.randint(1, 8) + 1)] for trial in range(60)]
+    # The one n = 4 grid node, a = -2 and b = 0, where M_1 = 0 makes the
+    # elimination of H swap rows.
+    node, _ = _clear_denominators(certificate_pencil(4).exact_poly(-2, 0))
+    assert len(bareiss_det(_schur_cohn_matrix(node, 3))[1]) == 1
+    for gcoeffs in cases + [node]:
+        dets = _nested_dets(gcoeffs)
+        assert [QComplex.of(m) for m in dets] == [
+            _elimination_det(_block_matrix(gcoeffs, k)) for k in range(1, len(gcoeffs))]
+    assert fallbacks[-2:] == [2, 3]
+    assert len(fallbacks) >= 20
+
+
 def test_det_sign_polynomials_one_elimination_per_node(monkeypatch):
-    # n = 6 has pencil degree d = 10: one order-20 elimination at each of
-    # the (d + 1)^2 = 121 lower-set nodes, then the spot check's own
-    # determinant of each order 2k.
+    # n = 6 has pencil degree d = 10: one elimination of the order-10
+    # Hermitian matrix at each of the (d + 1)^2 = 121 lower-set nodes, and
+    # one more for the spot check of every k.
     orders = Counter()
     kernel = stability.bareiss_det
 
@@ -296,7 +368,7 @@ def test_det_sign_polynomials_one_elimination_per_node(monkeypatch):
     monkeypatch.setattr(stability, "bareiss_det", counting)
     monkeypatch.setattr(stability, "_det_poly_cache", {})
     _det_sign_polynomials(6)
-    assert orders == Counter({20: 121 + 1, **{2 * k: 1 for k in range(1, 10)}})
+    assert orders == Counter({10: 121 + 1})
 
 
 def test_det_polynomials_match_determinants_off_grid():
@@ -311,11 +383,11 @@ def test_det_polynomials_match_determinants_off_grid():
             # Odd over even: never an integer, so never a grid node.
             a = Fraction(2 * rng.randint(-30, 30) + 1, 2 * rng.randint(1, 15))
             b = Fraction(2 * rng.randint(-30, 30) + 1, 2 * rng.randint(1, 15))
-            coeffs = pen.exact_poly(a, b)
+            mks = _exact_mks(pen.exact_poly(a, b))
             for k, p in enumerate(polys, start=1):
                 value = sum(c * a ** i * (b * b) ** j
                             for i, row in enumerate(p) for j, c in enumerate(row))
-                assert value == _exact_mk(coeffs, k)
+                assert value == mks[k - 1]
 
 
 def test_parambox_split_and_json():
