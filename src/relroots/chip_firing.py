@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .errors import GuardExceededError, InputError
 from .multigraph import Multigraph, is_connected
 from .polynomials import HVector
@@ -99,6 +97,8 @@ def _critical_rows(g: Multigraph, sink: int, degrees: list[int], others: list[in
     chunk burns simultaneously, one synchronous firing round per pass (the
     abelian property makes the firing order irrelevant).
     """
+    import numpy as np
+
     deg_o = np.array([degrees[v] for v in others], dtype=np.int32)
     lam_full = _mult_matrix(g)
     lam_sub = np.array([[lam_full[u][v] for v in others] for u in others], dtype=np.int32)
@@ -153,6 +153,8 @@ def h_vector_chip(g: Multigraph, sink: int,
     The degree counts of each chunk of critical configurations add up
     across chunks.
     """
+    import numpy as np
+
     degrees, others, states = _stable_space(g, sink, state_guard)
     # The monomial of a critical row has exponents deg(v) - 1 - theta(v).
     max_expo = np.array([degrees[v] - 1 for v in others], dtype=np.int32)

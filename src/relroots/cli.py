@@ -24,7 +24,7 @@ from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
 from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
 from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
 from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
-                            reliability_root_set)
+                            polished_root_disk, reliability_root_set)
 from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
                         mpf_to_fraction, schur_cohn, schur_cohn_box)
 from .substitution import substituted_two_clique_graph
@@ -165,22 +165,6 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
     return rows
 
 
-def root_disk_in_box(rs, degree: int, box: ParamBox) -> tuple[Fraction, Fraction, Fraction] | None:
-    """(re, im, radius) of a proven root disk of ``rs`` inside ``box``, or None.
-
-    A residual ρ bounds |a/a'| at its root z for the squarefree factor a
-    that z belongs to, so D(z, deg(a)·ρ) holds a root of a; any ``degree``
-    of at least deg(a), such as the degree of the solved polynomial, keeps
-    the disk valid.  The containment test is exact.
-    """
-    for z, rho in zip(rs.roots, rs.residuals):
-        re, im = mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
-        radius = degree * mpf_to_fraction(rho)
-        if box.contains(ParamBox.square(re, im, radius)):
-            return re, im, radius
-    return None
-
-
 def run_certificate(k: int, n: int, box: ParamBox | None = None,
                     precision_bits: int = DEFAULT_PRECISION_BITS) -> dict:
     """Full certificate that the substituted graph has a reliability root
@@ -191,13 +175,18 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
     of the deflated Rel(3,3,1,6) inside ``BASE_ROOT_BOX`` (``base_disk``,
     checked with or without a given box), an exact Schur-Cohn count of
     zero roots outside the unit circle for the gadget's deflated
-    reliability, and edge connectivity n-1.
+    reliability, and edge connectivity n-1.  The disk comes from Newton's
+    method started at the centre of ``BASE_ROOT_BOX``
+    (``polished_root_disk``), and its containment in the box is exact.
     """
     if box is None:
         box = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
                                  BASE_ROOT_BOX.b_lo, BASE_ROOT_BOX.b_hi, k)
     base, _ = two_clique_reliability(TwoCliqueParams(m=3, n=3, a=1, b=6)).deflate_unit_roots()
-    disk = root_disk_in_box(find_roots(base, precision_bits), base.degree, BASE_ROOT_BOX)
+    disk = polished_root_disk(base, (BASE_ROOT_BOX.a_lo + BASE_ROOT_BOX.a_hi) / 2,
+                              (BASE_ROOT_BOX.b_lo + BASE_ROOT_BOX.b_hi) / 2, precision_bits)
+    if disk is not None and not BASE_ROOT_BOX.contains(ParamBox.square(*disk)):
+        disk = None
     graph = substituted_two_clique_graph(k, n)
     lam = edge_connectivity(graph, upper_bound=n)
     pencil = certificate_pencil(n)

@@ -40,13 +40,13 @@ part (``FixedEval`` has the proof).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import from_man_exp
 
 from .errors import (DisconnectedGraphError, InputError, NumericalError,
@@ -179,9 +179,26 @@ def _root_bound_log2(coeffs: list[QComplex]) -> float:
 _PHI = 1.6180339887498949
 
 
+def _upper_hull(logs: list[float | None]) -> list[tuple[int, float]]:
+    """Vertices (k, l(k)) of the upper convex hull of the points (k, logs[k]),
+    left to right, skipping the None entries (zero coefficients)."""
+    hull: list[tuple[int, float]] = []
+    for k, lk in enumerate(logs):
+        if lk is None:
+            continue
+        # Drop the last vertex while it lies on or below the chord to (k, lk).
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+                                  <= (lk - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((k, lk))
+    return hull
+
+
 def _start_angles(d: int) -> np.ndarray:
     # Equally spaced starting points with an irrational angular offset so
     # symmetric polynomials cannot stall the sweep.
+    import numpy as np
+
     return 2.0 * math.pi * (np.arange(d) + 0.5) / d + 1.0 / _PHI
 
 
@@ -196,15 +213,9 @@ def _newton_polygon_starts(coeffs: list[QComplex]) -> tuple[np.ndarray, np.ndarr
     log-concave coefficient sequence spread around the circle instead of
     lining up on one ray.  The constant term must be nonzero.
     """
-    hull: list[tuple[int, float]] = []
-    for k, lk in enumerate(_log2_abs(c) for c in coeffs):
-        if lk is None:
-            continue
-        # Drop the last vertex while it lies on or below the chord to (k, lk).
-        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
-                                  <= (lk - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
-            hull.pop()
-        hull.append((k, lk))
+    import numpy as np
+
+    hull = _upper_hull([_log2_abs(c) for c in coeffs])
     log_radii, angles = [], []
     for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
         log_radii += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
@@ -225,6 +236,8 @@ def _machine_coeffs(coeffs: list[QComplex], scale_log2: int) -> np.ndarray:
     vertex of the Newton polygon lies above the chord between them, so the
     polygon, and with it the root moduli, survive the rounding.
     """
+    import numpy as np
+
     logs = [_log2_abs(c) for c in coeffs]
     shift = math.floor(max(lg + i * scale_log2 for i, lg in enumerate(logs) if lg is not None))
     out = np.zeros(len(coeffs), dtype=np.complex128)
@@ -253,6 +266,8 @@ def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
     and moved; frozen roots stay in their Aberth sums.  Returns the roots
     and the number of iterations.
     """
+    import numpy as np
+
     d = len(coeffs) - 1
     dcoeffs = coeffs[1:] * np.arange(1, d + 1)
     abs_coeffs = np.abs(coeffs)
@@ -305,6 +320,8 @@ def _conjugate_pairs(z: np.ndarray) -> dict[int, int]:
     that near one point would lie closer together than their own distances
     to their nearest other starts.
     """
+    import numpy as np
+
     def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = np.subtract.outer(a, b)
         return np.abs(diff, out=diff).real
@@ -386,7 +403,10 @@ class FixedEval:
     ``_machine_coeffs`` chooses its shift: the largest term |c_k| |z|^k,
     times 2^t, is at least 2^bits times the bound err_dp below, so tiny,
     huge or complex rational coefficients keep their relative accuracy.
-    Scaled coefficient tables are cached for t in steps of 16 bits.
+    Scaled coefficient tables are cached for t in steps of 16 bits.  The
+    largest term's log2, max_k log2|c_k| + k·log2|z|, is attained at a vertex
+    of the upper hull of the points (k, log2|c_k|): the first one whose next
+    edge falls by at least log2|z| per degree.
 
     Recurrence (Knuth, TAOCP vol. 2, §4.6.4).  With z = x + iy, s = 2x and
     r = |z|², z is a root of q(X) = X² − sX + r.  For real a_0..a_d, the
@@ -430,9 +450,10 @@ class FixedEval:
         self.bits = bits
         self.degree = len(coeffs) - 1
         self.real = all(c.im == 0 for c in coeffs)
-        logs = [_log2_abs(c) for c in coeffs]
-        self._logs = np.array([-math.inf if lg is None else lg for lg in logs])
-        self._powers = np.arange(len(coeffs), dtype=float)
+        self._hull = _upper_hull([_log2_abs(c) for c in coeffs])
+        # Minus the slope of each hull edge, increasing from left to right.
+        self._descents = [(l1 - l2) / (k2 - k1)
+                          for (k1, l1), (k2, l2) in zip(self._hull, self._hull[1:])]
         self._scaled: dict[int, tuple[list[int], list[int] | None]] = {}
 
     def _table(self, t: int) -> tuple[list[int], list[int] | None]:
@@ -445,6 +466,13 @@ class FixedEval:
             self._scaled[t] = table
         return table
 
+    def _top_log2(self, log_mod: float) -> float:
+        """max_k log2|c_k| + k·log_mod.  The vertex comes from bisecting the
+        edges; its two neighbours are compared too, so that rounding in the
+        slopes cannot pick a vertex whose term is not the largest."""
+        i = bisect.bisect_left(self._descents, log_mod)
+        return max(lk + k * log_mod for k, lk in self._hull[max(i - 1, 0):i + 2])
+
     def evaluate(self, zr: int, zi: int) -> tuple[int, int, int, int, int, int, int]:
         """(p re, p im, p' re, p' im, err_p, err_dp, t); all but t in units of 2^-t."""
         bits, d = self.bits, self.degree
@@ -454,7 +482,7 @@ class FixedEval:
         parts = 1 if self.real else 2
         err_p = (3 * parts * g >> 1) + 2
         err_dp = (parts * (3 * d + 8) * g >> 2) + 2    # exact: (d+1)(3d+8) is even, e ≥ 1
-        top = float(np.max(self._logs + self._powers * log_mod))
+        top = self._top_log2(log_mod)
         t = math.ceil((bits + math.log2(err_dp) + 1 - top) / _SCALE_STEP) * _SCALE_STEP
         re_table, im_table = self._table(t)
         r2 = zr * zr + zi * zi
@@ -664,6 +692,8 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     the Newton-polygon starts go straight to that sweep, each one held as a
     double of order one times its own power of two.
     """
+    import numpy as np
+
     d = len(coeffs) - 1
     log_radii, angles = _newton_polygon_starts(coeffs)
     unit = np.exp(1j * angles)
@@ -744,6 +774,34 @@ def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> Roo
         diagnostics = diagnostics.merge(part.diagnostics)
     return RootSet(roots=tuple(roots), residuals=tuple(residuals), precision_bits=prec,
                    diagnostics=diagnostics)
+
+
+def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECISION_BITS
+                       ) -> tuple[Fraction, Fraction, Fraction] | None:
+    """(re, im, radius) of a disk that holds a root of p, from Newton's
+    method started at re + i·im, or None when no residual bound is proven.
+
+    The start is polished by ``_polish`` in ``FixedEval`` at
+    ``precision_bits`` plus guard bits, to z, and ``FixedEval.residual``
+    bounds |p(z)/p'(z)| by ρ.  D(z, dρ), d the degree of p, holds a root:
+    p'/p(z) = Σ 1/(z − ζ_k) over the d roots with multiplicity gives
+    min |z − ζ_k| ≤ d·|p(z)/p'(z)| (P. Henrici, Applied and Computational
+    Complex Analysis I, 1974, §6.4).  That holds for any p, squarefree or
+    not, and for any z; nothing here shows which root the disk holds.
+    The values are the exact dyadics of the fixed-point computation.
+    """
+    coeffs = _as_qcomplex_coeffs(p)
+    if len(coeffs) < 2:
+        raise InputError("a root disk needs a polynomial of degree at least 1")
+    evaluator = FixedEval(coeffs, precision_bits + _GUARD_BITS)
+    bits = evaluator.bits
+    start = _scaled_int(Fraction(re), bits), _scaled_int(Fraction(im), bits)
+    zr, zi = _polish(evaluator, start, precision_bits)
+    rho = evaluator.residual(zr, zi)
+    if rho is None:
+        return None
+    one = 1 << bits
+    return Fraction(zr, one), Fraction(zi, one), Fraction(evaluator.degree * rho, one)
 
 
 def max_modulus_root(rs: RootSet):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Iterator, Optional, Sequence
 
 import mpmath as mp
@@ -373,34 +373,56 @@ class CertificatePencil:
         return BoxPoly(box=box, pencil=self)
 
 
-def _divided_differences(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Newton coefficients f[x_0], f[x_0, x_1], ... of the values ys at xs."""
+def _newton_steps(xs: list[int]) -> list[int]:
+    """Denominator steps of divided differences on the distinct integer nodes xs.
+
+    Entry j (j >= 1) is the lcm of |x_i - x_{i-j}| over i; entry 0 is 1.
+    A divided difference of order j of integer values, on consecutive
+    nodes of xs or of any node list that begins like xs, times the product
+    D_j of entries 1..j, is then an integer.
+    """
+    return [1] + [lcm(*(abs(xs[i] - xs[i - j]) for i in range(j, len(xs))))
+                  for j in range(1, len(xs))]
+
+
+def _divided_differences(xs: list[int], ys: list[int], steps: list[int]) -> list[int]:
+    """D_j · f[x_0, ..., x_j] for j = 0, 1, ..., of the integer values ys at
+    xs, all integers, with D_j from ``steps`` (``_newton_steps``).
+
+    Induction on j: f[x_{i-j}..x_i] = (f[x_{i-j+1}..x_i] - f[x_{i-j}..x_{i-1}])
+    / (x_i - x_{i-j}), and D_j / (D_{j-1}·(x_i - x_{i-j})) is an integer.
+    """
     n = len(xs)
-    coef = [Fraction(y) for y in ys]
+    coef = list(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+            coef[i] = (coef[i] - coef[i - 1]) * (steps[j] // (xs[i] - xs[i - j]))
     return coef
 
 
-def _interp_1d(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Exact univariate polynomial interpolation (Newton divided differences)."""
+def _interp_1d(xs: list[int], ys: list[int], steps: list[int]) -> list[int]:
+    """D_{n-1} times the monomial coefficients of the polynomial through the
+    integer values ys at the n integer nodes xs, all integers.
+
+    The Newton form sum_j f[x_0..x_j] (x - x_0)...(x - x_{j-1}), times
+    D_{n-1}, is expanded by Horner's rule over the integers.
+    """
     n = len(xs)
-    coef = _divided_differences(xs, ys)
+    coef = _divided_differences(xs, ys, steps)
     out = [coef[n - 1]]
+    scale = 1    # D_{n-1} / D_i
     for i in range(n - 2, -1, -1):
-        new = [Fraction(0)] * (len(out) + 1)
+        scale *= steps[i + 1]
+        new = [0] * (len(out) + 1)
         for dgr, c in enumerate(out):
             new[dgr + 1] += c
             new[dgr] -= c * xs[i]
-        new[0] += coef[i]
+        new[0] += coef[i] * scale
         out = new
     return out
 
 
-_det_poly_cache: dict[int, tuple] = {}
-
-
+@cache
 def _det_sign_polynomials(n: int):
     """Exact bivariate polynomials P_k(a, t) with P_k(a, b^2) = M_k(a, b).
 
@@ -427,42 +449,55 @@ def _det_sign_polynomials(n: int):
     and b = 0, 1, ..., d, every k reads its nodes (a_i, b_j), i + 2j <= 2k,
     off the one grid for k = d: (d + 1)^2 nodes, 121 at n = 6.
 
-    Every coefficient must come out an integer, and each P_k is checked
-    against the exact M_k at one off-grid rational point, all k from one
-    more elimination.
+    The pencil's coefficients are integers, so every grid value is one,
+    and the interpolation runs over the integers: C_j(a_i) carries the
+    denominator D^t_j of its order in t, the a-interpolation of C_j one
+    more, D^a_{2k-2j}, and each coefficient of P_k becomes one fraction
+    over their lcm.  Every coefficient must come out an integer, and each
+    P_k is checked against the exact M_k at one off-grid rational point,
+    all k from one more elimination.
     """
-    cached = _det_poly_cache.get(n)
-    if cached is not None:
-        return cached
     pencil = certificate_pencil(n)
     d = pencil.degree
-    a_nodes = [Fraction((i + 1) // 2 if i % 2 else -(i // 2)) for i in range(2 * d + 1)]
-    t_nodes = [Fraction(b * b) for b in range(d + 1)]
+    a_nodes = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(2 * d + 1)]
+    t_nodes = [b * b for b in range(d + 1)]
+    a_steps, t_steps = _newton_steps(a_nodes), _newton_steps(t_nodes)
     # grid[i][j][k - 1] = M_k(a_i, b_j) on the lower set i + 2j <= 2d.
     grid = [[_exact_mks(pencil.exact_poly(a, b)) for b in range((2 * d - i) // 2 + 1)]
             for i, a in enumerate(a_nodes)]
+    if any(m.denominator != 1 for row in grid for mks in row for m in mks):
+        raise NumericalError("determinant grid value went non-integral")
     # Spot check at an off-grid rational point.
     a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
     t_chk = b_chk * b_chk
     direct = _exact_mks(pencil.exact_poly(a_chk, b_chk))
+    # D^t_j for each order j in t.
+    t_dens = [prod(t_steps[1:j + 1]) for j in range(d + 1)]
     polys = []
     for k in range(1, d + 1):
-        # newton[i][j] = C_j(a_i), from the t-nodes b_0..b_j with i + 2j <= 2k.
+        # newton[i][j] = D^t_j · C_j(a_i), from the t-nodes b_0..b_j with i + 2j <= 2k.
         newton = []
         for i in range(2 * k + 1):
             count = (2 * k - i) // 2 + 1
-            newton.append(_divided_differences(t_nodes[:count],
-                                               [grid[i][j][k - 1] for j in range(count)]))
-        # Row i holds the coefficients of a^i t^j for j <= (2k - i) / 2 only.
-        p = [[Fraction(0)] * ((2 * k - i) // 2 + 1) for i in range(2 * k + 1)]
-        basis = RatPoly.one()
+            newton.append(_divided_differences(
+                t_nodes[:count], [grid[i][j][k - 1].numerator for j in range(count)], t_steps))
+        # dens[j] = D^t_j · D^a_{2k-2j}, the denominator of C_j's coefficients.
+        dens = [t_dens[j] * prod(a_steps[1:2 * k - 2 * j + 1]) for j in range(k + 1)]
+        den = lcm(*dens)
+        # Row i holds den times the coefficients of a^i t^j, j <= (2k - i) / 2 only.
+        p = [[0] * ((2 * k - i) // 2 + 1) for i in range(2 * k + 1)]
+        basis = [1]    # (t - t_0)...(t - t_{j-1}), lowest degree first
         for j in range(k + 1):
             c_j = _interp_1d(a_nodes[:2 * k - 2 * j + 1],
-                             [newton[i][j] for i in range(2 * k - 2 * j + 1)])
+                             [newton[i][j] for i in range(2 * k - 2 * j + 1)], a_steps)
             for i, ca in enumerate(c_j):
-                for l, cb in enumerate(basis.coeffs):
+                ca *= den // dens[j]
+                for l, cb in enumerate(basis):
                     p[i][l] += ca * cb
-            basis = basis * RatPoly([-t_nodes[j], 1])
+            basis = [0] + basis
+            for l in range(len(basis) - 1):
+                basis[l] -= t_nodes[j] * basis[l + 1]
+        p = [[Fraction(c, den) for c in row] for row in p]
         if any(c.denominator != 1 for row in p for c in row):
             raise NumericalError("determinant polynomial interpolation went non-integral")
         interp = sum(p[i][j] * a_chk ** i * t_chk ** j
@@ -470,9 +505,7 @@ def _det_sign_polynomials(n: int):
         if direct[k - 1] != interp:
             raise NumericalError("determinant polynomial failed its spot check")
         polys.append(tuple(tuple(row) for row in p))
-    result = tuple(polys)
-    _det_poly_cache[n] = result
-    return result
+    return tuple(polys)
 
 
 def certificate_pencil(n: int) -> CertificatePencil:

@@ -1,14 +1,19 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import mpmath as mp
 
-from relroots import ParamBox, RatPoly, RootSet, cli, rel_complete
-from relroots.cli import (TABLE1_REFERENCE, format_decimal, main,
-                          root_disk_in_box, run_certificate, table1_rows)
+import relroots
+from relroots import ParamBox, RatPoly, cli, rel_complete
+from relroots.cli import TABLE1_REFERENCE, format_decimal, main, run_certificate, table1_rows
+from relroots.root_analysis import FixedEval, polished_root_disk
 
 K3 = '{"n":3,"edges":[[0,1,1],[1,2,1],[0,2,1]]}'
 P3 = '{"n":3,"edges":[[0,1,1],[1,2,1]]}'
@@ -140,14 +145,19 @@ def test_schur_cohn_command(capsys, tmp_path):
 
 
 def test_certify_command(capsys):
-    code, out = run(capsys, "certify", "9", "3")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] and doc["beta"] == 1 and doc["signs"] == ["-"]
-    assert (doc["vertices"], doc["edges"]) == (546, 1080)
-    assert doc["edge_connectivity"] == 2
-    disk = {key: Fraction(value) for key, value in doc["base_disk"].items()}
-    assert cli.BASE_ROOT_BOX.contains(ParamBox.square(disk["re"], disk["im"], disk["radius"]))
+    radii = []
+    # --precision-bits reaches the base disk: more bits, a tighter disk.
+    for flags in ([], ["--precision-bits", "512"]):
+        code, out = run(capsys, "certify", "9", "3", *flags)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] and doc["beta"] == 1 and doc["signs"] == ["-"]
+        assert (doc["vertices"], doc["edges"]) == (546, 1080)
+        assert doc["edge_connectivity"] == 2
+        disk = {key: Fraction(value) for key, value in doc["base_disk"].items()}
+        assert cli.BASE_ROOT_BOX.contains(ParamBox.square(disk["re"], disk["im"], disk["radius"]))
+        radii.append(disk["radius"])
+    assert radii[1] < radii[0]
 
 
 def test_certify_indeterminate_exit(capsys):
@@ -241,10 +251,45 @@ def test_certify_gadget_check_is_exact(monkeypatch):
     assert not cert["gadget_roots_inside"] and not cert["pass"]
 
 
-def test_root_disk_in_box_scales_the_residual_by_the_degree():
-    # The disk about z is D(z, 4ρ), not D(z, ρ): a box edge between z + ρ
-    # and z + 4ρ must reject it, and the edge at z + 4ρ admits it.
+def test_polished_root_disk_scales_the_residual_by_the_degree(monkeypatch):
+    # Started at its root z = 1/2, a quartic keeps z, and with the residual
+    # pinned to ρ the disk is D(z, 4ρ), not D(z, ρ): a box edge between
+    # z + ρ and z + 4ρ must reject it, and the edge at z + 4ρ admits it.
+    monkeypatch.setattr(FixedEval, "residual", lambda self, zr, zi: 1 << (self.bits - 10))
     z, rho = Fraction(1, 2), Fraction(1, 2 ** 10)
-    rs = RootSet(roots=(mp.mpc(0.5, 0.5),), residuals=(mp.mpf(2) ** -10,), precision_bits=53)
-    assert root_disk_in_box(rs, 4, ParamBox.of(0, z + 2 * rho, 0, 1)) is None
-    assert root_disk_in_box(rs, 4, ParamBox.of(0, z + 4 * rho, 0, 1)) == (z, z, 4 * rho)
+    disk = polished_root_disk(RatPoly([-1, 2]) * RatPoly([5, 0, 0, 1]), z, 0)
+    assert disk == (z, 0, 4 * rho)
+    assert not ParamBox.of(0, z + 2 * rho, -1, 1).contains(ParamBox.square(*disk))
+    assert ParamBox.of(0, z + 4 * rho, -1, 1).contains(ParamBox.square(*disk))
+
+
+@pytest.mark.parametrize("rho_log2, passed", [(-40, True), (-20, False)])
+def test_certify_rejects_a_base_disk_spilling_out_of_the_base_box(monkeypatch, rho_log2,
+                                                                   passed):
+    # BASE_ROOT_BOX is 1e-5 wide and the base root lies near its middle:
+    # D(z, 55ρ) fits at ρ = 2^-40 and spills out at ρ = 2^-20 (radius 5.2e-5).
+    monkeypatch.setattr(FixedEval, "residual",
+                        lambda self, zr, zi: 1 << (self.bits + rho_log2))
+    cert = run_certificate(9, 3)
+    assert cert["signs"] == ["-"] and cert["pass"] == passed
+    if passed:
+        assert Fraction(cert["base_disk"]["radius"]) == 55 * Fraction(2) ** rho_log2
+    else:
+        assert cert["base_disk"] is None
+
+
+@pytest.mark.parametrize("code, loads_numpy", [
+    ("from relroots.cli import run_certificate\nassert run_certificate(9, 3)['pass']", False),
+    ("assert len(relroots.find_roots(relroots.RatPoly([-2, 0, 1]))) == 2", True),
+    ("g = relroots.parse_graph('{\"n\":3,\"edges\":[[0,1,1],[1,2,1],[0,2,1]]}')\n"
+     "assert relroots.h_vector_chip(g, 0).values == (1, 2)", True),
+], ids=["certify", "find_roots", "h_vector_chip"])
+def test_numpy_loads_only_where_it_runs(code, loads_numpy):
+    # Each case runs after ``import relroots`` in a new interpreter.
+    env = {**os.environ, "PYTHONPATH": str(Path(relroots.__file__).parents[1])}
+    script = ("import sys\nimport relroots\nassert 'numpy' not in sys.modules\n"
+              f"{code}\nprint('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loads_numpy)

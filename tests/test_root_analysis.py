@@ -463,6 +463,25 @@ def test_fixed_eval_against_exact_evaluation():
                       root_analysis._scaled_int(radius * Fraction(5, 8), bits))
 
 
+def test_fixed_eval_scale_reads_the_largest_term_off_the_hull():
+    # evaluate's scale t comes from max_k log2|c_k| + k·log2|z|, read off the
+    # upper hull of the points (k, log2|c_k|).  On the table1 polynomials it
+    # must be the very float of the maximum over all terms, so that t, and
+    # every table1 digit, stay as the maximum over all terms gives them.
+    # The hull's own edge slopes, where two vertices tie, are points too.
+    rng = random.Random(1974)
+    for n in range(3, 10):
+        h, _ = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6)).deflate_unit_roots()
+        coeffs = root_analysis._as_qcomplex_coeffs(h)
+        logs = [root_analysis._log2_abs(c) for c in coeffs]
+        evaluator = FixedEval(coeffs, 286)
+        points = ([rng.uniform(-4, 4) for _ in range(500)]
+                  + [rng.gauss(0, 0.1) for _ in range(500)] + evaluator._descents)
+        for log_mod in points:
+            assert evaluator._top_log2(log_mod) == max(lg + k * log_mod
+                                                       for k, lg in enumerate(logs))
+
+
 def _assert_multiplicities(rs, exact, tol):
     """Each exact root r with multiplicity m has exactly m computed roots
     within ``tol``, and no computed root is left over."""

@@ -7,8 +7,8 @@ import pytest
 from relroots import (InputError, QComplex, RatPoly, SchurCohnHypothesisError,
                       TwoCliqueParams, find_roots, two_clique_reliability)
 from relroots import stability
-from relroots.cli import root_disk_in_box
 from relroots.polynomials import bareiss_det
+from relroots.root_analysis import polished_root_disk
 from relroots.stability import (BASE_ROOT_BOX, ParamBox, _clear_denominators,
                                 _det_sign_polynomials, _exact_mks, _nested_dets,
                                 _real_det, _schur_cohn_matrix, certificate_pencil,
@@ -175,9 +175,10 @@ def test_ratio_boxes_contained_in_published():
     # The published boxes hold the image of the proven base-root disk; the
     # single-cell image of the whole base box is wider than they are.
     base, _ = two_clique_reliability(TwoCliqueParams(3, 3, 1, 6)).deflate_unit_roots()
-    disk = root_disk_in_box(find_roots(base), base.degree, BASE_ROOT_BOX)
-    assert disk is not None
+    disk = polished_root_disk(base, (BASE_ROOT_BOX.a_lo + BASE_ROOT_BOX.a_hi) / 2,
+                              (BASE_ROOT_BOX.b_lo + BASE_ROOT_BOX.b_hi) / 2)
     square = ParamBox.square(*disk)
+    assert BASE_ROOT_BOX.contains(square)
     for k, published in ((9, PUBLISHED_BOX_K9), (7, PUBLISHED_BOX_K7)):
         assert published.contains(
             kth_root_ratio_box(square.a_lo, square.a_hi, square.b_lo, square.b_hi, k))
@@ -366,7 +367,7 @@ def test_det_sign_polynomials_one_elimination_per_node(monkeypatch):
         return kernel(matrix)
 
     monkeypatch.setattr(stability, "bareiss_det", counting)
-    monkeypatch.setattr(stability, "_det_poly_cache", {})
+    _det_sign_polynomials.cache_clear()
     _det_sign_polynomials(6)
     assert orders == Counter({10: 121 + 1})
 
