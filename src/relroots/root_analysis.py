@@ -11,20 +11,23 @@ on its own: once its step is below 1e-13 relative, or once |p(z)| has
 stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
 iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
-bits or more (``FixedEval``).  A root z is frozen once its residual bound
-ρ ≥ |p(z)/p'(z)| passes 2^(-prec/2+10)·|z| and its disk D(z, dρ), d the
-degree, which holds a root, is disjoint from the disk of every frozen root,
-compared exactly in integers; the d frozen disks then hold every root
-exactly once.  When p is real, a lower-half start whose conjugate is
-plainly the nearest upper-half start is not polished: it takes the exact
-conjugate of that start's frozen root and its disk, and must still be
-disjoint from every frozen disk.  Only the roots left over are re-swept by
-a fixed-point Aberth iteration whose sum runs over all current roots, then
-polished again.  While roots still fail, the precision doubles (up to a
-cap), every root is frozen afresh from its current point, and the leftovers
-are re-swept with a stop that tightens with the precision.  Every
-multiprecision evaluation of p and p' goes through that one fixed-point
-path, whose error bound enters each reported residual.
+bits or more (``FixedEval``), the early steps at prec/2 bits fewer.  The
+Newton loop stops at the first point z whose own evaluation proves a
+residual bound ρ ≥ |p(z)/p'(z)| with d·ρ ≤ 2^-(prec/2+10)·|z|, d the
+degree.  z is frozen once its disk D(z, dρ), which holds a root, is
+disjoint from the disk of every frozen root, compared exactly in integers;
+the d frozen disks then hold every root exactly once, and a root of a real
+p whose disk reaches the real axis is proven real.  When p is real, a
+lower-half start whose conjugate is plainly the nearest upper-half start
+is not polished: it takes the exact conjugate of that start's frozen root
+and its disk, and must still be disjoint from every frozen disk.  Only
+the roots left over are re-swept by a fixed-point Aberth iteration whose
+sum runs over all current roots, then polished again.  While roots still
+fail, the precision doubles (up to a cap), every root is frozen afresh
+from its current point, and the leftovers are re-swept with a stop that
+tightens with the precision.  Every multiprecision evaluation of p and p'
+goes through that one fixed-point path, whose error bound enters each
+reported residual.
 
 At z = x + iy that path runs one real second-order recurrence,
 b_k = c_k + 2x·b_{k+1} − |z|²·b_{k+2}, which divides p by the real
@@ -106,9 +109,13 @@ class RootSet:
     of the input that the root belongs to (the input itself when it is
     squarefree), and every copy of a repeated root carries it.  With d the
     degree of a, the disks D(z, d·residual) about its distinct roots are
-    pairwise disjoint and each holds exactly one root of a.  Exact zero
-    roots have residual 0.  Roots and residuals are the solver's exact
-    binary values, never rounded to a working precision.
+    pairwise disjoint and each holds exactly one root of a.  A root of a
+    real a with imaginary part exactly 0 is proven real; when the solver
+    moved it onto the axis from a point z', its residual bounds
+    |a(z')/a'(z')| + |Im z'|/d instead, so that its disk holds the disk
+    of z' (``_Solve.freeze``).  Exact zero roots have residual 0.  Roots
+    and residuals are the solver's exact binary values, never rounded to
+    a working precision.
     """
 
     roots: tuple
@@ -351,7 +358,7 @@ def _conjugate_pairs(z: np.ndarray) -> dict[int, int]:
 
 _GUARD_BITS = 30
 _SCALE_STEP = 16        # coefficient scalings are cached in steps of 16 bits
-_POLISH_STEPS = 40      # Newton steps before a start counts as unresolved
+_POLISH_STEPS = 40      # Newton steps before an unproven start counts as unresolved
 _ABERTH_SWEEPS = 200    # multiprecision Aberth sweeps per precision level
 
 
@@ -501,9 +508,10 @@ class FixedEval:
         pr, pi, dr, di = self.evaluate(zr, zi)[:4]
         return _quotient(pr, pi, dr, di, self.bits)
 
-    def residual(self, zr: int, zi: int) -> int | None:
-        """Upper bound on |p(z) / p'(z)| as a fixed-point integer (None: no bound)."""
-        pr, pi, dr, di, err_p, err_dp, _ = self.evaluate(zr, zi)
+    def residual(self, values: tuple) -> int | None:
+        """Upper bound on |p(z) / p'(z)| as a fixed-point integer (None: no
+        bound), from the values ``evaluate`` returned at z."""
+        pr, pi, dr, di, err_p, err_dp, _ = values
         num = _modulus(pr, pi) + 1 + err_p
         den = _modulus(dr, di) - err_dp
         if den <= 0:
@@ -511,27 +519,46 @@ class FixedEval:
         return -((-num << self.bits) // den)
 
 
-def _polish(evaluator: FixedEval, z: tuple[int, int], prec: int) -> tuple[int, int]:
-    """Newton polishing from a start near a simple root.
+# Newton steps run at half precision while the last one was above 2^-30·|z|.
+_HALF_STEP_SHIFT = 30
 
-    A start whose steps stop halving (from step 5 on), or that has not
-    converged after ``_POLISH_STEPS`` steps, lies outside its quadratic basin
-    and is left to the Aberth sweep.
+
+def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
+            ) -> tuple[tuple[int, int], int] | None:
+    """Newton's method from a start near a simple root, to (z, ρ), or None.
+
+    It returns at the first iterate z whose own evaluation in ``full``
+    proves ρ ≥ |p(z)/p'(z)| with d·ρ ≤ 2^-(prec/2+10)·|z|, d the degree;
+    the same evaluation gives the step when it does not.  The first step,
+    and every step taken while the last one was above 2^-30·|z|, runs in
+    ``half`` instead, whose ``bits`` are those of ``full`` less prec/2
+    (guard bits kept), and is shifted back up.  Such a step only has to
+    bring the point near the root, and a half-precision evaluation never
+    proves a residual.  A start whose steps stop halving (from step 5 on),
+    or that is not proven within ``_POLISH_STEPS`` steps, lies outside its
+    quadratic basin and is left to the Aberth sweep.
     """
     zr, zi = z
+    shift, limit = full.bits - half.bits, prec // 2 + 10
     prev_step = None
     for it in range(_POLISH_STEPS):
-        step = evaluator.newton_step(zr, zi)
+        if prev_step is None or prev_step > _modulus(zr, zi) >> _HALF_STEP_SHIFT:
+            step = half.newton_step(zr >> shift, zi >> shift)
+            step = step and (step[0] << shift, step[1] << shift)
+        else:
+            values = full.evaluate(zr, zi)
+            rho = full.residual(values)
+            if rho is not None and full.degree * rho <= _modulus(zr, zi) >> limit:
+                return (zr, zi), rho
+            step = _quotient(*values[:4], full.bits)
         if step is None:
-            break
+            return None
         zr, zi = zr - step[0], zi - step[1]
         size = _modulus(*step)
-        if size <= _modulus(zr, zi) >> (prec // 2):
-            break
         if prev_step and it >= 5 and 2 * size > prev_step:
-            break
+            return None
         prev_step = size
-    return zr, zi
+    return None
 
 
 def _aberth(evaluator: FixedEval, points: list, active: list[int], tol_shift: int) -> int:
@@ -589,7 +616,7 @@ class _Solve:
         # 1 / (a bound on the roots of the reversed polynomial) bounds every
         # root from below.
         self.guard_bits = _GUARD_BITS + max(0, math.ceil(_root_bound_log2(coeffs[::-1])))
-        self.evaluator = FixedEval(coeffs, prec + self.guard_bits)
+        self._evaluators()
         self.points = [_to_fixed(complex(y), self.evaluator.bits + int(e)) for y, e in starts]
         self.residuals: list = [None] * len(self.points)
         self.reswept: set[int] = set()
@@ -597,16 +624,29 @@ class _Solve:
         self.sweeps = 0
         self.escalations = 0
 
+    def _evaluators(self) -> None:
+        """``evaluator`` at the working precision plus the guard bits, and
+        ``half``, the one for ``_newton``'s early steps, at prec/2 bits fewer."""
+        self.evaluator = FixedEval(self.coeffs, self.prec + self.guard_bits)
+        self.half = FixedEval(self.coeffs, self.evaluator.bits - self.prec // 2)
+
     def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None) -> list[int]:
         """Polish each candidate; freeze those whose root disk is disjoint
         from every frozen one.  Returns the candidates left unresolved, in order.
 
-        A candidate polished to z with residual bound ρ ≥ |p(z)/p'(z)| must
-        pass ρ ≤ 2^(-prec/2+10)·|z|.  Its disk D(z, dρ), d the degree, holds
-        a root: p'/p(z) = Σ 1/(z - ζ_k) gives min |z - ζ_k| ≤ d·|p(z)/p'(z)|.
-        It is frozen only when (Δre)² + (Δim)² > (r₁ + r₂)² in the
-        fixed-point integers against every frozen disk, so d frozen disks
-        are pairwise disjoint and hold every root exactly once.
+        ``_newton`` polishes a candidate to z with a residual bound
+        ρ ≥ |p(z)/p'(z)|, d·ρ ≤ 2^-(prec/2+10)·|z|.  Its disk D(z, dρ), d the
+        degree, holds a root: p'/p(z) = Σ 1/(z - ζ_k) gives
+        min |z - ζ_k| ≤ d·|p(z)/p'(z)|.  It is frozen only when
+        (Δre)² + (Δim)² > (r₁ + r₂)² in the fixed-point integers against
+        every frozen disk, so d frozen disks are pairwise disjoint and hold
+        every root exactly once.
+
+        For a real p, a z with |Im z| ≤ dρ is frozen on the axis instead, at
+        Re z with ρ raised to ⌈(dρ + |Im z|)/d⌉.  That disk holds D(z, dρ),
+        and with it a root ζ, and it is symmetric about the axis, so it
+        holds ζ̄ too; once the d disks are pairwise disjoint, ζ̄ = ζ, and the
+        root is proven real.
 
         ``mirrors`` maps a candidate j of a real polynomial to a candidate k
         that is not polished: once j freezes at z, k gets the conjugate of z
@@ -618,7 +658,6 @@ class _Solve:
         """
         evaluator, d = self.evaluator, self.evaluator.degree
         mirrors = mirrors or {}
-        limit_shift = self.prec // 2 - 10
         frozen = [(z, d * r) for z, r in zip(self.points, self.residuals) if r is not None]
         unresolved = []
 
@@ -636,10 +675,12 @@ class _Solve:
         for j in candidates:
             if j in partners:
                 continue
-            z = _polish(evaluator, self.points[j], self.prec)
-            residual = evaluator.residual(*z)
-            if (residual is None or residual > _modulus(*z) >> limit_shift
-                    or not admit(j, z, residual)):
+            polished = _newton(evaluator, self.half, self.points[j], self.prec)
+            if polished is not None:
+                z, residual = polished
+                if evaluator.real and abs(z[1]) <= d * residual:
+                    z, residual = (z[0], 0), -(-(d * residual + abs(z[1])) // d)
+            if polished is None or not admit(j, z, residual):
                 unresolved += [j, mirrors[j]] if j in mirrors else [j]
             elif j in mirrors:
                 if admit(mirrors[j], (z[0], -z[1]), residual):
@@ -667,7 +708,7 @@ class _Solve:
         old = self.evaluator.bits
         self.prec *= 2
         self.escalations += 1
-        self.evaluator = FixedEval(self.coeffs, self.prec + self.guard_bits)
+        self._evaluators()
         shift = self.evaluator.bits - old
         self.points = [(zr << shift, zi << shift) for zr, zi in self.points]
         self.residuals = [None] * len(self.points)
@@ -779,14 +820,14 @@ def find_roots(p: PolyLike, precision_bits: int = DEFAULT_PRECISION_BITS) -> Roo
 def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECISION_BITS
                        ) -> tuple[Fraction, Fraction, Fraction] | None:
     """(re, im, radius) of a disk that holds a root of p, from Newton's
-    method started at re + i·im, or None when no residual bound is proven.
+    method started at re + i·im, or None when Newton proves no tight disk.
 
-    The start is polished by ``_polish`` in ``FixedEval`` at
-    ``precision_bits`` plus guard bits, to z, and ``FixedEval.residual``
-    bounds |p(z)/p'(z)| by ρ.  D(z, dρ), d the degree of p, holds a root:
-    p'/p(z) = Σ 1/(z − ζ_k) over the d roots with multiplicity gives
-    min |z − ζ_k| ≤ d·|p(z)/p'(z)| (P. Henrici, Applied and Computational
-    Complex Analysis I, 1974, §6.4).  That holds for any p, squarefree or
+    The start is polished by ``_newton`` in ``FixedEval`` at
+    ``precision_bits`` plus guard bits, to the first z whose residual bound
+    ρ ≥ |p(z)/p'(z)| passes d·ρ ≤ 2^-(precision_bits/2+10)·|z|, d the
+    degree of p.  D(z, dρ) holds a root: p'/p(z) = Σ 1/(z − ζ_k) over the
+    d roots with multiplicity gives min |z − ζ_k| ≤ d·|p(z)/p'(z)|
+    (P. Henrici, Applied and Computational Complex Analysis I, 1974, §6.4).  That holds for any p, squarefree or
     not, and for any z; nothing here shows which root the disk holds.
     The values are the exact dyadics of the fixed-point computation.
     """
@@ -795,11 +836,12 @@ def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECIS
         raise InputError("a root disk needs a polynomial of degree at least 1")
     evaluator = FixedEval(coeffs, precision_bits + _GUARD_BITS)
     bits = evaluator.bits
+    half = FixedEval(coeffs, bits - precision_bits // 2)
     start = _scaled_int(Fraction(re), bits), _scaled_int(Fraction(im), bits)
-    zr, zi = _polish(evaluator, start, precision_bits)
-    rho = evaluator.residual(zr, zi)
-    if rho is None:
+    polished = _newton(evaluator, half, start, precision_bits)
+    if polished is None:
         return None
+    (zr, zi), rho = polished
     one = 1 << bits
     return Fraction(zr, one), Fraction(zi, one), Fraction(evaluator.degree * rho, one)
 

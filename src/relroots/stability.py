@@ -449,8 +449,10 @@ def _det_sign_polynomials(n: int):
     and b = 0, 1, ..., d, every k reads its nodes (a_i, b_j), i + 2j <= 2k,
     off the one grid for k = d: (d + 1)^2 nodes, 121 at n = 6.
 
-    The pencil's coefficients are integers, so every grid value is one,
-    and the interpolation runs over the integers: C_j(a_i) carries the
+    The pencil's coefficients s_i, r_i are integers (checked once), so at
+    an integer node the Gaussian-integer coefficients s_i - a·r_i, -b·r_i
+    are formed directly, every grid value is an integer, and the
+    interpolation runs over the integers: C_j(a_i) carries the
     denominator D^t_j of its order in t, the a-interpolation of C_j one
     more, D^a_{2k-2j}, and each coefficient of P_k becomes one fraction
     over their lcm.  Every coefficient must come out an integer, and each
@@ -459,14 +461,17 @@ def _det_sign_polynomials(n: int):
     """
     pencil = certificate_pencil(n)
     d = pencil.degree
+    pairs = list(pencil._coeff_pairs())
+    if any(x.denominator != 1 for pair in pairs for x in pair):
+        raise NumericalError("certificate pencil coefficients are not integers")
+    pairs = [(int(s), int(r)) for s, r in pairs]
     a_nodes = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(2 * d + 1)]
     t_nodes = [b * b for b in range(d + 1)]
     a_steps, t_steps = _newton_steps(a_nodes), _newton_steps(t_nodes)
     # grid[i][j][k - 1] = M_k(a_i, b_j) on the lower set i + 2j <= 2d.
-    grid = [[_exact_mks(pencil.exact_poly(a, b)) for b in range((2 * d - i) // 2 + 1)]
+    grid = [[_nested_dets([(s - a * r, -b * r) for s, r in pairs])
+             for b in range((2 * d - i) // 2 + 1)]
             for i, a in enumerate(a_nodes)]
-    if any(m.denominator != 1 for row in grid for mks in row for m in mks):
-        raise NumericalError("determinant grid value went non-integral")
     # Spot check at an off-grid rational point.
     a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
     t_chk = b_chk * b_chk
@@ -480,7 +485,7 @@ def _det_sign_polynomials(n: int):
         for i in range(2 * k + 1):
             count = (2 * k - i) // 2 + 1
             newton.append(_divided_differences(
-                t_nodes[:count], [grid[i][j][k - 1].numerator for j in range(count)], t_steps))
+                t_nodes[:count], [grid[i][j][k - 1] for j in range(count)], t_steps))
         # dens[j] = D^t_j · D^a_{2k-2j}, the denominator of C_j's coefficients.
         dens = [t_dens[j] * prod(a_steps[1:2 * k - 2 * j + 1]) for j in range(k + 1)]
         den = lcm(*dens)

@@ -184,6 +184,17 @@ def test_table1_digits_beyond_double_precision(capsys):
                                    "1.041260334143413365031437602639")
 
 
+def test_table1_digits_survive_a_doubled_precision(capsys):
+    # Each root is frozen once d·ρ ≤ 2^-138·|z| at 256 bits, short of the
+    # last bits that 256 bits could reach; the 38 digits that 256 bits
+    # allow must still be those of the 512-bit roots.
+    outputs = []
+    for bits in ("256", "512"):
+        assert main(["table1", "6", "--digits", "38", "--precision-bits", bits]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 5
+
+
 @pytest.mark.parametrize("margin, code", [(0.999, 0), (1.001, 4)])
 def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin, code):
     # Every residual becomes margin·(|z| - 1)/d for the row's root z, with d
@@ -253,10 +264,11 @@ def test_certify_gadget_check_is_exact(monkeypatch):
 
 def test_polished_root_disk_scales_the_residual_by_the_degree(monkeypatch):
     # Started at its root z = 1/2, a quartic keeps z, and with the residual
-    # pinned to ρ the disk is D(z, 4ρ), not D(z, ρ): a box edge between
-    # z + ρ and z + 4ρ must reject it, and the edge at z + 4ρ admits it.
-    monkeypatch.setattr(FixedEval, "residual", lambda self, zr, zi: 1 << (self.bits - 10))
-    z, rho = Fraction(1, 2), Fraction(1, 2 ** 10)
+    # pinned to ρ (4ρ passes the Newton loop's bound 2^-138·|z| at 256 bits)
+    # the disk is D(z, 4ρ), not D(z, ρ): a box edge between z + ρ and
+    # z + 4ρ must reject it, and the edge at z + 4ρ admits it.
+    monkeypatch.setattr(FixedEval, "residual", lambda self, values: 1 << (self.bits - 150))
+    z, rho = Fraction(1, 2), Fraction(1, 2 ** 150)
     disk = polished_root_disk(RatPoly([-1, 2]) * RatPoly([5, 0, 0, 1]), z, 0)
     assert disk == (z, 0, 4 * rho)
     assert not ParamBox.of(0, z + 2 * rho, -1, 1).contains(ParamBox.square(*disk))
@@ -268,9 +280,11 @@ def test_certify_rejects_a_base_disk_spilling_out_of_the_base_box(monkeypatch, r
                                                                    passed):
     # BASE_ROOT_BOX is 1e-5 wide and the base root lies near its middle:
     # D(z, 55ρ) fits at ρ = 2^-40 and spills out at ρ = 2^-20 (radius 5.2e-5).
+    # At p bits the Newton loop admits 55ρ < 2^(rho_log2+6) = 2^-(p/2+10),
+    # as |z| > 1.
     monkeypatch.setattr(FixedEval, "residual",
-                        lambda self, zr, zi: 1 << (self.bits + rho_log2))
-    cert = run_certificate(9, 3)
+                        lambda self, values: 1 << (self.bits + rho_log2))
+    cert = run_certificate(9, 3, precision_bits=2 * (-rho_log2 - 16))
     assert cert["signs"] == ["-"] and cert["pass"] == passed
     if passed:
         assert Fraction(cert["base_disk"]["radius"]) == 55 * Fraction(2) ** rho_log2

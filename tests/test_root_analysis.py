@@ -12,7 +12,7 @@ from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
                       rel_bruteforce, reliability_root_set,
                       two_clique_reliability)
 from relroots import polynomials, root_analysis
-from relroots.cli import main
+from relroots.cli import main, roots_csv
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
 from relroots.root_analysis import FixedEval, _Solve
 from relroots.stability import mpf_to_fraction
@@ -167,20 +167,46 @@ def _assert_matches(rs, exact, tol):
         unmatched.remove(best)
 
 
+def _recorded_freezes(monkeypatch) -> list:
+    """Patch the Newton loop to record (z, d·ρ, prec, bits) for every root it proves."""
+    seen = []
+    newton = root_analysis._newton
+
+    def recording(full, half, z, prec):
+        out = newton(full, half, z, prec)
+        if out is not None:
+            seen.append((out[0], full.degree * out[1], prec, full.bits))
+        return out
+
+    monkeypatch.setattr(root_analysis, "_newton", recording)
+    return seen
+
+
+def _assert_freeze_bound(seen) -> None:
+    # Every root is frozen with d·ρ ≤ 2^-(prec/2+10)·|z|, exactly.
+    assert seen and all(radius <= root_analysis._modulus(*z) >> (prec // 2 + 10)
+                        for z, radius, prec, _ in seen)
+
+
 def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # The modular certificate proves each row squarefree: no exact gcd runs.
     monkeypatch.setattr(polynomials, "_cgcd", None)
+    freezes = _recorded_freezes(monkeypatch)
     evaluations = []
     evaluate = FixedEval.evaluate
 
     def counted(self, zr, zi):
-        evaluations.append(1)
+        evaluations.append(self.bits)
         return evaluate(self, zr, zi)
 
     monkeypatch.setattr(FixedEval, "evaluate", counted)
     # Mirroring one root of each conjugate pair halves the fixed-point work
     # (220, 428, 775 and 1,277 evaluations when every start is polished).
-    budget = {3: (116, 26), 4: (223, 49), 5: (395, 79), 6: (648, 116)}
+    # Freezing each root at its first proven iterate, with the early steps
+    # at half precision, cut the 116, 223, 395 and 648 evaluations, every
+    # one at full precision, to these (total, full precision).
+    budget = {3: (87, 58, 26), 4: (196, 144, 49), 5: (320, 193, 79), 6: (549, 300, 116)}
+    full_total = 0
     for n in range(3, 7):
         evaluations.clear()
         rel = two_clique_reliability(TwoCliqueParams(n, n, 1, 6))
@@ -192,7 +218,13 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         # Newton-polygon starts and the per-root stop end the double sweep
         # early instead of at its 400-iteration cap.
         assert diag.machine_iterations <= 100, (n, diag)
-        assert len(evaluations) <= budget[n][0] and diag.mirrored == budget[n][1], (n, diag)
+        full = sum(bits >= 256 + root_analysis._GUARD_BITS for bits in evaluations)
+        full_total += full
+        assert len(evaluations) <= budget[n][0] and full <= budget[n][1], (n, diag)
+        assert diag.mirrored == budget[n][2], (n, diag)
+    # 1,382 full-precision evaluations before.
+    assert full_total <= 700
+    _assert_freeze_bound(freezes)
 
 
 def _recorded_pairs(monkeypatch, rewire=None) -> list:
@@ -288,6 +320,41 @@ def test_real_roots_and_near_real_pairs():
         _assert_matches(rs, [Fraction(k) for k in range(1, 21)], mp.mpf(2) ** -100)
         _assert_multiplicities(find_roots(close), exact, mp.mpf(2) ** -100)
     assert rs.diagnostics.mirrored == 0
+
+
+def test_real_roots_are_proven_real(monkeypatch):
+    # A real factor's root frozen near the axis is moved onto it, and its
+    # disk grows by |Im z| so that it still holds the disk D(z, dρ) the
+    # Newton loop proved: the grown disk is symmetric about the axis, so
+    # the one root it holds is real.  Every such root prints im 0.
+    polished = _recorded_freezes(monkeypatch)
+    reals = [Fraction(-7, 3), Fraction(-1), Fraction(1, 5), Fraction(2), Fraction(9, 4)]
+    p, exact = _conjugate_pair_product([(Fraction(1, 2), Fraction(3, 4)), (-2, Fraction(1, 3))],
+                                       reals)
+    rs = find_roots(p)
+    d = len(exact)
+    (bits,) = {b for _, _, _, b in polished}
+    scale = Fraction(1, 2 ** bits)
+    disks = [(mpf_to_fraction(z.real), mpf_to_fraction(z.imag), d * mpf_to_fraction(r))
+             for z, r in zip(rs.roots, rs.residuals)]
+    on_axis = [disk for disk in disks if disk[1] == 0]
+    assert sorted(x for x, _, _ in on_axis) == pytest.approx([float(r) for r in reals])
+    # Every exact root lies in exactly one reported disk.
+    for r in exact:
+        assert sum((x - r.re) ** 2 + (y - r.im) ** 2 <= radius ** 2
+                   for x, y, radius in disks) == 1, r
+    # Each real root's disk holds the disk the Newton loop proved, and some
+    # polished real root was off the axis, so the growth was needed.
+    moved = 0
+    for (zr, zi), radius, _, _ in polished:
+        match = [(x, rad) for x, _, rad in on_axis if x == zr * scale]
+        if match and zi:
+            ((x, rad),) = match
+            moved += 1
+            assert rad >= radius * scale + abs(zi) * scale
+    assert moved >= 1
+    csv = roots_csv(rs).splitlines()[1:]
+    assert sum(line.split(",")[1] == "0.0" for line in csv) == len(reals)
 
 
 def test_complex_coefficients_are_never_mirrored():
@@ -523,7 +590,8 @@ def test_gaussian_triple_root():
         _assert_multiplicities(find_roots(_cproduct(exact)), exact, mp.mpf(2) ** -100)
 
 
-def test_seeded_products_of_powers():
+def test_seeded_products_of_powers(monkeypatch):
+    freezes = _recorded_freezes(monkeypatch)
     rng = random.Random(8128)
 
     def gaussian():
@@ -544,6 +612,7 @@ def test_seeded_products_of_powers():
         assert sorted(mult for _, mult in factors) == sorted(set(exact.values()))
         with mp.workprec(300):
             _assert_multiplicities(find_roots(p), exact, mp.mpf(2) ** -100)
+    _assert_freeze_bound(freezes)
 
 
 def test_squarefree_input_failing_the_modular_certificate():
