@@ -11,11 +11,12 @@ on its own: once its step is below 1e-13 relative, or once |p(z)| has
 stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
 iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
-bits or more (``FixedEval``), the early steps at prec/2 bits fewer.  The
-Newton loop stops at the first point z whose own evaluation proves a
-residual bound ρ ≥ |p(z)/p'(z)| with d·ρ ≤ 2^-(prec/2+10)·|z|, d the
-degree.  z is frozen once its disk D(z, dρ), which holds a root, is
-disjoint from the disk of every frozen root, compared exactly in integers;
+bits or more (``FixedEval``), at prec/2 bits fewer up to the step that
+should land inside the bound below.  The Newton loop stops at the first
+point z whose own evaluation proves a residual bound ρ ≥ |p(z)/p'(z)| with
+d·ρ ≤ 2^-(prec/2+10)·|z|, d the degree.  z is frozen once its disk
+D(z, dρ), which holds a root, is disjoint from the disk of every frozen
+root, compared exactly in integers against the disks near it in real part;
 the d frozen disks then hold every root exactly once, and a root of a real
 p whose disk reaches the real axis is proven real.  When p is real, a
 lower-half start whose conjugate is plainly the nearest upper-half start
@@ -159,8 +160,9 @@ def _log2_abs(c: QComplex) -> float | None:
     return (math.log2(a2.numerator) - math.log2(a2.denominator)) / 2.0
 
 
-def _root_bound_log2(coeffs: list[QComplex]) -> float:
-    """log2 of an upper bound on the root moduli, uncapped.
+def _root_bound_log2(coeffs: list[QComplex], logs: list[float | None]) -> float:
+    """log2 of an upper bound on the root moduli, uncapped; ``logs`` holds
+    log2|c_k| (``_log2_abs``) for each coefficient.
 
     The minimum of the Cauchy and Fujiwara bounds, improved by the
     consecutive-coefficient-ratio bound when all coefficients are positive
@@ -169,7 +171,6 @@ def _root_bound_log2(coeffs: list[QComplex]) -> float:
     high-degree H-polynomials cannot overflow.
     """
     d = len(coeffs) - 1
-    logs = [_log2_abs(c) for c in coeffs]
     lead = logs[d]
     assert lead is not None
     cauchy_log = max((lg - lead for lg in logs[:d] if lg is not None), default=None)
@@ -209,10 +210,11 @@ def _start_angles(d: int) -> np.ndarray:
     return 2.0 * math.pi * (np.arange(d) + 0.5) / d + 1.0 / _PHI
 
 
-def _newton_polygon_starts(coeffs: list[QComplex]) -> tuple[np.ndarray, np.ndarray]:
+def _newton_polygon_starts(hull: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
     """log2 radii and angles of one start per root, from the Newton polygon.
 
-    The upper convex hull of the points (k, l(k)), l(k) = log2|c_k|, splits
+    The upper convex hull (``_upper_hull``) of the points (k, l(k)),
+    l(k) = log2|c_k|, splits
     the degree into its edges; an edge from k1 to k2 gets k2 - k1 starts on
     the circle of radius 2^((l(k1) - l(k2)) / (k2 - k1)), near which that
     many roots lie (D. A. Bini, Numer. Algorithms 1996).  Each edge's starts
@@ -222,7 +224,6 @@ def _newton_polygon_starts(coeffs: list[QComplex]) -> tuple[np.ndarray, np.ndarr
     """
     import numpy as np
 
-    hull = _upper_hull([_log2_abs(c) for c in coeffs])
     log_radii, angles = [], []
     for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
         log_radii += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
@@ -234,8 +235,10 @@ class _MachineFailure(Exception):
     pass
 
 
-def _machine_coeffs(coeffs: list[QComplex], scale_log2: int) -> np.ndarray:
-    """Coefficients of p(2^scale_log2 * y), times a power of two, as complex128.
+def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
+                    scale_log2: int) -> np.ndarray:
+    """Coefficients of p(2^scale_log2 * y), times a power of two, as complex128;
+    ``logs`` holds log2|c_k|.
 
     The power of two makes the largest coefficient about one, so none can
     overflow, and each is rounded correctly from its exact shifted value.
@@ -245,7 +248,6 @@ def _machine_coeffs(coeffs: list[QComplex], scale_log2: int) -> np.ndarray:
     """
     import numpy as np
 
-    logs = [_log2_abs(c) for c in coeffs]
     shift = math.floor(max(lg + i * scale_log2 for i, lg in enumerate(logs) if lg is not None))
     out = np.zeros(len(coeffs), dtype=np.complex128)
     for i, c in enumerate(coeffs):
@@ -263,6 +265,25 @@ def _machine_coeffs(coeffs: list[QComplex], scale_log2: int) -> np.ndarray:
 _NOISE_STREAK = 10
 
 
+def _stacked_horner(stack: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rows p(z), p'(z) and Σ|c_k|·|z|^k from one Horner pass over
+    ``_aberth_machine``'s stack of coefficients, at the points (z, z, |z|).
+
+    Each row takes the roundings its own Horner loop would: the zero on
+    top of p' turns into its first coefficient exactly, and the |c_k| row
+    runs at |z| + 0i, whose imaginary parts stay 0.
+    """
+    import numpy as np
+
+    columns = stack.T[::-1, :, None]
+    x = np.array([z, z, np.abs(z)], dtype=np.complex128)
+    acc = np.repeat(columns[0], z.size, axis=1)
+    for c in columns[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
 def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
                     max_iter: int = 400) -> tuple[np.ndarray, int]:
     """Double-precision Aberth iteration from the starts z, stopped per root.
@@ -276,16 +297,9 @@ def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
     import numpy as np
 
     d = len(coeffs) - 1
-    dcoeffs = coeffs[1:] * np.arange(1, d + 1)
-    abs_coeffs = np.abs(coeffs)
+    # p, p' (its top coefficient 0) and |c_k|, lowest degree first.
+    stack = np.array([coeffs, np.append(coeffs[1:] * np.arange(1, d + 1), 0), np.abs(coeffs)])
     z = z.astype(np.complex128)
-
-    def horner_vec(cs, x):
-        acc = np.full_like(x, cs[-1])
-        for c in cs[-2::-1]:
-            acc = acc * x + c
-        return acc
-
     streak = np.zeros(d, dtype=int)
     active = np.arange(d)
     it = 0
@@ -293,9 +307,8 @@ def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
         while active.size and it < max_iter:
             it += 1
             za = z[active]
-            pv = horner_vec(coeffs, za)
-            pd = horner_vec(dcoeffs, za)
-            noise = 2.0 ** -53 * horner_vec(abs_coeffs, np.abs(za))
+            pv, pd, noise = _stacked_horner(stack, za)
+            noise = 2.0 ** -53 * noise.real
             streak[active] = np.where(np.abs(pv) < noise, streak[active] + 1, 0)
             pd = np.where(pd == 0, 1e-300, pd)
             w = pv / pd
@@ -452,15 +465,17 @@ class FixedEval:
     err_dp = n(3d+8)(d+1)·2^(e−2) + 2 ≥ n·((3/2)·G₁ + 2G) + √2.
     """
 
-    def __init__(self, coeffs: list[QComplex], bits: int):
+    def __init__(self, coeffs: list[QComplex], bits: int,
+                 hull: list[tuple[int, float]] | None = None):
+        """``hull``: the ``_upper_hull`` of log2|c_k|, computed here when not given."""
         self.coeffs = coeffs
         self.bits = bits
         self.degree = len(coeffs) - 1
         self.real = all(c.im == 0 for c in coeffs)
-        self._hull = _upper_hull([_log2_abs(c) for c in coeffs])
+        self.hull = hull or _upper_hull([_log2_abs(c) for c in coeffs])
         # Minus the slope of each hull edge, increasing from left to right.
         self._descents = [(l1 - l2) / (k2 - k1)
-                          for (k1, l1), (k2, l2) in zip(self._hull, self._hull[1:])]
+                          for (k1, l1), (k2, l2) in zip(self.hull, self.hull[1:])]
         self._scaled: dict[int, tuple[list[int], list[int] | None]] = {}
 
     def _table(self, t: int) -> tuple[list[int], list[int] | None]:
@@ -478,7 +493,7 @@ class FixedEval:
         edges; its two neighbours are compared too, so that rounding in the
         slopes cannot pick a vertex whose term is not the largest."""
         i = bisect.bisect_left(self._descents, log_mod)
-        return max(lk + k * log_mod for k, lk in self._hull[max(i - 1, 0):i + 2])
+        return max(lk + k * log_mod for k, lk in self.hull[max(i - 1, 0):i + 2])
 
     def evaluate(self, zr: int, zi: int) -> tuple[int, int, int, int, int, int, int]:
         """(p re, p im, p' re, p' im, err_p, err_dp, t); all but t in units of 2^-t."""
@@ -519,8 +534,9 @@ class FixedEval:
         return -((-num << self.bits) // den)
 
 
-# Newton steps run at half precision while the last one was above 2^-30·|z|.
-_HALF_STEP_SHIFT = 30
+def _within(d: int, limit: int, m: int, num: int, den: int = 1) -> bool:
+    """d·num/den ≤ 2^-limit·m, exactly."""
+    return d * num << limit <= m * den
 
 
 def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
@@ -528,36 +544,66 @@ def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
     """Newton's method from a start near a simple root, to (z, ρ), or None.
 
     It returns at the first iterate z whose own evaluation in ``full``
-    proves ρ ≥ |p(z)/p'(z)| with d·ρ ≤ 2^-(prec/2+10)·|z|, d the degree;
-    the same evaluation gives the step when it does not.  The first step,
-    and every step taken while the last one was above 2^-30·|z|, runs in
+    proves ρ ≥ |p(z)/p'(z)| with d·ρ ≤ b = 2^-(prec/2+10)·|z|, d the degree;
+    the same evaluation gives the step when it does not.  Steps run in
     ``half`` instead, whose ``bits`` are those of ``full`` less prec/2
-    (guard bits kept), and is shifted back up.  Such a step only has to
-    bring the point near the root, and a half-precision evaluation never
-    proves a residual.  A start whose steps stop halving (from step 5 on),
-    or that is not proven within ``_POLISH_STEPS`` steps, lies outside its
-    quadratic basin and is left to the Aberth sweep.
+    (guard bits kept), up to the step that should land inside b; a
+    half-precision evaluation never proves a residual.
+
+    Near a simple root the error contracts as e' ≈ K·e², and a step is
+    about the error it removes, so the last two steps s₁ (the latest) and
+    s₂ estimate K ≈ s₁/s₂².  After the first step K is taken as d/|z|,
+    its size when the other roots lie about |z| away (K = |p''/2p'| at the
+    root ζ is at most Σ 1/|ζ − ζ_j| over the others).  The error at z is
+    then e ≈ K·s₁², and after one more step K·e².  A half step cannot land
+    closer than its rounding, F = err_p/(|p'| − err_dp) from its own
+    evaluation.  z is evaluated in ``full`` when d·e ≤ b (z should prove),
+    when e ≤ F (half precision has nothing left to give), or when
+    d·K·e² ≤ b < d·F (the next step should land inside b, and a half step
+    cannot); from then on every step runs in ``full``.  The first step
+    runs in ``half``.  A wrong estimate costs an evaluation, never a
+    proof.  A start whose steps stop halving (from step 5 on), or that is
+    not proven within ``_POLISH_STEPS`` steps, lies outside its quadratic
+    basin and is left to the Aberth sweep.
     """
     zr, zi = z
-    shift, limit = full.bits - half.bits, prec // 2 + 10
-    prev_step = None
+    d, shift, limit = full.degree, full.bits - half.bits, prec // 2 + 10
+    # s1, s2: the last two step sizes; floor: the last half step's F, None
+    # once ``full`` has run or when that step had no bound.
+    s1 = s2 = floor = None
     for it in range(_POLISH_STEPS):
-        if prev_step is None or prev_step > _modulus(zr, zi) >> _HALF_STEP_SHIFT:
-            step = half.newton_step(zr >> shift, zi >> shift)
-            step = step and (step[0] << shift, step[1] << shift)
+        m = _modulus(zr, zi)
+        if s1 is None:
+            at_full = False
+        elif floor is None:
+            at_full = True
         else:
+            # K, e ≈ K·s1² and K·e², each as a numerator over a denominator.
+            k_num, k_den = (s1, s2 * s2) if s2 is not None else (d, m)
+            e_num, e_den = k_num * s1 * s1, k_den
+            at_full = (_within(d, limit, m, e_num, e_den) or e_num <= floor * e_den
+                       or (not _within(d, limit, m, floor)
+                           and _within(d, limit, m, k_num * e_num * e_num, k_den * e_den * e_den)))
+        if at_full:
+            floor = None
             values = full.evaluate(zr, zi)
             rho = full.residual(values)
-            if rho is not None and full.degree * rho <= _modulus(zr, zi) >> limit:
+            if rho is not None and d * rho <= m >> limit:
                 return (zr, zi), rho
             step = _quotient(*values[:4], full.bits)
+        else:
+            pr, pi, dr, di, err_p, err_dp, _ = half.evaluate(zr >> shift, zi >> shift)
+            den = _modulus(dr, di) - err_dp
+            floor = ((err_p << half.bits) // den) << shift if den > 0 else None
+            step = _quotient(pr, pi, dr, di, half.bits)
+            step = step and (step[0] << shift, step[1] << shift)
         if step is None:
             return None
         zr, zi = zr - step[0], zi - step[1]
         size = _modulus(*step)
-        if prev_step and it >= 5 and 2 * size > prev_step:
+        if s1 and it >= 5 and 2 * size > s1:
             return None
-        prev_step = size
+        s1, s2 = size, s1
     return None
 
 
@@ -600,6 +646,35 @@ def _aberth(evaluator: FixedEval, points: list, active: list[int], tol_shift: in
     return _ABERTH_SWEEPS
 
 
+class _Disks:
+    """Pairwise disjoint fixed-point disks D(z, r), sorted by real part.
+
+    ``admit`` adds a disk when (Δre)² + (Δim)² > (r₁ + r₂)² against every
+    disk held, exactly in integers.  It tests only the held disks whose
+    real part lies within r₁ + (the widest radius held) of its own, found
+    by bisection: the centres of any other pair lie farther apart in real
+    part alone than the sum of their radii.
+    """
+
+    def __init__(self, disks: list[tuple[tuple[int, int], int]]):
+        self._disks = sorted((zr, zi, r) for (zr, zi), r in disks)
+        self._widest = max((r for _, _, r in self._disks), default=0)
+
+    def admit(self, z: tuple[int, int], radius: int) -> bool:
+        """Add D(z, radius) if it is disjoint from every disk held."""
+        zr, zi = z
+        reach = radius + self._widest
+        lo = bisect.bisect_left(self._disks, (zr - reach,))
+        hi = bisect.bisect_left(self._disks, (zr + reach + 1,), lo)
+        for k in range(lo, hi):
+            xr, xi, r = self._disks[k]
+            if (zr - xr) ** 2 + (zi - xi) ** 2 <= (radius + r) ** 2:
+                return False
+        bisect.insort(self._disks, (zr, zi, radius), lo, hi)
+        self._widest = max(self._widest, radius)
+        return True
+
+
 class _Solve:
     """Per-root bookkeeping of one ``find_roots`` call.
 
@@ -610,12 +685,17 @@ class _Solve:
     is a pair (y, e) standing for y * 2^e, with y a complex double.
     """
 
-    def __init__(self, coeffs: list[QComplex], starts, prec: int):
+    def __init__(self, coeffs: list[QComplex], starts, prec: int,
+                 logs: list[float | None] | None = None):
+        """``logs``: log2|c_k| per coefficient, computed here when not given."""
         self.coeffs = coeffs
         self.prec = self.requested = prec
+        logs = logs or [_log2_abs(c) for c in coeffs]
         # 1 / (a bound on the roots of the reversed polynomial) bounds every
         # root from below.
-        self.guard_bits = _GUARD_BITS + max(0, math.ceil(_root_bound_log2(coeffs[::-1])))
+        self.guard_bits = _GUARD_BITS + max(
+            0, math.ceil(_root_bound_log2(coeffs[::-1], logs[::-1])))
+        self.hull = _upper_hull(logs)
         self._evaluators()
         self.points = [_to_fixed(complex(y), self.evaluator.bits + int(e)) for y, e in starts]
         self.residuals: list = [None] * len(self.points)
@@ -627,8 +707,8 @@ class _Solve:
     def _evaluators(self) -> None:
         """``evaluator`` at the working precision plus the guard bits, and
         ``half``, the one for ``_newton``'s early steps, at prec/2 bits fewer."""
-        self.evaluator = FixedEval(self.coeffs, self.prec + self.guard_bits)
-        self.half = FixedEval(self.coeffs, self.evaluator.bits - self.prec // 2)
+        self.evaluator = FixedEval(self.coeffs, self.prec + self.guard_bits, self.hull)
+        self.half = FixedEval(self.coeffs, self.evaluator.bits - self.prec // 2, self.hull)
 
     def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None) -> list[int]:
         """Polish each candidate; freeze those whose root disk is disjoint
@@ -658,17 +738,15 @@ class _Solve:
         """
         evaluator, d = self.evaluator, self.evaluator.degree
         mirrors = mirrors or {}
-        frozen = [(z, d * r) for z, r in zip(self.points, self.residuals) if r is not None]
+        frozen = _Disks([(z, d * r) for z, r in zip(self.points, self.residuals)
+                         if r is not None])
         unresolved = []
 
         def admit(k: int, z: tuple[int, int], residual: int) -> bool:
-            radius = d * residual
-            if any((z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= (radius + r) ** 2
-                   for x, r in frozen):
+            if not frozen.admit(z, d * residual):
                 return False
             self.points[k] = z
             self.residuals[k] = residual
-            frozen.append((z, radius))
             return True
 
         partners = set(mirrors.values())
@@ -736,13 +814,14 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     import numpy as np
 
     d = len(coeffs) - 1
-    log_radii, angles = _newton_polygon_starts(coeffs)
+    logs = [_log2_abs(c) for c in coeffs]
+    log_radii, angles = _newton_polygon_starts(_upper_hull(logs))
     unit = np.exp(1j * angles)
     # Sweep p(2^scale * y), whose starts lie around the unit circle.
     scale = round(float(log_radii.max() + log_radii.min()) / 2)
     iterations = 0
     try:
-        ys, iterations = _aberth_machine(_machine_coeffs(coeffs, scale),
+        ys, iterations = _aberth_machine(_machine_coeffs(coeffs, logs, scale),
                                          2.0 ** (log_radii - scale) * unit)
         starts = [(y, scale) for y in ys]
         from_machine = True
@@ -750,7 +829,7 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
         exps = np.rint(log_radii)
         starts = list(zip(2.0 ** (log_radii - exps) * unit, exps))
         from_machine = False
-    solve = _Solve(coeffs, starts, precision_bits)
+    solve = _Solve(coeffs, starts, precision_bits, logs)
     unresolved = list(range(d))
     if from_machine:
         real = all(c.im == 0 for c in coeffs)
@@ -765,16 +844,16 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
             unresolved = solve.escalate()
 
     bits = solve.evaluator.bits
-    roots = solve.roots()
     # Unrounded, like the roots: each disk D(z, d·ρ) stays proven.
     residuals = [mp.make_mpf(from_man_exp(r, -bits)) for r in solve.residuals]
-    with mp.workprec(bits):
-        worst = max(mp.log(r / abs(z), 2) for z, r in zip(roots, residuals))
+    # log2(ρ / |z|) from the fixed-point integers, whose units cancel; every ρ is at least 1.
+    worst = max(math.log2(r) - math.log2(zr * zr + zi * zi) / 2
+                for (zr, zi), r in zip(solve.points, solve.residuals))
     diagnostics = SolverDiagnostics(
         direct=direct, mirrored=solve.mirrored, reswept=len(solve.reswept),
         sweeps=solve.sweeps, escalations=solve.escalations,
-        machine_iterations=iterations, worst_residual_log2=float(worst))
-    return RootSet(roots=tuple(roots), residuals=tuple(residuals),
+        machine_iterations=iterations, worst_residual_log2=worst)
+    return RootSet(roots=tuple(solve.roots()), residuals=tuple(residuals),
                    precision_bits=solve.prec, diagnostics=diagnostics)
 
 
@@ -836,7 +915,7 @@ def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECIS
         raise InputError("a root disk needs a polynomial of degree at least 1")
     evaluator = FixedEval(coeffs, precision_bits + _GUARD_BITS)
     bits = evaluator.bits
-    half = FixedEval(coeffs, bits - precision_bits // 2)
+    half = FixedEval(coeffs, bits - precision_bits // 2, evaluator.hull)
     start = _scaled_int(Fraction(re), bits), _scaled_int(Fraction(im), bits)
     polished = _newton(evaluator, half, start, precision_bits)
     if polished is None:

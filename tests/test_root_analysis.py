@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from conftest import complete_graph, random_2connected_multigraph
@@ -204,8 +205,11 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # (220, 428, 775 and 1,277 evaluations when every start is polished).
     # Freezing each root at its first proven iterate, with the early steps
     # at half precision, cut the 116, 223, 395 and 648 evaluations, every
-    # one at full precision, to these (total, full precision).
-    budget = {3: (87, 58, 26), 4: (196, 144, 49), 5: (320, 193, 79), 6: (549, 300, 116)}
+    # one at full precision, to 87, 196, 320 and 549, of which 58, 144, 193
+    # and 300 at full precision.  Half precision up to the step that should
+    # land inside the freeze bound keeps those totals and cuts the full
+    # ones to these (total, full precision, mirrored).
+    budget = {3: (87, 29, 26), 4: (196, 52, 49), 5: (320, 84, 79), 6: (549, 132, 116)}
     full_total = 0
     for n in range(3, 7):
         evaluations.clear()
@@ -222,9 +226,103 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         full_total += full
         assert len(evaluations) <= budget[n][0] and full <= budget[n][1], (n, diag)
         assert diag.mirrored == budget[n][2], (n, diag)
-    # 1,382 full-precision evaluations before.
-    assert full_total <= 700
+    # 1,382 full-precision evaluations at first, then 695.
+    assert full_total <= 297
     _assert_freeze_bound(freezes)
+
+
+def test_worst_residual_matches_its_mpmath_value():
+    # worst_residual_log2 comes from the fixed-point integers; the returned
+    # exact dyadics give the same value through mpmath.
+    cases = [two_clique_reliability(TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0]
+             for n in range(3, 7)]
+    cases += [RatPoly([-Fraction(1, 2 ** 2000), 0, 1]), RatPoly([-(2 ** 2000), 0, 1])]
+    for p in cases:
+        rs = find_roots(p)
+        with mp.workprec(2 * rs.precision_bits + 64):
+            worst = max(mp.log(r / abs(z), 2) for z, r in zip(rs.roots, rs.residuals))
+        assert abs(rs.diagnostics.worst_residual_log2 - worst) <= 1e-9, p.degree
+
+
+def _three_pass_horner(stack, z):
+    """p, p' and the noise sum of ``_aberth_machine``'s stack, one Horner loop each."""
+    def horner(cs, x):
+        acc = np.full_like(x, cs[-1])
+        for c in cs[-2::-1]:
+            acc = acc * x + c
+        return acc
+
+    return horner(stack[0], z), horner(stack[1][:-1], z), horner(stack[2].real, np.abs(z))
+
+
+def test_stacked_horner_matches_three_passes(monkeypatch):
+    # The double sweep's one stacked Horner pass gives every value, and so
+    # every root and iteration count, bit for bit as three loops would.
+    inputs = []
+    machine = root_analysis._aberth_machine
+
+    def recording(coeffs, z):
+        inputs.append((coeffs, z.copy()))
+        return machine(coeffs, z)
+
+    monkeypatch.setattr(root_analysis, "_aberth_machine", recording)
+    for n in range(3, 7):
+        find_roots(two_clique_reliability(TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0])
+    rng = random.Random(1969)
+    for _ in range(20):
+        find_roots([QComplex(Fraction(rng.randint(-99, 99)), Fraction(rng.randint(-99, 99)))
+                    for _ in range(rng.randint(3, 40))] + [QComplex(Fraction(1))])
+    assert len(inputs) == 24
+    stacked, calls = root_analysis._stacked_horner, []
+
+    def checked(stack, z):
+        rows = stacked(stack, z)
+        p, dp, noise = _three_pass_horner(stack, z)
+        assert rows[0].tobytes() == p.tobytes() and rows[1].tobytes() == dp.tobytes()
+        assert rows[2].real.tobytes() == noise.tobytes() and not rows[2].imag.any()
+        calls.append(z.size)
+        return rows
+
+    for coeffs, z in inputs:
+        monkeypatch.setattr(root_analysis, "_stacked_horner", checked)
+        roots, iterations = machine(coeffs, z)
+        monkeypatch.setattr(root_analysis, "_stacked_horner", _three_pass_horner)
+        want_roots, want_iterations = machine(coeffs, z)
+        assert roots.tobytes() == want_roots.tobytes() and iterations == want_iterations
+    assert len(calls) > 24 * 5
+
+
+def _all_pairs_admit(held, z, radius) -> bool:
+    if any((z[0] - x[0]) ** 2 + (z[1] - x[1]) ** 2 <= (radius + r) ** 2 for x, r in held):
+        return False
+    held.append((z, radius))
+    return True
+
+
+def test_windowed_admission_matches_an_all_pairs_scan():
+    # A frozen disk is tested only when its real part lies within the
+    # candidate's radius plus the widest frozen radius; the decisions must
+    # be those of the all-pairs scan.  The wide disk's centre lies far
+    # outside the window of the candidates' own radii, yet it covers them.
+    wide = ((0, 0), 10 ** 6)
+    rng = random.Random(4242)
+    for trial in range(20):
+        held = [wide]
+        for _ in range(5):
+            _all_pairs_admit(held, (rng.randint(2 * 10 ** 6, 3 * 10 ** 6),
+                                    rng.randint(-10 ** 6, 10 ** 6)), rng.randint(1, 1000))
+        disks = root_analysis._Disks(held)
+        verdicts = []
+        for _ in range(300):
+            z = rng.randint(-2 * 10 ** 6, 4 * 10 ** 6), rng.randint(-2 * 10 ** 6, 2 * 10 ** 6)
+            radius = rng.choice([1, 10, 10 ** 3, 10 ** 5]) * rng.randint(1, 9)
+            verdicts.append(_all_pairs_admit(held, z, radius))
+            assert disks.admit(z, radius) == verdicts[-1], (trial, z, radius)
+        assert any(verdicts) and not all(verdicts)
+    # Candidates whose own windows miss the wide disk's centre.
+    disks = root_analysis._Disks([wide])
+    assert not disks.admit((900_000, 0), 10) and not disks.admit((-999_000, 500), 1)
+    assert disks.admit((1_000_020, 0), 10)
 
 
 def _recorded_pairs(monkeypatch, rewire=None) -> list:
