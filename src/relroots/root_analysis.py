@@ -231,14 +231,10 @@ def _newton_polygon_starts(hull: list[tuple[int, float]]) -> tuple[np.ndarray, n
     return np.array(log_radii), np.concatenate(angles)
 
 
-class _MachineFailure(Exception):
-    pass
-
-
 def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
-                    scale_log2: int) -> np.ndarray:
-    """Coefficients of p(2^scale_log2 * y), times a power of two, as complex128;
-    ``logs`` holds log2|c_k|.
+                    scale_log2: int) -> np.ndarray | None:
+    """Coefficients of p(2^scale_log2 * y), times a power of two, as complex128,
+    or None when they do not fit in doubles; ``logs`` holds log2|c_k|.
 
     The power of two makes the largest coefficient about one, so none can
     overflow, and each is rounded correctly from its exact shifted value.
@@ -255,7 +251,7 @@ def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
         factor = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
         out[i] = complex(float(c.re * factor), float(c.im * factor))
     if min(abs(out[0]), abs(out[-1])) < np.finfo(float).tiny:
-        raise _MachineFailure("coefficients outside double range")
+        return None
     return out
 
 
@@ -416,14 +412,16 @@ def _remainders(table: list[int], zr: int, r2: int, bits: int) -> tuple[int, int
 
 
 class FixedEval:
-    """p and p' at fixed-point points, in Python integers at ``bits`` bits.
+    """p and p' at fixed-point points, in Python integers at the ``bits``
+    bits each call passes.
 
     At a point z the coefficients are the integers round(c_k 2^t), real and
     imaginary parts apart.  The scale t comes from the polynomial, as
     ``_machine_coeffs`` chooses its shift: the largest term |c_k| |z|^k,
     times 2^t, is at least 2^bits times the bound err_dp below, so tiny,
     huge or complex rational coefficients keep their relative accuracy.
-    Scaled coefficient tables are cached for t in steps of 16 bits.  The
+    Scaled coefficient tables are cached for t in steps of 16 bits, keyed
+    by t alone, so one evaluator serves every precision.  The
     largest term's log2, max_k log2|c_k| + k·log2|z|, is attained at a vertex
     of the upper hull of the points (k, log2|c_k|): the first one whose next
     edge falls by at least log2|z| per degree.
@@ -465,14 +463,12 @@ class FixedEval:
     err_dp = n(3d+8)(d+1)·2^(e−2) + 2 ≥ n·((3/2)·G₁ + 2G) + √2.
     """
 
-    def __init__(self, coeffs: list[QComplex], bits: int,
-                 hull: list[tuple[int, float]] | None = None):
-        """``hull``: the ``_upper_hull`` of log2|c_k|, computed here when not given."""
+    def __init__(self, coeffs: list[QComplex]):
         self.coeffs = coeffs
-        self.bits = bits
         self.degree = len(coeffs) - 1
         self.real = all(c.im == 0 for c in coeffs)
-        self.hull = hull or _upper_hull([_log2_abs(c) for c in coeffs])
+        self.logs = [_log2_abs(c) for c in coeffs]
+        self.hull = _upper_hull(self.logs)
         # Minus the slope of each hull edge, increasing from left to right.
         self._descents = [(l1 - l2) / (k2 - k1)
                           for (k1, l1), (k2, l2) in zip(self.hull, self.hull[1:])]
@@ -495,9 +491,10 @@ class FixedEval:
         i = bisect.bisect_left(self._descents, log_mod)
         return max(lk + k * log_mod for k, lk in self.hull[max(i - 1, 0):i + 2])
 
-    def evaluate(self, zr: int, zi: int) -> tuple[int, int, int, int, int, int, int]:
-        """(p re, p im, p' re, p' im, err_p, err_dp, t); all but t in units of 2^-t."""
-        bits, d = self.bits, self.degree
+    def evaluate(self, zr: int, zi: int, bits: int) -> tuple[int, int, int, int, int, int, int]:
+        """(p re, p im, p' re, p' im, err_p, err_dp, t) at z = (zr + i·zi) / 2^bits;
+        all but t in units of 2^-t."""
+        d = self.degree
         log_mod = math.log2(_modulus(zr, zi) + 1) - bits
         e = math.ceil(d * max(log_mod, 0.0)) + 1
         g = (d + 1) << e
@@ -519,19 +516,15 @@ class FixedEval:
         di = f1 + ((2 * zi * (qr - zi * f3)) >> (2 * bits))
         return pr, pi, dr, di, err_p, err_dp, t
 
-    def newton_step(self, zr: int, zi: int) -> tuple[int, int] | None:
-        pr, pi, dr, di = self.evaluate(zr, zi)[:4]
-        return _quotient(pr, pi, dr, di, self.bits)
-
-    def residual(self, values: tuple) -> int | None:
-        """Upper bound on |p(z) / p'(z)| as a fixed-point integer (None: no
-        bound), from the values ``evaluate`` returned at z."""
+    def residual(self, values: tuple, bits: int) -> int | None:
+        """Upper bound on |p(z) / p'(z)| as a fixed-point integer at ``bits``
+        bits (None: no bound), from the values ``evaluate`` returned at z."""
         pr, pi, dr, di, err_p, err_dp, _ = values
         num = _modulus(pr, pi) + 1 + err_p
         den = _modulus(dr, di) - err_dp
         if den <= 0:
             return None
-        return -((-num << self.bits) // den)
+        return -((-num << bits) // den)
 
 
 def _within(d: int, limit: int, m: int, num: int, den: int = 1) -> bool:
@@ -539,16 +532,17 @@ def _within(d: int, limit: int, m: int, num: int, den: int = 1) -> bool:
     return d * num << limit <= m * den
 
 
-def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
+def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int
             ) -> tuple[tuple[int, int], int] | None:
-    """Newton's method from a start near a simple root, to (z, ρ), or None.
+    """Newton's method from a start near a simple root, to (z, ρ), or None;
+    z and ρ are fixed-point at ``bits`` bits, prec plus the guard bits.
 
-    It returns at the first iterate z whose own evaluation in ``full``
-    proves ρ ≥ |p(z)/p'(z)| with d·ρ ≤ b = 2^-(prec/2+10)·|z|, d the degree;
-    the same evaluation gives the step when it does not.  Steps run in
-    ``half`` instead, whose ``bits`` are those of ``full`` less prec/2
-    (guard bits kept), up to the step that should land inside b; a
-    half-precision evaluation never proves a residual.
+    It returns at the first iterate z whose own evaluation at full
+    precision, ``bits``, proves ρ ≥ |p(z)/p'(z)| with
+    d·ρ ≤ b = 2^-(prec/2+10)·|z|, d the degree; the same evaluation gives
+    the step when it does not.  Steps run at half precision instead,
+    bits − prec/2 (guard bits kept), up to the step that should land
+    inside b; a half-precision evaluation never proves a residual.
 
     Near a simple root the error contracts as e' ≈ K·e², and a step is
     about the error it removes, so the last two steps s₁ (the latest) and
@@ -557,19 +551,20 @@ def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
     root ζ is at most Σ 1/|ζ − ζ_j| over the others).  The error at z is
     then e ≈ K·s₁², and after one more step K·e².  A half step cannot land
     closer than its rounding, F = err_p/(|p'| − err_dp) from its own
-    evaluation.  z is evaluated in ``full`` when d·e ≤ b (z should prove),
-    when e ≤ F (half precision has nothing left to give), or when
+    evaluation.  z is evaluated at full precision when d·e ≤ b (z should
+    prove), when e ≤ F (half precision has nothing left to give), or when
     d·K·e² ≤ b < d·F (the next step should land inside b, and a half step
-    cannot); from then on every step runs in ``full``.  The first step
-    runs in ``half``.  A wrong estimate costs an evaluation, never a
-    proof.  A start whose steps stop halving (from step 5 on), or that is
+    cannot); from then on every step runs at full precision.  The first
+    step runs at half precision.  A wrong estimate costs an evaluation,
+    never a proof.  A start whose steps stop halving (from step 5 on), or that is
     not proven within ``_POLISH_STEPS`` steps, lies outside its quadratic
     basin and is left to the Aberth sweep.
     """
     zr, zi = z
-    d, shift, limit = full.degree, full.bits - half.bits, prec // 2 + 10
+    d, shift, limit = evaluator.degree, prec // 2, prec // 2 + 10
+    half = bits - shift
     # s1, s2: the last two step sizes; floor: the last half step's F, None
-    # once ``full`` has run or when that step had no bound.
+    # once a full-precision step has run or when that step had no bound.
     s1 = s2 = floor = None
     for it in range(_POLISH_STEPS):
         m = _modulus(zr, zi)
@@ -586,16 +581,16 @@ def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
                            and _within(d, limit, m, k_num * e_num * e_num, k_den * e_den * e_den)))
         if at_full:
             floor = None
-            values = full.evaluate(zr, zi)
-            rho = full.residual(values)
+            values = evaluator.evaluate(zr, zi, bits)
+            rho = evaluator.residual(values, bits)
             if rho is not None and d * rho <= m >> limit:
                 return (zr, zi), rho
-            step = _quotient(*values[:4], full.bits)
+            step = _quotient(*values[:4], bits)
         else:
-            pr, pi, dr, di, err_p, err_dp, _ = half.evaluate(zr >> shift, zi >> shift)
+            pr, pi, dr, di, err_p, err_dp, _ = evaluator.evaluate(zr >> shift, zi >> shift, half)
             den = _modulus(dr, di) - err_dp
-            floor = ((err_p << half.bits) // den) << shift if den > 0 else None
-            step = _quotient(pr, pi, dr, di, half.bits)
+            floor = ((err_p << half) // den) << shift if den > 0 else None
+            step = _quotient(pr, pi, dr, di, half)
             step = step and (step[0] << shift, step[1] << shift)
         if step is None:
             return None
@@ -607,23 +602,23 @@ def _newton(full: FixedEval, half: FixedEval, z: tuple[int, int], prec: int
     return None
 
 
-def _aberth(evaluator: FixedEval, points: list, active: list[int], tol_shift: int) -> int:
+def _aberth(evaluator: FixedEval, points: list, active: list[int], bits: int,
+           tol_shift: int) -> int:
     """Aberth sweeps in fixed point that move only the points in ``active``.
 
     The Aberth sum runs over every current point, frozen roots included, so
     a re-swept point is pushed away from the roots already found.  The sweep
     only has to hand Newton a start inside its quadratic basin; it stops
     once no active point moves by more than 2^-tol_shift of its modulus.
-    Returns the number of sweeps.
+    Points are fixed-point at ``bits`` bits.  Returns the number of sweeps.
     """
-    bits = evaluator.bits
     two_bits = 2 * bits
     one = 1 << bits
     for sweep in range(1, _ABERTH_SWEEPS + 1):
         settled = True
         for k in active:
             zr, zi = points[k]
-            w = evaluator.newton_step(zr, zi)
+            w = _quotient(*evaluator.evaluate(zr, zi, bits)[:4], bits)
             if w is None:
                 settled = False
                 continue
@@ -680,35 +675,29 @@ class _Solve:
 
     ``points[k]`` is root k once frozen (``residuals[k]``, its residual
     bound in units of 2^-bits, is then set) and its current approximation
-    otherwise.  Every point is held at the current working precision;
-    escalation shifts them all exactly and freezes them afresh.  Each start
-    is a pair (y, e) standing for y * 2^e, with y a complex double.
+    otherwise.  Every point is held at ``bits``, the working precision plus
+    the guard bits; escalation shifts them all exactly and freezes them
+    afresh.  One ``evaluator`` serves every precision.  Each start is a
+    pair (y, e) standing for y * 2^e, with y a complex double.
     """
 
-    def __init__(self, coeffs: list[QComplex], starts, prec: int,
-                 logs: list[float | None] | None = None):
-        """``logs``: log2|c_k| per coefficient, computed here when not given."""
-        self.coeffs = coeffs
+    def __init__(self, evaluator: FixedEval, starts, prec: int):
+        self.evaluator = evaluator
         self.prec = self.requested = prec
-        logs = logs or [_log2_abs(c) for c in coeffs]
         # 1 / (a bound on the roots of the reversed polynomial) bounds every
         # root from below.
         self.guard_bits = _GUARD_BITS + max(
-            0, math.ceil(_root_bound_log2(coeffs[::-1], logs[::-1])))
-        self.hull = _upper_hull(logs)
-        self._evaluators()
-        self.points = [_to_fixed(complex(y), self.evaluator.bits + int(e)) for y, e in starts]
+            0, math.ceil(_root_bound_log2(evaluator.coeffs[::-1], evaluator.logs[::-1])))
+        self.points = [_to_fixed(complex(y), self.bits + int(e)) for y, e in starts]
         self.residuals: list = [None] * len(self.points)
         self.reswept: set[int] = set()
         self.mirrored = 0
         self.sweeps = 0
         self.escalations = 0
 
-    def _evaluators(self) -> None:
-        """``evaluator`` at the working precision plus the guard bits, and
-        ``half``, the one for ``_newton``'s early steps, at prec/2 bits fewer."""
-        self.evaluator = FixedEval(self.coeffs, self.prec + self.guard_bits, self.hull)
-        self.half = FixedEval(self.coeffs, self.evaluator.bits - self.prec // 2, self.hull)
+    @property
+    def bits(self) -> int:
+        return self.prec + self.guard_bits
 
     def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None) -> list[int]:
         """Polish each candidate; freeze those whose root disk is disjoint
@@ -753,7 +742,7 @@ class _Solve:
         for j in candidates:
             if j in partners:
                 continue
-            polished = _newton(evaluator, self.half, self.points[j], self.prec)
+            polished = _newton(evaluator, self.points[j], self.bits, self.prec)
             if polished is not None:
                 z, residual = polished
                 if evaluator.real and abs(z[1]) <= d * residual:
@@ -773,7 +762,7 @@ class _Solve:
         # escalation adds: a cluster narrower than the stop would hand Newton
         # starts that fall into a frozen neighbour at every precision.
         tol_shift = min(self.prec // 2, 60 + (self.prec - self.requested) // 2)
-        self.sweeps += _aberth(self.evaluator, self.points, active, tol_shift)
+        self.sweeps += _aberth(self.evaluator, self.points, active, self.bits, tol_shift)
         return self.freeze(active)
 
     def escalate(self) -> list[int]:
@@ -783,18 +772,16 @@ class _Solve:
         A root frozen early with a wide disk would otherwise block a close
         neighbour at every precision.
         """
-        old = self.evaluator.bits
+        shift = self.prec
         self.prec *= 2
         self.escalations += 1
-        self._evaluators()
-        shift = self.evaluator.bits - old
         self.points = [(zr << shift, zi << shift) for zr, zi in self.points]
         self.residuals = [None] * len(self.points)
         return self.freeze(list(range(len(self.points))))
 
     def roots(self) -> list:
         """The points as exact mpc values, whatever the working precision."""
-        bits = self.evaluator.bits
+        bits = self.bits
         return [mp.make_mpc((from_man_exp(zr, -bits), from_man_exp(zi, -bits)))
                 for zr, zi in self.points]
 
@@ -814,26 +801,22 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
     import numpy as np
 
     d = len(coeffs) - 1
-    logs = [_log2_abs(c) for c in coeffs]
-    log_radii, angles = _newton_polygon_starts(_upper_hull(logs))
+    evaluator = FixedEval(coeffs)
+    log_radii, angles = _newton_polygon_starts(evaluator.hull)
     unit = np.exp(1j * angles)
     # Sweep p(2^scale * y), whose starts lie around the unit circle.
     scale = round(float(log_radii.max() + log_radii.min()) / 2)
-    iterations = 0
-    try:
-        ys, iterations = _aberth_machine(_machine_coeffs(coeffs, logs, scale),
-                                         2.0 ** (log_radii - scale) * unit)
-        starts = [(y, scale) for y in ys]
-        from_machine = True
-    except _MachineFailure:
+    machine = _machine_coeffs(coeffs, evaluator.logs, scale)
+    if machine is None:
         exps = np.rint(log_radii)
-        starts = list(zip(2.0 ** (log_radii - exps) * unit, exps))
-        from_machine = False
-    solve = _Solve(coeffs, starts, precision_bits, logs)
+        starts, iterations = list(zip(2.0 ** (log_radii - exps) * unit, exps)), 0
+    else:
+        ys, iterations = _aberth_machine(machine, 2.0 ** (log_radii - scale) * unit)
+        starts = [(y, scale) for y in ys]
+    solve = _Solve(evaluator, starts, precision_bits)
     unresolved = list(range(d))
-    if from_machine:
-        real = all(c.im == 0 for c in coeffs)
-        unresolved = solve.freeze(unresolved, _conjugate_pairs(ys) if real else None)
+    if machine is not None:
+        unresolved = solve.freeze(unresolved, _conjugate_pairs(ys) if evaluator.real else None)
     direct = d - len(unresolved)
 
     while unresolved:
@@ -843,7 +826,7 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
                 raise RootFindingError("roots failed residual validation up to the precision cap")
             unresolved = solve.escalate()
 
-    bits = solve.evaluator.bits
+    bits = solve.bits
     # Unrounded, like the roots: each disk D(z, d·ρ) stays proven.
     residuals = [mp.make_mpf(from_man_exp(r, -bits)) for r in solve.residuals]
     # log2(ρ / |z|) from the fixed-point integers, whose units cancel; every ρ is at least 1.
@@ -913,11 +896,9 @@ def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECIS
     coeffs = _as_qcomplex_coeffs(p)
     if len(coeffs) < 2:
         raise InputError("a root disk needs a polynomial of degree at least 1")
-    evaluator = FixedEval(coeffs, precision_bits + _GUARD_BITS)
-    bits = evaluator.bits
-    half = FixedEval(coeffs, bits - precision_bits // 2, evaluator.hull)
+    evaluator, bits = FixedEval(coeffs), precision_bits + _GUARD_BITS
     start = _scaled_int(Fraction(re), bits), _scaled_int(Fraction(im), bits)
-    polished = _newton(evaluator, half, start, precision_bits)
+    polished = _newton(evaluator, start, bits, precision_bits)
     if polished is None:
         return None
     (zr, zi), rho = polished
@@ -927,19 +908,22 @@ def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECIS
 
 def max_modulus_root(rs: RootSet):
     """Root of maximal modulus; ties go to the larger real part, then to the
-    upper half plane (so a conjugate pair reports its +i member)."""
+    upper half plane (so a conjugate pair reports its +i member).  Moduli
+    and real parts are compared at the root set's precision, whatever
+    mpmath's working precision."""
     if not rs.roots:
         raise InputError("empty root set")
-    moduli = rs.moduli()
-    mx = max(moduli)
-    tol = mp.mpf(1e-10) * max(mp.mpf(1), mx)
-    candidates = [z for z, r in zip(rs.roots, moduli) if r >= mx - tol]
-    best = candidates[0]
-    for z in candidates[1:]:
-        if z.real > best.real + tol:
-            best = z
-        elif abs(z.real - best.real) <= tol and z.imag > best.imag:
-            best = z
+    with mp.workprec(rs.precision_bits):
+        moduli = rs.moduli()
+        mx = max(moduli)
+        tol = mp.mpf(1e-10) * max(mp.mpf(1), mx)
+        candidates = [z for z, r in zip(rs.roots, moduli) if r >= mx - tol]
+        best = candidates[0]
+        for z in candidates[1:]:
+            if z.real > best.real + tol:
+                best = z
+            elif abs(z.real - best.real) <= tol and z.imag > best.imag:
+                best = z
     return best
 
 
@@ -968,10 +952,8 @@ def reliability_root_set(rel: RatPoly, precision_bits: int = DEFAULT_PRECISION_B
                        diagnostics=SolverDiagnostics())
     else:
         base = find_roots(h, precision_bits)
-    with mp.workprec(max(precision_bits, base.precision_bits)):
-        ones = tuple(mp.mpc(1) for _ in range(k))
-    return RootSet(roots=base.roots + ones,
-                   residuals=base.residuals + tuple(mp.mpf(0) for _ in range(k)),
+    return RootSet(roots=base.roots + (mp.mpc(1),) * k,
+                   residuals=base.residuals + (mp.mpf(0),) * k,
                    precision_bits=base.precision_bits, diagnostics=base.diagnostics)
 
 

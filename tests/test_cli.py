@@ -195,6 +195,20 @@ def test_table1_digits_survive_a_doubled_precision(capsys):
     assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 5
 
 
+def test_table1_ignores_mpmath_working_precision():
+    # Moduli and real parts are compared at the root set's precision, not at
+    # mpmath's: at 8 bits the rows n = 3 and 6 reported the -i member.
+    root_sets = [relroots.find_roots(relroots.two_clique_reliability(
+        relroots.TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0]) for n in range(3, 7)]
+    tops = [cli.max_modulus_root(rs) for rs in root_sets]
+    rows = table1_rows(6)
+    with mp.workprec(8):
+        assert [cli.max_modulus_root(rs) for rs in root_sets] == tops
+        assert table1_rows(6) == rows
+        assert mp.mp.prec == 8
+    assert all(z.imag > 0 for z in tops)
+
+
 @pytest.mark.parametrize("margin, code", [(0.999, 0), (1.001, 4)])
 def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin, code):
     # Every residual becomes margin·(|z| - 1)/d for the row's root z, with d
@@ -267,7 +281,7 @@ def test_polished_root_disk_scales_the_residual_by_the_degree(monkeypatch):
     # pinned to ρ (4ρ passes the Newton loop's bound 2^-138·|z| at 256 bits)
     # the disk is D(z, 4ρ), not D(z, ρ): a box edge between z + ρ and
     # z + 4ρ must reject it, and the edge at z + 4ρ admits it.
-    monkeypatch.setattr(FixedEval, "residual", lambda self, values: 1 << (self.bits - 150))
+    monkeypatch.setattr(FixedEval, "residual", lambda self, values, bits: 1 << (bits - 150))
     z, rho = Fraction(1, 2), Fraction(1, 2 ** 150)
     disk = polished_root_disk(RatPoly([-1, 2]) * RatPoly([5, 0, 0, 1]), z, 0)
     assert disk == (z, 0, 4 * rho)
@@ -283,7 +297,7 @@ def test_certify_rejects_a_base_disk_spilling_out_of_the_base_box(monkeypatch, r
     # At p bits the Newton loop admits 55ρ < 2^(rho_log2+6) = 2^-(p/2+10),
     # as |z| > 1.
     monkeypatch.setattr(FixedEval, "residual",
-                        lambda self, values: 1 << (self.bits + rho_log2))
+                        lambda self, values, bits: 1 << (bits + rho_log2))
     cert = run_certificate(9, 3, precision_bits=2 * (-rho_log2 - 16))
     assert cert["signs"] == ["-"] and cert["pass"] == passed
     if passed:

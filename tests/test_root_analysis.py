@@ -15,8 +15,8 @@ from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
 from relroots import polynomials, root_analysis
 from relroots.cli import main, roots_csv
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
-from relroots.root_analysis import FixedEval, _Solve
-from relroots.stability import mpf_to_fraction
+from relroots.root_analysis import FixedEval, _Solve, polished_root_disk
+from relroots.stability import BASE_ROOT_BOX, mpf_to_fraction
 
 
 def _close(z, re, im, tol=1e-12):
@@ -173,10 +173,10 @@ def _recorded_freezes(monkeypatch) -> list:
     seen = []
     newton = root_analysis._newton
 
-    def recording(full, half, z, prec):
-        out = newton(full, half, z, prec)
+    def recording(evaluator, z, bits, prec):
+        out = newton(evaluator, z, bits, prec)
         if out is not None:
-            seen.append((out[0], full.degree * out[1], prec, full.bits))
+            seen.append((out[0], evaluator.degree * out[1], prec, bits))
         return out
 
     monkeypatch.setattr(root_analysis, "_newton", recording)
@@ -196,9 +196,9 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     evaluations = []
     evaluate = FixedEval.evaluate
 
-    def counted(self, zr, zi):
-        evaluations.append(self.bits)
-        return evaluate(self, zr, zi)
+    def counted(self, zr, zi, bits):
+        evaluations.append(bits)
+        return evaluate(self, zr, zi, bits)
 
     monkeypatch.setattr(FixedEval, "evaluate", counted)
     # Mirroring one root of each conjugate pair halves the fixed-point work
@@ -229,6 +229,53 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # 1,382 full-precision evaluations at first, then 695.
     assert full_total <= 297
     _assert_freeze_bound(freezes)
+
+
+def test_one_evaluator_per_factor(monkeypatch):
+    # A factor's solve reads every precision, escalations included, off the
+    # one FixedEval built for it; so does each polished root disk.
+    built = []
+    init = FixedEval.__init__
+
+    def counted(self, coeffs):
+        built.append(len(coeffs) - 1)
+        init(self, coeffs)
+
+    monkeypatch.setattr(FixedEval, "__init__", counted)
+    third = Fraction(1, 3)
+    cluster = [third, third + Fraction(1, 2 ** 100), third + Fraction(1, 2 ** 99), -2,
+               Fraction(5, 7)]
+    assert find_roots(_product(cluster), 256).diagnostics.escalations == 1
+    assert built == [5]
+    built.clear()
+    find_roots(_product([2, 2, 3]))
+    assert built == [1, 1]
+    base = two_clique_reliability(TwoCliqueParams(3, 3, 1, 6)).deflate_unit_roots()[0]
+    for bits in (128, 256):
+        built.clear()
+        assert polished_root_disk(base, (BASE_ROOT_BOX.a_lo + BASE_ROOT_BOX.a_hi) / 2,
+                                  (BASE_ROOT_BOX.b_lo + BASE_ROOT_BOX.b_hi) / 2, bits)
+        assert built == [base.degree]
+
+
+def test_solver_neither_reads_nor_sets_mpmath_precision():
+    # Roots, residuals and disks are exact dyadics from the fixed-point
+    # integers: mpmath's working precision changes none of them, and the
+    # solver leaves it as it found it.
+    rel = two_clique_reliability(TwoCliqueParams(3, 3, 1, 6))
+    base = rel.deflate_unit_roots()[0]
+    gaussian = _cproduct({QComplex(Fraction(1), Fraction(2)): 2, QComplex(Fraction(-1, 3)): 1})
+    centre = ((BASE_ROOT_BOX.a_lo + BASE_ROOT_BOX.a_hi) / 2,
+              (BASE_ROOT_BOX.b_lo + BASE_ROOT_BOX.b_hi) / 2)
+
+    def solve():
+        return find_roots(gaussian), reliability_root_set(rel), polished_root_disk(base, *centre)
+
+    expected = solve()
+    with mp.workprec(8):
+        got = solve()
+        assert mp.mp.prec == 8
+    assert got == expected and expected[2] is not None
 
 
 def test_worst_residual_matches_its_mpmath_value():
@@ -361,7 +408,7 @@ def test_roots_and_residuals_are_exact_dyadics(monkeypatch):
     roots = _Solve.roots
 
     def recording(self):
-        solves.append((self.evaluator.bits, list(self.points), list(self.residuals)))
+        solves.append((self.bits, list(self.points), list(self.residuals)))
         return roots(self)
 
     monkeypatch.setattr(_Solve, "roots", recording)
@@ -487,7 +534,7 @@ def test_fallback_separates_a_tight_cluster():
 
 def test_freeze_rejects_a_second_copy_of_a_root():
     # Two starts polish to the simple root 1: the second is re-swept to 2.
-    solve = _Solve([QComplex(c) for c in _product([1, 2, 3]).coeffs],
+    solve = _Solve(FixedEval([QComplex(c) for c in _product([1, 2, 3]).coeffs]),
                    [(1.0001, 0), (1.0002, 0), (2.9, 0)], 256)
     assert solve.freeze([0, 1, 2]) == [1]
     assert solve.sweep([1]) == []
@@ -496,7 +543,8 @@ def test_freeze_rejects_a_second_copy_of_a_root():
     # go to the sweep, which finds -i and 2.
     coeffs = _cproduct({QComplex(Fraction(0), Fraction(s)): 1 for s in (1, -1)}
                        | {QComplex(Fraction(r)): 1 for r in (2, 3)})
-    solve = _Solve(coeffs, [(1e-4 + 1j, 0), (2e-4 + 1j, 0), (0.3 - 1j, 0), (2.9, 0)], 256)
+    solve = _Solve(FixedEval(coeffs), [(1e-4 + 1j, 0), (2e-4 + 1j, 0), (0.3 - 1j, 0), (2.9, 0)],
+                   256)
     assert solve.freeze([0, 1, 2, 3], {1: 2}) == [1, 2]
     assert solve.mirrored == 0 and solve.sweep([1, 2]) == []
     got = sorted((complex(z) for z in solve.roots()), key=lambda z: (round(z.real), z.imag))
@@ -509,7 +557,7 @@ def test_freeze_admits_close_roots_with_disjoint_disks():
     third = Fraction(1, 3)
     exact = [third, third + Fraction(1, 2 ** 30), Fraction(2)]
     p = _product(exact)
-    solve = _Solve([QComplex(c) for c in p.coeffs], [(float(r), 0) for r in exact], 64)
+    solve = _Solve(FixedEval([QComplex(c) for c in p.coeffs]), [(float(r), 0) for r in exact], 64)
     assert solve.freeze([0, 1, 2]) == []
     rs = find_roots(p, 64)
     assert rs.diagnostics.worst_residual_log2 <= -rs.precision_bits / 2 + 10
@@ -581,10 +629,9 @@ def test_fixed_eval_against_exact_evaluation():
         return Fraction(rng.randint(1, 2 ** 40) * rng.choice([-1, 1]),
                         rng.randint(1, 2 ** 40)) * Fraction(2) ** rng.randint(-spread, spread)
 
-    def check(reference, evaluator, zr, zi):
-        bits = evaluator.bits
+    def check(reference, evaluator, zr, zi, bits):
         p, dp, top2 = reference(zr, zi, bits)
-        pr, pi, dr, di, err_p, err_dp, t = evaluator.evaluate(zr, zi)
+        pr, pi, dr, di, err_p, err_dp, t = evaluator.evaluate(zr, zi, bits)
         unit = Fraction(2) ** -t
         p_err2 = (QComplex(pr * unit, pi * unit) - p).abs2()
         dp_err2 = (QComplex(dr * unit, di * unit) - dp).abs2()
@@ -599,13 +646,13 @@ def test_fixed_eval_against_exact_evaluation():
         coeffs = [QComplex(rand_frac(spread), rand_frac(spread) if trial % 3 else Fraction(0))
                   for _ in range(d + 1)]
         bits = rng.choice([83, 158, 286])
-        evaluator, reference = FixedEval(coeffs, bits), _exact_reference(coeffs)
+        evaluator, reference = FixedEval(coeffs), _exact_reference(coeffs)
         for _ in range(4):
             # A dyadic point, exactly representable at ``bits`` bits.
             scale = rng.randint(0, 48)
             zr = rng.randint(-2 ** 50, 2 ** 50) << (bits - scale)
             zi = rng.randint(-2 ** 50, 2 ** 50) << (bits - scale)
-            check(reference, evaluator, zr, zi)
+            check(reference, evaluator, zr, zi, bits)
 
     # Degree 240, beyond the largest table1 row, and degree 16, each with a
     # real and a complex table.  At a real point near 1 the floors of the
@@ -617,15 +664,15 @@ def test_fixed_eval_against_exact_evaluation():
         for complex_coeffs in (False, True):
             coeffs = [QComplex(rand_frac(8), rand_frac(8) if complex_coeffs else Fraction(0))
                       for _ in range(d + 1)]
-            evaluator, reference = FixedEval(coeffs, bits), _exact_reference(coeffs)
+            evaluator, reference = FixedEval(coeffs), _exact_reference(coeffs)
             for x in (1 - Fraction(1, 2 ** 20), Fraction(-127, 128), Fraction(1, 2 ** 30),
                       Fraction(far), Fraction(-far)):
                 zr = root_analysis._scaled_int(x, bits)
                 for zi in (0, 1 << (bits - 60), -(zr >> 40)):
-                    check(reference, evaluator, zr, zi)
+                    check(reference, evaluator, zr, zi, bits)
             for radius in (Fraction(1, 2 ** 30), Fraction(1), Fraction(far)):
                 check(reference, evaluator, root_analysis._scaled_int(radius * Fraction(3, 4), bits),
-                      root_analysis._scaled_int(radius * Fraction(5, 8), bits))
+                      root_analysis._scaled_int(radius * Fraction(5, 8), bits), bits)
 
 
 def test_fixed_eval_scale_reads_the_largest_term_off_the_hull():
@@ -639,7 +686,7 @@ def test_fixed_eval_scale_reads_the_largest_term_off_the_hull():
         h, _ = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6)).deflate_unit_roots()
         coeffs = root_analysis._as_qcomplex_coeffs(h)
         logs = [root_analysis._log2_abs(c) for c in coeffs]
-        evaluator = FixedEval(coeffs, 286)
+        evaluator = FixedEval(coeffs)
         points = ([rng.uniform(-4, 4) for _ in range(500)]
                   + [rng.gauss(0, 0.1) for _ in range(500)] + evaluator._descents)
         for log_mod in points:
