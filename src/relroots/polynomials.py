@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError, NumericalError
@@ -155,18 +155,20 @@ class RatPoly:
     def deflate_unit_roots(self) -> tuple["RatPoly", int]:
         """Factor out (1-q)^k exactly; returns (remaining polynomial, k).
 
-        The remainder of each division by (1-q) is p(1), so the loop stops at
-        the first nonzero remainder and keeps the dividend.
+        The denominators are cleared once, to integers a_i over their lcm.
+        The remainder of a division by (1-q) is p(1) = Σ a_i, so the loop
+        stops at the first nonzero sum; while it is zero, p = (1-q)·s with
+        s_i = a_0 + ... + a_i, the prefix sums below the top one.
         """
-        p = self
+        if self.is_zero():
+            return self, 0
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
         k = 0
-        while not p.is_zero():
-            quot, rem = p.divide_one_minus_q()
-            if rem != 0:
-                break
-            p = quot
+        while sum(ints) == 0:
+            ints = list(accumulate(ints[:-1]))
             k += 1
-        return p, k
+        return RatPoly(Fraction(c, den) for c in ints), k
 
     # -- serialization -------------------------------------------------
 

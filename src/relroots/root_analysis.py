@@ -12,7 +12,9 @@ stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
 iterations running; only active roots are evaluated and moved.  Then
 every start is Newton-polished in fixed-point Python integers at prec + 30
 bits or more (``FixedEval``), at prec/2 bits fewer up to the step that
-should land inside the bound below.  The Newton loop stops at the first
+should land inside the bound below; after the first, whose p' comes from
+the double sweep, those early steps are secant steps, which evaluate p
+alone.  The Newton loop stops at the first
 point z whose own evaluation proves a residual bound ρ ≥ |p(z)/p'(z)| with
 d·ρ ≤ 2^-(prec/2+10)·|z|, d the degree.  z is frozen once its disk
 D(z, dρ), which holds a root, is disjoint from the disk of every frozen
@@ -45,6 +47,7 @@ part (``FixedEval`` has the proof).
 from __future__ import annotations
 
 import bisect
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -143,7 +146,12 @@ class Annulus:
             raise InputError("annulus radii out of order")
 
     def contains(self, z) -> bool:
-        r = abs(z)
+        """Whether |z| lies in the annulus, within ``MODULUS_SLACK``; |z| is
+        taken at the precision of z itself, whatever mpmath's working
+        precision."""
+        bits = max(z.real._mpf_[3], z.imag._mpf_[3]) if isinstance(z, mp.mpc) else 53
+        with mp.workprec(max(bits, 53)):
+            r = abs(z)
         return float(self.lo) - MODULUS_SLACK <= r <= float(self.hi) + MODULUS_SLACK
 
 
@@ -232,11 +240,11 @@ def _newton_polygon_starts(hull: list[tuple[int, float]]) -> tuple[np.ndarray, n
 
 
 def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
-                    scale_log2: int) -> np.ndarray | None:
-    """Coefficients of p(2^scale_log2 * y), times a power of two, as complex128,
-    or None when they do not fit in doubles; ``logs`` holds log2|c_k|.
+                    scale_log2: int) -> tuple[np.ndarray, int] | None:
+    """Coefficients of 2^-shift · p(2^scale_log2 * y) as complex128, and
+    shift, or None when they do not fit in doubles; ``logs`` holds log2|c_k|.
 
-    The power of two makes the largest coefficient about one, so none can
+    The power 2^-shift makes the largest coefficient about one, so none can
     overflow, and each is rounded correctly from its exact shifted value.
     The first and last coefficients must stay normal doubles: every other
     vertex of the Newton polygon lies above the chord between them, so the
@@ -252,13 +260,22 @@ def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
         out[i] = complex(float(c.re * factor), float(c.im * factor))
     if min(abs(out[0]), abs(out[-1])) < np.finfo(float).tiny:
         return None
-    return out
+    return out, shift
 
 
 # Iterations below the rounding-error bound that freeze a root.  A streak of
 # 1 freezes clustered roots too early: 211 of 323 roots come direct at
 # table1 n = 7 (256 with 10), and n = 6 loses one.
 _NOISE_STREAK = 10
+
+
+def _machine_stack(coeffs: np.ndarray) -> np.ndarray:
+    """p, p' (its top coefficient 0) and |c_k|, lowest degree first, as the
+    rows that ``_stacked_horner`` runs over."""
+    import numpy as np
+
+    d = len(coeffs) - 1
+    return np.array([coeffs, np.append(coeffs[1:] * np.arange(1, d + 1), 0), np.abs(coeffs)])
 
 
 def _stacked_horner(stack: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -293,8 +310,7 @@ def _aberth_machine(coeffs: np.ndarray, z: np.ndarray,
     import numpy as np
 
     d = len(coeffs) - 1
-    # p, p' (its top coefficient 0) and |c_k|, lowest degree first.
-    stack = np.array([coeffs, np.append(coeffs[1:] * np.arange(1, d + 1), 0), np.abs(coeffs)])
+    stack = _machine_stack(coeffs)
     z = z.astype(np.complex128)
     streak = np.zeros(d, dtype=int)
     active = np.arange(d)
@@ -385,6 +401,15 @@ def _to_fixed(z: complex, bits: int) -> tuple[int, int]:
     return _scaled_int(Fraction(z.real), bits), _scaled_int(Fraction(z.imag), bits)
 
 
+def _slope(w: complex, e: int) -> tuple[int, int, int] | None:
+    """w·2^e as (mr, mi, x) with mr + i·mi ≈ w·2^(e−x) in integers of 53
+    bits, whatever the size of w; None when w is zero or not finite."""
+    if w == 0 or not cmath.isfinite(w):
+        return None
+    k = math.frexp(max(abs(w.real), abs(w.imag)))[1]
+    return round(math.ldexp(w.real, 53 - k)), round(math.ldexp(w.imag, 53 - k)), e + k - 53
+
+
 def _quotient(ar: int, ai: int, br: int, bi: int, bits: int) -> tuple[int, int] | None:
     """a / b for Gaussian integers a, b, as a fixed-point point (None if b = 0)."""
     n2 = br * br + bi * bi
@@ -397,18 +422,36 @@ def _modulus(zr: int, zi: int) -> int:
     return math.isqrt(zr * zr + zi * zi)
 
 
-def _remainders(table: list[int], zr: int, r2: int, bits: int) -> tuple[int, int, int, int]:
-    """(b_0, b_1, e_2, e_3) of ``FixedEval``'s two recurrences over one real
+def _ratio(ar: int, ai: int, br: int, bi: int, shift: int) -> tuple[int, int] | None:
+    """a / b · 2^shift for Gaussian integers a, b and any integer shift
+    (None if b = 0)."""
+    if shift >= 0:
+        return _quotient(ar, ai, br, bi, shift)
+    return _quotient(ar, ai, br << -shift, bi << -shift, 0)
+
+
+def _b_pass(table: list[int], zr: int, r2: int, bits: int) -> list[int]:
+    """b_d, ..., b_1, b_0 of ``FixedEval``'s first recurrence over one real
     coefficient table, highest degree first, at a point with real part
     zr / 2^bits and squared modulus r2 / 2^(2·bits)."""
     two_bits, shift = 2 * bits, bits + 1
-    b1 = b2 = e1 = e2 = 0
-    for c in table[:-2]:
+    bs = []
+    push = bs.append
+    b1 = b2 = 0
+    for c in table:
         b1, b2 = c + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
-        e1, e2 = b1 + ((((zr * e1) << shift) - r2 * e2) >> two_bits), e1
-    b1, b2 = table[-2] + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
-    b0 = table[-1] + ((((zr * b1) << shift) - r2 * b2) >> two_bits)
-    return b0, b1, e1, e2
+        push(b1)
+    return bs
+
+
+def _e_pass(bs: list[int], zr: int, r2: int, bits: int) -> tuple[int, int]:
+    """(e_2, e_3) of ``FixedEval``'s second recurrence, over the b_d..b_2
+    that ``_b_pass`` returned at the same point."""
+    two_bits, shift = 2 * bits, bits + 1
+    e1 = e2 = 0
+    for b in bs[:-2]:
+        e1, e2 = b + ((((zr * e1) << shift) - r2 * e2) >> two_bits), e1
+    return e1, e2
 
 
 class FixedEval:
@@ -435,7 +478,9 @@ class FixedEval:
 
     so P(z) = (b_0 − x·b_1) + i·y·b_1 and P'(z) = b_1 + 2iy·Q(z).  The same
     recurrence over b_d..b_2, e_k = b_k + s·e_{k+1} − r·e_{k+2}, gives
-    Q(z) = (e_2 − x·e_3) + i·y·e_3.  A step costs two real products where
+    Q(z) = (e_2 − x·e_3) + i·y·e_3.  The b's are kept (``_b_pass``) and the
+    e's run over them in a second pass (``_e_pass``), so that ``value``
+    gives p alone, bit for bit as ``evaluate`` gives it, for half the work.  A step costs two real products where
     complex Horner costs four per value.  A complex table runs the loop on
     its real and its imaginary parts, p = P_re + i·P_im.  s and r are
     exact (r at 2·bits), so each step rounds once, by a floor.
@@ -491,9 +536,10 @@ class FixedEval:
         i = bisect.bisect_left(self._descents, log_mod)
         return max(lk + k * log_mod for k, lk in self.hull[max(i - 1, 0):i + 2])
 
-    def evaluate(self, zr: int, zi: int, bits: int) -> tuple[int, int, int, int, int, int, int]:
-        """(p re, p im, p' re, p' im, err_p, err_dp, t) at z = (zr + i·zi) / 2^bits;
-        all but t in units of 2^-t."""
+    def bounds(self, zr: int, zi: int, bits: int) -> tuple[int, int, int]:
+        """(err_p, err_dp, t) at z = (zr + i·zi) / 2^bits: the scale t that
+        ``evaluate`` takes there and its error bounds, in units of 2^-t (at
+        any scale, since they count units)."""
         d = self.degree
         log_mod = math.log2(_modulus(zr, zi) + 1) - bits
         e = math.ceil(d * max(log_mod, 0.0)) + 1
@@ -503,13 +549,35 @@ class FixedEval:
         err_dp = (parts * (3 * d + 8) * g >> 2) + 2    # exact: (d+1)(3d+8) is even, e ≥ 1
         top = self._top_log2(log_mod)
         t = math.ceil((bits + math.log2(err_dp) + 1 - top) / _SCALE_STEP) * _SCALE_STEP
+        return err_p, err_dp, t
+
+    def _b_passes(self, zr: int, zi: int, r2: int, bits: int, t: int
+                  ) -> tuple[int, int, list[int], list[int] | None]:
+        """(p re, p im) in units of 2^-t, and the b's of the real and the
+        imaginary table (None for a real polynomial)."""
         re_table, im_table = self._table(t)
-        r2 = zr * zr + zi * zi
-        b0, b1, e2, e3 = _remainders(re_table, zr, r2, bits)
+        bs = _b_pass(re_table, zr, r2, bits)
         # f: the imaginary part's remainders, zero for a real polynomial.
-        f0, f1, f2, f3 = _remainders(im_table, zr, r2, bits) if im_table else (0, 0, 0, 0)
-        pr = b0 + ((-zr * b1 - zi * f1) >> bits)
-        pi = f0 + ((zi * b1 - zr * f1) >> bits)
+        fs = _b_pass(im_table, zr, r2, bits) if im_table else None
+        b0, b1 = bs[-1], bs[-2]
+        f0, f1 = (fs[-1], fs[-2]) if fs else (0, 0)
+        return b0 + ((-zr * b1 - zi * f1) >> bits), f0 + ((zi * b1 - zr * f1) >> bits), bs, fs
+
+    def value(self, zr: int, zi: int, bits: int, t: int) -> tuple[int, int]:
+        """(p re, p im) at z = (zr + i·zi) / 2^bits in units of 2^-t, from
+        the b pass alone: what ``evaluate`` returns at z when its scale is t.
+        The error bound is ``bounds``' err_p."""
+        return self._b_passes(zr, zi, zr * zr + zi * zi, bits, t)[:2]
+
+    def evaluate(self, zr: int, zi: int, bits: int) -> tuple[int, int, int, int, int, int, int]:
+        """(p re, p im, p' re, p' im, err_p, err_dp, t) at z = (zr + i·zi) / 2^bits;
+        all but t in units of 2^-t."""
+        err_p, err_dp, t = self.bounds(zr, zi, bits)
+        r2 = zr * zr + zi * zi
+        pr, pi, bs, fs = self._b_passes(zr, zi, r2, bits, t)
+        e2, e3 = _e_pass(bs, zr, r2, bits)
+        f2, f3 = _e_pass(fs, zr, r2, bits) if fs else (0, 0)
+        b1, f1 = bs[-2], fs[-2] if fs else 0
         # 2^bits (e_2 − x e_3) and 2^bits (f_2 − x f_3), exact.
         qr, qi = (e2 << bits) - zr * e3, (f2 << bits) - zr * f3
         dr = b1 + ((-2 * zi * (zi * e3 + qi)) >> (2 * bits))
@@ -532,40 +600,60 @@ def _within(d: int, limit: int, m: int, num: int, den: int = 1) -> bool:
     return d * num << limit <= m * den
 
 
-def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int
-            ) -> tuple[tuple[int, int], int] | None:
+def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
+            slope: tuple[int, int, int] | None = None) -> tuple[tuple[int, int], int] | None:
     """Newton's method from a start near a simple root, to (z, ρ), or None;
     z and ρ are fixed-point at ``bits`` bits, prec plus the guard bits.
 
     It returns at the first iterate z whose own evaluation at full
     precision, ``bits``, proves ρ ≥ |p(z)/p'(z)| with
     d·ρ ≤ b = 2^-(prec/2+10)·|z|, d the degree; the same evaluation gives
-    the step when it does not.  Steps run at half precision instead,
+    the Newton step when it does not.  Steps run at half precision instead,
     bits − prec/2 (guard bits kept), up to the step that should land
-    inside b; a half-precision evaluation never proves a residual.
+    inside b; a half-precision value never proves a residual.
 
-    Near a simple root the error contracts as e' ≈ K·e², and a step is
-    about the error it removes, so the last two steps s₁ (the latest) and
-    s₂ estimate K ≈ s₁/s₂².  After the first step K is taken as d/|z|,
-    its size when the other roots lie about |z| away (K = |p''/2p'| at the
-    root ζ is at most Σ 1/|ζ − ζ_j| over the others).  The error at z is
-    then e ≈ K·s₁², and after one more step K·e².  A half step cannot land
-    closer than its rounding, F = err_p/(|p'| − err_dp) from its own
-    evaluation.  z is evaluated at full precision when d·e ≤ b (z should
-    prove), when e ≤ F (half precision has nothing left to give), or when
-    d·K·e² ≤ b < d·F (the next step should land inside b, and a half step
-    cannot); from then on every step runs at full precision.  The first
-    step runs at half precision.  A wrong estimate costs an evaluation,
-    never a proof.  A start whose steps stop halving (from step 5 on), or that is
-    not proven within ``_POLISH_STEPS`` steps, lies outside its quadratic
-    basin and is left to the Aberth sweep.
+    The first half step is a Newton step: p' comes from the same
+    evaluation, or from ``slope``, (mr, mi, x) for p'(z) ≈ (mr + i·mi)·2^x,
+    when the caller has one.  When that step s₁ shows the start inside the
+    basin, 2·d·s₁ ≤ |z| (K·s₁ ≤ 1/2 for the K below), every later half step
+    is a secant step through the last two half-precision points, p·Δz/Δp,
+    with p at both points at one scale t: it runs the b pass of
+    ``FixedEval.value`` alone, about half of what an evaluation of p and p'
+    costs; otherwise the half steps stay Newton steps.  Near a simple
+    root the error contracts as e' ≈ K·e² under Newton and e' ≈ K·e·e₋
+    under the secant, e₋ the error one point back (Ostrowski 1960; Traub
+    1964), and a step is about the error it removes.  So with n₁ the step
+    itself for a Newton step and the step before it for a secant step,
+    the last two steps s₁ (the latest) and s₂ estimate K ≈ s₁/(s₂·n₂),
+    and the error at z is e ≈ K·s₁·n₁.  After the first step K is taken as
+    d/|z|, its size when the other roots lie about |z| away
+    (K = |p''/2p'| at the root ζ is at most Σ 1/|ζ − ζ_j| over the
+    others).  A full-precision Newton step from z lands at about K·e².  A
+    half step cannot land closer than its rounding, F = err_p/|p'|, with
+    |p'| taken as |p'| − err_dp from a Newton evaluation and as
+    (|Δp| − 2·err_p)/|Δz| for a secant step.  z is evaluated at full
+    precision when d·e ≤ b (z should prove), when e ≤ F (half precision
+    has nothing left to give), or when d·K·e² ≤ b < d·F (the next step
+    should land inside b, and a half step cannot); from then on every step
+    runs at full precision.  A wrong estimate costs an evaluation, never a
+    proof.  A secant step that fails (Δp = 0) or stops halving (from step
+    5 on) hands over to half-precision Newton steps.  A start whose Newton
+    steps stop halving (from step 5 on), or that is not proven within
+    ``_POLISH_STEPS`` steps, lies outside its basin and is left to the
+    Aberth sweep.
     """
     zr, zi = z
     d, shift, limit = evaluator.degree, prec // 2, prec // 2 + 10
     half = bits - shift
-    # s1, s2: the last two step sizes; floor: the last half step's F, None
-    # once a full-precision step has run or when that step had no bound.
-    s1 = s2 = floor = None
+    # s1, s2: the last two step sizes, and n1, n2 the other error each one's
+    # model multiplies into K·e (the step itself for a Newton step, the step
+    # before it for a secant step); floor: the last half step's F, None once
+    # a full-precision step has run or when that step had no bound; last:
+    # the last half-precision point, p there and its scale t.
+    s1 = s2 = n1 = n2 = floor = last = None
+    # secant, set by the first step: the later half steps are secant steps;
+    # calm: the first step that must halve the one before it.
+    secant, calm = False, 5
     for it in range(_POLISH_STEPS):
         m = _modulus(zr, zi)
         if s1 is None:
@@ -573,12 +661,13 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int
         elif floor is None:
             at_full = True
         else:
-            # K, e ≈ K·s1² and K·e², each as a numerator over a denominator.
-            k_num, k_den = (s1, s2 * s2) if s2 is not None else (d, m)
-            e_num, e_den = k_num * s1 * s1, k_den
+            # K, e ≈ K·s1·n1 and K·e², each as a numerator over a denominator.
+            k_num, k_den = (s1, s2 * n2) if s2 is not None else (d, m)
+            e_num, e_den = k_num * s1 * n1, k_den
             at_full = (_within(d, limit, m, e_num, e_den) or e_num <= floor * e_den
                        or (not _within(d, limit, m, floor)
                            and _within(d, limit, m, k_num * e_num * e_num, k_den * e_den * e_den)))
+        partner = None
         if at_full:
             floor = None
             values = evaluator.evaluate(zr, zi, bits)
@@ -587,18 +676,46 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int
                 return (zr, zi), rho
             step = _quotient(*values[:4], bits)
         else:
-            pr, pi, dr, di, err_p, err_dp, _ = evaluator.evaluate(zr >> shift, zi >> shift, half)
-            den = _modulus(dr, di) - err_dp
-            floor = ((err_p << half) // den) << shift if den > 0 else None
-            step = _quotient(pr, pi, dr, di, half)
+            hr, hi = zr >> shift, zi >> shift
+            if s1 is None and slope is not None:
+                # p'(z) ≈ M·2^x: the step p/p' is P/M · 2^(half − t − x).
+                err_p, _, t = evaluator.bounds(hr, hi, half)
+                pr, pi = evaluator.value(hr, hi, half, t)
+                mr, mi, x = slope
+                step = _ratio(pr, pi, mr, mi, half - t - x)
+                bound = _ratio(err_p, 0, _modulus(mr, mi), 0, half - t - x)
+                bound = bound and bound[0] << shift
+            elif secant:
+                (lr, li), (lpr, lpi), t = last
+                err_p = evaluator.bounds(hr, hi, half)[0]
+                pr, pi = evaluator.value(hr, hi, half, t)
+                # The step p·Δz/Δp, and F ≈ err_p·|Δz|/(|Δp| − 2·err_p).
+                dzr, dzi, dpr, dpi = hr - lr, hi - li, pr - lpr, pi - lpi
+                step = _quotient(pr * dzr - pi * dzi, pr * dzi + pi * dzr, dpr, dpi, 0)
+                den = _modulus(dpr, dpi) - 2 * err_p
+                bound = (err_p * _modulus(dzr, dzi) // den) << shift if den > 0 else None
+                partner = s1
+            else:
+                pr, pi, dr, di, err_p, err_dp, t = evaluator.evaluate(hr, hi, half)
+                den = _modulus(dr, di) - err_dp
+                bound = ((err_p << half) // den) << shift if den > 0 else None
+                step = _quotient(pr, pi, dr, di, half)
             step = step and (step[0] << shift, step[1] << shift)
-        if step is None:
+        size = step and _modulus(*step)
+        if partner is not None and (step is None or (it >= calm and 2 * size > s1)):
+            # The secant step failed or stopped halving: Newton steps from
+            # here on, with as many steps to settle as from a start.
+            secant, calm = False, it + 5
+            continue
+        if step is None or (s1 and it >= calm and 2 * size > s1):
             return None
+        if not at_full:
+            floor, last = bound, ((hr, hi), (pr, pi), t)
+        if s1 is None:
+            # K·s₁ ≤ 1/2, K = d/|z|: each step should at least halve the error.
+            secant = 2 * d * size <= m
         zr, zi = zr - step[0], zi - step[1]
-        size = _modulus(*step)
-        if s1 and it >= 5 and 2 * size > s1:
-            return None
-        s1, s2 = size, s1
+        s1, s2, n1, n2 = size, s1, size if partner is None else partner, n1
     return None
 
 
@@ -699,7 +816,8 @@ class _Solve:
     def bits(self) -> int:
         return self.prec + self.guard_bits
 
-    def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None) -> list[int]:
+    def freeze(self, candidates: list[int], mirrors: dict[int, int] | None = None,
+               slopes: list | None = None) -> list[int]:
         """Polish each candidate; freeze those whose root disk is disjoint
         from every frozen one.  Returns the candidates left unresolved, in order.
 
@@ -724,6 +842,9 @@ class _Solve:
         imaginary part is exact.  The conjugate's disk must still be
         disjoint from every frozen disk, and k stays unresolved with j when
         j fails.
+
+        ``slopes``, when given, holds p' at each candidate's point in
+        ``_newton``'s (mr, mi, x) form, or None, for its first step.
         """
         evaluator, d = self.evaluator, self.evaluator.degree
         mirrors = mirrors or {}
@@ -742,7 +863,8 @@ class _Solve:
         for j in candidates:
             if j in partners:
                 continue
-            polished = _newton(evaluator, self.points[j], self.bits, self.prec)
+            polished = _newton(evaluator, self.points[j], self.bits, self.prec,
+                               slopes[j] if slopes else None)
             if polished is not None:
                 z, residual = polished
                 if evaluator.real and abs(z[1]) <= d * residual:
@@ -811,12 +933,18 @@ def _solve_squarefree(coeffs: list[QComplex], precision_bits: int) -> RootSet:
         exps = np.rint(log_radii)
         starts, iterations = list(zip(2.0 ** (log_radii - exps) * unit, exps)), 0
     else:
+        machine, shift = machine
         ys, iterations = _aberth_machine(machine, 2.0 ** (log_radii - scale) * unit)
         starts = [(y, scale) for y in ys]
     solve = _Solve(evaluator, starts, precision_bits)
     unresolved = list(range(d))
     if machine is not None:
-        unresolved = solve.freeze(unresolved, _conjugate_pairs(ys) if evaluator.real else None)
+        # p'(2^scale·y) = 2^(shift − scale) times the scaled polynomial's p'(y).
+        with np.errstate(all="ignore"):
+            slopes = [_slope(complex(w), shift - scale)
+                      for w in _stacked_horner(_machine_stack(machine), ys)[1]]
+        unresolved = solve.freeze(unresolved, _conjugate_pairs(ys) if evaluator.real else None,
+                                  slopes)
     direct = d - len(unresolved)
 
     while unresolved:
@@ -1006,7 +1134,8 @@ def check_modulus_bound(g: Multigraph,
 
     if h.degree >= 1:
         rs = find_roots(h, precision_bits)
-        max_mod = float(max(max(rs.moduli()), mp.mpf(1)))
+        with mp.workprec(rs.precision_bits):
+            max_mod = float(max(max(rs.moduli()), mp.mpf(1)))
     else:
         max_mod = 1.0
     roots_ok = max_mod <= bound + MODULUS_SLACK

@@ -46,6 +46,22 @@ def test_divide_one_minus_q():
     assert r1 == 0 and q1 == RatPoly([1, -2, 1])
     h, k = p.deflate_unit_roots()
     assert k == 3 and h == RatPoly.one()
+    # Deflation clears denominators once and takes integer prefix sums; it
+    # must give what repeated synthetic division gives.
+    rng = random.Random(1729)
+    cases = [RatPoly.zero(), RatPoly([5]), RatPoly([Fraction(1, 3), Fraction(-1, 3)])]
+    for _ in range(100):
+        base = RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(rng.randint(0, 6))])
+        cases.append(base * RatPoly([1, -1]) ** rng.randint(0, 4))
+    for p in cases:
+        h, k = p, 0
+        while not h.is_zero():
+            quot, rem = h.divide_one_minus_q()
+            if rem != 0:
+                break
+            h, k = quot, k + 1
+        assert p.deflate_unit_roots() == (h, k), p
 
 
 def test_f_to_h_known_values():

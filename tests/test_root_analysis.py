@@ -11,7 +11,7 @@ from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
                       TwoCliqueParams, check_modulus_bound,
                       enestrom_kakeya, find_roots, max_modulus_root,
                       rel_bruteforce, reliability_root_set,
-                      two_clique_reliability)
+                      two_clique_graph, two_clique_reliability)
 from relroots import polynomials, root_analysis
 from relroots.cli import main, roots_csv
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
@@ -173,8 +173,8 @@ def _recorded_freezes(monkeypatch) -> list:
     seen = []
     newton = root_analysis._newton
 
-    def recording(evaluator, z, bits, prec):
-        out = newton(evaluator, z, bits, prec)
+    def recording(evaluator, z, bits, prec, slope=None):
+        out = newton(evaluator, z, bits, prec, slope)
         if out is not None:
             seen.append((out[0], evaluator.degree * out[1], prec, bits))
         return out
@@ -189,30 +189,38 @@ def _assert_freeze_bound(seen) -> None:
                         for z, radius, prec, _ in seen)
 
 
+def _recorded_passes(monkeypatch) -> list:
+    """Patch the two recurrence passes to record (pass, bits) for every run."""
+    passes = []
+    for name in ("_b_pass", "_e_pass"):
+        def recording(table, zr, r2, bits, run=getattr(root_analysis, name), name=name):
+            passes.append((name, bits))
+            return run(table, zr, r2, bits)
+
+        monkeypatch.setattr(root_analysis, name, recording)
+    return passes
+
+
 def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # The modular certificate proves each row squarefree: no exact gcd runs.
     monkeypatch.setattr(polynomials, "_cgcd", None)
     freezes = _recorded_freezes(monkeypatch)
-    evaluations = []
-    evaluate = FixedEval.evaluate
-
-    def counted(self, zr, zi, bits):
-        evaluations.append(bits)
-        return evaluate(self, zr, zi, bits)
-
-    monkeypatch.setattr(FixedEval, "evaluate", counted)
+    passes = _recorded_passes(monkeypatch)
     # Mirroring one root of each conjugate pair halves the fixed-point work
     # (220, 428, 775 and 1,277 evaluations when every start is polished).
     # Freezing each root at its first proven iterate, with the early steps
     # at half precision, cut the 116, 223, 395 and 648 evaluations, every
     # one at full precision, to 87, 196, 320 and 549, of which 58, 144, 193
     # and 300 at full precision.  Half precision up to the step that should
-    # land inside the freeze bound keeps those totals and cuts the full
-    # ones to these (total, full precision, mirrored).
-    budget = {3: (87, 29, 26), 4: (196, 52, 49), 5: (320, 84, 79), 6: (549, 132, 116)}
+    # land inside the freeze bound kept those totals and cut the full ones
+    # to 29, 52, 84 and 132; each of the 58, 144, 236 and 417 half-precision
+    # evaluations ran two recurrence passes, b and e.  Secant steps, seeded
+    # by the double sweep's p', run the b pass alone and no half-precision
+    # e pass at all (full precision, half-precision passes, mirrored).
+    budget = {3: (29, 84, 26), 4: (52, 156, 49), 5: (83, 310, 79), 6: (132, 549, 116)}
     full_total = 0
     for n in range(3, 7):
-        evaluations.clear()
+        passes.clear()
         rel = two_clique_reliability(TwoCliqueParams(n, n, 1, 6))
         rs = reliability_root_set(rel, 256)
         diag = rs.diagnostics
@@ -222,13 +230,106 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         # Newton-polygon starts and the per-root stop end the double sweep
         # early instead of at its 400-iteration cap.
         assert diag.machine_iterations <= 100, (n, diag)
-        full = sum(bits >= 256 + root_analysis._GUARD_BITS for bits in evaluations)
-        full_total += full
-        assert len(evaluations) <= budget[n][0] and full <= budget[n][1], (n, diag)
+        at_full = 256 + root_analysis._GUARD_BITS
+        full = [name for name, bits in passes if bits >= at_full]
+        half = [name for name, bits in passes if bits < at_full]
+        # A real table: one b pass and one e pass per full evaluation.
+        assert full.count("_b_pass") == full.count("_e_pass"), n
+        full_total += full.count("_e_pass")
+        assert full.count("_e_pass") <= budget[n][0] and len(half) <= budget[n][1], (n, diag)
+        assert "_e_pass" not in half, n
         assert diag.mirrored == budget[n][2], (n, diag)
-    # 1,382 full-precision evaluations at first, then 695.
-    assert full_total <= 297
+    # 1,382 full-precision evaluations at first, then 695, then 297.
+    assert full_total <= 296
     _assert_freeze_bound(freezes)
+
+
+def _fused_remainders(table, zr, r2, bits):
+    """(b_0, b_1, e_2, e_3) from one loop over both of ``FixedEval``'s
+    recurrences, as the evaluator computed them before its two passes."""
+    two_bits, shift = 2 * bits, bits + 1
+    b1 = b2 = e1 = e2 = 0
+    for c in table[:-2]:
+        b1, b2 = c + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
+        e1, e2 = b1 + ((((zr * e1) << shift) - r2 * e2) >> two_bits), e1
+    b1, b2 = table[-2] + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
+    b0 = table[-1] + ((((zr * b1) << shift) - r2 * b2) >> two_bits)
+    return b0, b1, e1, e2
+
+
+def test_b_pass_gives_the_values_of_evaluate():
+    # The secant steps read p off the b pass alone: bit for bit the p that
+    # evaluate gives at the same z, bits and t; and the b and e passes give
+    # what the fused loop gave.  Rows 3..6 run real tables, Gaussian
+    # polynomials complex ones.
+    rng = random.Random(1964)
+    cases = [root_analysis._as_qcomplex_coeffs(
+        two_clique_reliability(TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0])
+        for n in range(3, 7)]
+    cases += [[QComplex(Fraction(rng.randint(-99, 99)), Fraction(rng.randint(-99, 99)))
+               for _ in range(rng.randint(10, 60))] + [QComplex(Fraction(1))] for _ in range(4)]
+    tables = 0
+    for coeffs in cases:
+        evaluator = FixedEval(coeffs)
+        for z in find_roots(coeffs).roots[::5]:
+            for bits in (158, 286):
+                wiggle = Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 60)
+                zr = root_analysis._scaled_int(mpf_to_fraction(z.real) + wiggle, bits)
+                zi = root_analysis._scaled_int(mpf_to_fraction(z.imag) - wiggle, bits)
+                values = evaluator.evaluate(zr, zi, bits)
+                t = values[6]
+                assert evaluator.value(zr, zi, bits, t) == values[:2]
+                r2 = zr * zr + zi * zi
+                for table in evaluator._table(t):
+                    if table is None:
+                        continue
+                    bs = root_analysis._b_pass(table, zr, r2, bits)
+                    e2, e3 = root_analysis._e_pass(bs, zr, r2, bits)
+                    assert (bs[-1], bs[-2], e2, e3) == _fused_remainders(table, zr, r2, bits)
+                    tables += 1
+    assert tables > 300
+
+
+def test_seeded_slopes_carry_their_own_power_of_two(monkeypatch):
+    # The first step of the first freeze takes p' from the double sweep, as
+    # a 53-bit mantissa and its own power of two.  Coefficients scaled by
+    # 2^(e + k·s) put p' far outside double range, and the roots at 2^-s
+    # give the sweep a scale of its own: every start must still polish
+    # straight to its root.
+    freezes = _recorded_freezes(monkeypatch)
+    seeded = []
+    newton = root_analysis._newton
+
+    def recording(evaluator, z, bits, prec, slope=None):
+        seeded.append(slope is not None)
+        return newton(evaluator, z, bits, prec, slope)
+
+    monkeypatch.setattr(root_analysis, "_newton", recording)
+    rng = random.Random(20)
+    for trial in range(20):
+        d, gaussian = rng.randint(10, 80), trial % 2
+        e, s = rng.randint(-300, 300), rng.randint(-20, 20)
+        coeffs = [QComplex(Fraction(rng.choice([-1, 1]) * rng.randint(1, 99)),
+                           Fraction(rng.randint(-99, 99) if gaussian else 0))
+                  * QComplex(Fraction(2) ** (e + k * s)) for k in range(d + 1)]
+        diag = find_roots(coeffs).diagnostics
+        assert diag.reswept == 0 and diag.escalations == 0, (trial, diag)
+        assert diag.direct == d
+    assert all(seeded)
+    _assert_freeze_bound(freezes)
+
+
+def test_moduli_ignore_mpmath_working_precision():
+    # check_modulus_bound takes the root moduli at the root set's precision
+    # and Annulus.contains at the precision of z itself, not at mpmath's.
+    g = two_clique_graph(TwoCliqueParams(3, 3, 1, 6))
+    expected = check_modulus_bound(g)
+    z = mp.mpc(1 + mp.mpf(2) ** -20, mp.mpf(0))
+    with mp.workprec(8):
+        got = check_modulus_bound(g)
+        outside = Annulus(Fraction(1), Fraction(1)).contains(z)
+    assert got.max_modulus == expected.max_modulus == pytest.approx(1.0412603341, abs=1e-10)
+    assert not outside and Annulus(Fraction(1), Fraction(2)).contains(z)
 
 
 def test_one_evaluator_per_factor(monkeypatch):
