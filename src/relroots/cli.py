@@ -23,8 +23,8 @@ from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
 from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
 from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
 from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
-from .root_analysis import (DEFAULT_PRECISION_BITS, find_roots, max_modulus_root,
-                            polished_root_disk, reliability_root_set)
+from .root_analysis import (DEFAULT_PRECISION_BITS, RootSet, _outermost, _root_disks,
+                            find_roots, polished_root_disk, reliability_root_set)
 from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
                         mpf_to_fraction, schur_cohn, schur_cohn_box)
 from .substitution import substituted_two_clique_graph
@@ -61,9 +61,8 @@ def _sig(x, digits: int = 17) -> str:
 
 def roots_csv(root_set) -> str:
     """CSV with 17 significant digits, sorted by descending modulus then real part."""
-    with mp.workprec(root_set.precision_bits):
-        rows = sorted(((abs(z), z) for z in root_set.roots),
-                      key=lambda mz: (-mz[0], -mz[1].real, -mz[1].imag))
+    rows = sorted(zip(root_set.moduli(), root_set.roots),
+                  key=lambda mz: (mz[0], mz[1].real, mz[1].imag), reverse=True)
     lines = ["re,im,modulus"]
     for modulus, z in rows:
         lines.append(f"{_sig(z.real)},{_sig(z.imag)},{_sig(modulus)}")
@@ -140,11 +139,11 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
                 digits: int = 10) -> list[tuple[int, str, str, str]]:
     """Max-modulus reliability root of the (n,n,1,6) two-clique graph, n = 3..max_n.
 
-    Each row is proven to lie outside the unit disk.  The reported root z
-    of the deflated reliability h carries a residual ρ, so D(z, dρ), with d
-    the degree of h, holds a root of h, and of Rel.  That disk lies outside
-    the closed unit disk when |z| > 1 + dρ, checked exactly in rationals;
-    otherwise the row raises ``NumericalError``.
+    Each row, the root that ``max_modulus_root`` picks, is proven to lie outside
+    the unit disk.  The reported root z of the deflated reliability h carries a
+    residual ρ, so D(z, dρ), with d the degree of h, holds a root of h, and of
+    Rel.  That disk lies outside the closed unit disk when |z| > 1 + dρ, checked
+    exactly in integers (``_root_disks``); otherwise the row raises ``NumericalError``.
     """
     if not 3 <= max_n <= 12:
         raise InputError("table supports max_n in 3..12")
@@ -152,14 +151,13 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
     for n in range(3, max_n + 1):
         h, _ = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6)).deflate_unit_roots()
         rs = find_roots(h, precision_bits)
-        z = max_modulus_root(rs)
-        re, im = mpf_to_fraction(z.real), mpf_to_fraction(z.imag)
-        radius = h.degree * mpf_to_fraction(rs.residuals[rs.roots.index(z)])
-        if re * re + im * im <= (1 + radius) ** 2:
-            raise NumericalError(f"table1 row n={n}: the root disk of radius {float(radius):.3g} "
+        disks, s = _root_disks(rs)
+        k = _outermost(disks)[0]
+        z, (x, y, r) = rs.roots[k], disks[k]
+        if x * x + y * y <= ((1 << s) + r) ** 2:
+            raise NumericalError(f"table1 row n={n}: the root disk of radius {r / 2 ** s:.3g} "
                                  f"about {mp.nstr(z, 12)} is not proven outside the unit disk")
-        with mp.workprec(rs.precision_bits):
-            modulus = abs(z)
+        modulus = RootSet((z,), rs.residuals[k:k + 1], rs.precision_bits).moduli()[0]
         rows.append((n, format_decimal(z.real, digits), format_decimal(z.imag, digits),
                      format_decimal(modulus, digits)))
     return rows

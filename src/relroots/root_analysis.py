@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero, mpc_abs, round_nearest
 
 from .errors import (DisconnectedGraphError, InputError, NumericalError,
                      RootFindingError)
@@ -64,8 +64,6 @@ from .reliability import rel_auto
 
 DEFAULT_PRECISION_BITS = 256
 MAX_PRECISION_BITS = 4096
-# Pad on a float root modulus compared against an exact radius.
-MODULUS_SLACK = 1e-9
 
 PolyLike = Union[RatPoly, Sequence]
 
@@ -128,7 +126,9 @@ class RootSet:
     diagnostics: SolverDiagnostics | None = field(default=None, compare=False)
 
     def moduli(self) -> list:
-        return [abs(z) for z in self.roots]
+        """|z| per root, bit for bit as ``abs(z)`` gives it at ``precision_bits``."""
+        return [mp.make_mpf(mpc_abs(z._mpc_, self.precision_bits, round_nearest))
+                for z in self.roots]
 
     def __len__(self):
         return len(self.roots)
@@ -144,15 +144,6 @@ class Annulus:
     def __post_init__(self):
         if self.lo > self.hi:
             raise InputError("annulus radii out of order")
-
-    def contains(self, z) -> bool:
-        """Whether |z| lies in the annulus, within ``MODULUS_SLACK``; |z| is
-        taken at the precision of z itself, whatever mpmath's working
-        precision."""
-        bits = max(z.real._mpf_[3], z.imag._mpf_[3]) if isinstance(z, mp.mpc) else 53
-        with mp.workprec(max(bits, 53)):
-            r = abs(z)
-        return float(self.lo) - MODULUS_SLACK <= r <= float(self.hi) + MODULUS_SLACK
 
 
 def _as_qcomplex_coeffs(p: PolyLike) -> list[QComplex]:
@@ -1034,30 +1025,52 @@ def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECIS
     return Fraction(zr, one), Fraction(zi, one), Fraction(evaluator.degree * rho, one)
 
 
+def _dyadic(raw) -> tuple[int, int]:
+    """(m, e), m·2^e the exact value of a raw mpmath float: the one mpf reader."""
+    sign, man, exp, _ = raw
+    if not man and raw != fzero:
+        raise NumericalError("non-finite value has no exact rational")
+    return (-int(man) if sign else int(man)), int(exp)
+
+
+def _root_disks(rs: RootSet) -> tuple[list[tuple[int, int, int]], int]:
+    """((x, y, r) per root, s ≥ 0), D((x + iy)/2^s, r/2^s) = D(z, n·ρ), n = len(rs.roots) ≥ the
+    degree of the root's factor, so it holds the disk the solver proved (``RootSet``)."""
+    parts = [(*map(_dyadic, z._mpc_), _dyadic(rho._mpf_))
+             for z, rho in zip(rs.roots, rs.residuals)]
+    s = -min([0] + [e for part in parts for _, e in part])
+    return [(x << (ex + s), y << (ey + s), len(parts) * r << (er + s))
+            for (x, ex), (y, ey), (r, er) in parts], s
+
+
+def _outermost(disks: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
+    """(k, candidates) for ``_root_disks``' (x, y, r): each root modulus lies in [⌊|z|⌋ − r,
+    ⌊|z|⌋ + 1 + r]; every root but the candidates, whose intervals reach the largest lower
+    bound, is proven smaller.  k is the candidate with the larger real part, tied when the
+    intervals [x − r, x + r] overlap, then with the larger imaginary part."""
+    lows = [_modulus(x, y) - r for x, y, r in disks]
+    top = max(lows)
+    candidates = [k for k, low in enumerate(lows) if low + 1 + 2 * disks[k][2] >= top]
+    best = candidates[0]
+    for k in candidates[1:]:
+        (x, y, r), (bx, by, br) = disks[k], disks[best]
+        if x - r > bx + br or (abs(x - bx) <= r + br and y > by):
+            best = k
+    return best, candidates
+
+
 def max_modulus_root(rs: RootSet):
-    """Root of maximal modulus; ties go to the larger real part, then to the
-    upper half plane (so a conjugate pair reports its +i member).  Moduli
-    and real parts are compared at the root set's precision, whatever
-    mpmath's working precision."""
+    """Root of maximal modulus, decided exactly on the proven disks; ties, such as
+    the roots of 1 − q⁶, go to the larger real part, then to the upper half plane
+    (so a conjugate pair reports its +i member) (``_outermost``)."""
     if not rs.roots:
         raise InputError("empty root set")
-    with mp.workprec(rs.precision_bits):
-        moduli = rs.moduli()
-        mx = max(moduli)
-        tol = mp.mpf(1e-10) * max(mp.mpf(1), mx)
-        candidates = [z for z, r in zip(rs.roots, moduli) if r >= mx - tol]
-        best = candidates[0]
-        for z in candidates[1:]:
-            if z.real > best.real + tol:
-                best = z
-            elif abs(z.real - best.real) <= tol and z.imag > best.imag:
-                best = z
-    return best
+    return rs.roots[_outermost(_root_disks(rs)[0])[0]]
 
 
 def enestrom_kakeya(p: RatPoly) -> Annulus:
-    """Annulus of consecutive coefficient ratios containing all roots of a
-    positive-coefficient polynomial."""
+    """Annulus of consecutive coefficient ratios containing all roots of a positive-
+    coefficient polynomial (Eneström–Kakeya; S. Kakeya, Tôhoku Math. J. 1912)."""
     if p.degree < 1:
         raise InputError("need degree >= 1 for a coefficient-ratio annulus")
     if any(c <= 0 for c in p.coeffs):
@@ -1087,7 +1100,12 @@ def reliability_root_set(rel: RatPoly, precision_bits: int = DEFAULT_PRECISION_B
 
 @dataclass
 class Theorem1Report:
-    """Outcome of the order-based modulus bound checks for a 2-connected graph."""
+    """Outcome of the order-based modulus bound checks for a 2-connected graph.
+
+    ``ratio_within_bound``, ratio ≤ bound for the largest H ratio h_(i−1)/h_i, proves
+    |z| ≤ bound for every root (``enestrom_kakeya``).  ``roots_within_bound`` is False
+    only when some root's proven disk lies wholly beyond the bound.  ``max_modulus``
+    is max(1, |z|) at the root set's precision."""
 
     n: int
     m: int
@@ -1108,8 +1126,8 @@ def check_modulus_bound(g: Multigraph,
     """Verify the order bound on reliability root moduli for a 2-connected graph.
 
     Every root must satisfy |z| <= n-1, improving to n-2 when n >= 3 and some
-    vertex has no incident multiple edges; the top H-vector ratio obeys the
-    same bound exactly.
+    vertex has no incident multiple edges; the H ratios prove it exactly, and
+    the root disks of a solve at ``precision_bits`` cross-check it exactly.
     """
     if not is_connected(g) or g.n < 2:
         raise InputError("modulus bound check needs a connected graph on >= 2 vertices")
@@ -1126,20 +1144,15 @@ def check_modulus_bound(g: Multigraph,
     h, k = rel.deflate_unit_roots()
     if k != g.n - 1:
         raise NumericalError(f"expected (1-q)^{g.n - 1} to divide Rel exactly, got {k}")
-    h_ints = [int(c) for c in h.coeffs]
 
-    top = len(h_ints) - 1
-    ratio = Fraction(h_ints[top - 1], h_ints[top]) if top >= 1 else Fraction(0)
-    ratio_ok = ratio <= bound
-
+    ratio, max_mod, roots_ok = Fraction(0), 1.0, True
     if h.degree >= 1:
+        ratio = enestrom_kakeya(h).hi
         rs = find_roots(h, precision_bits)
-        with mp.workprec(rs.precision_bits):
-            max_mod = float(max(max(rs.moduli()), mp.mpf(1)))
-    else:
-        max_mod = 1.0
-    roots_ok = max_mod <= bound + MODULUS_SLACK
+        disks, s = _root_disks(rs)
+        roots_ok = all(x * x + y * y <= ((bound << s) + r) ** 2 for x, y, r in disks)
+        max_mod = float(max(rs.moduli() + [1]))
 
     return Theorem1Report(n=g.n, m=g.m, bound=bound, simple_vertex=simple_vertex,
                           max_modulus=max_mod, ratio=ratio,
-                          roots_within_bound=roots_ok, ratio_within_bound=ratio_ok)
+                          roots_within_bound=roots_ok, ratio_within_bound=ratio <= bound)

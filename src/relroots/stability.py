@@ -26,13 +26,12 @@ from itertools import zip_longest
 from math import comb, lcm, prod
 from typing import Iterator, Optional, Sequence
 
-import mpmath as mp
 from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import fzero
 
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
 from .errors import InputError, NumericalError, SchurCohnHypothesisError
 from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
+from .root_analysis import _dyadic
 
 
 @dataclass(frozen=True)
@@ -576,21 +575,11 @@ def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int) -> ParamBox:
 
 def _exact_fraction(raw) -> Fraction:
     """Exact rational value of a raw mpmath float (sign, mantissa, exponent, bits)."""
-    sign, man, exp, _ = raw
-    if man == 0:
-        if raw != fzero:
-            raise NumericalError("non-finite value has no exact rational")
-        return Fraction(0)
-    val = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -val if sign else val
+    man, exp = _dyadic(raw)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 def mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of a Fraction or of a finite binary float.
-
-    An mpf is read at the precision it carries, not at mpmath's working
-    precision.
-    """
-    if isinstance(x, Fraction):
-        return x
-    return _exact_fraction((x if hasattr(x, "_mpf_") else mp.mpf(x))._mpf_)
+    """Exact rational value of a Fraction, an int, a float or a finite mpf, read
+    at the precision it carries, never at mpmath's working precision."""
+    return _exact_fraction(x._mpf_) if hasattr(x, "_mpf_") else Fraction(x)

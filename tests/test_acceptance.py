@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-stream; tolerances are pinned here, apart from the library's own pad on
-root moduli (``MODULUS_SLACK``).
+stream; tolerances are pinned here.
 """
 
 import random
@@ -28,7 +27,6 @@ from relroots import (Gadget, Multigraph, QComplex, RatPoly, SplitSpec,
 from relroots.stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil,
                                 kth_root_ratio_box, schur_cohn_box)
 from relroots.cli import TABLE1_REFERENCE
-from relroots.root_analysis import MODULUS_SLACK
 
 # Published enclosures of z/(1-z) at the 9th and 7th principal roots of the
 # base root R, the root of Rel(3,3,1,6) inside BASE_ROOT_BOX.
@@ -174,8 +172,8 @@ def test_criterion_09_modulus_bounds():
         assert rep.roots_within_bound, (g.edges, rep.max_modulus, rep.bound)
         assert rep.ratio_within_bound, (g.edges, rep.ratio, rep.bound)
         count += 1
-    _report(9, f"{count} random 2-connected graphs: root moduli within the order bound "
-               f"(+{MODULUS_SLACK}) and coefficient-ratio bound exact", True)
+    _report(9, f"{count} random 2-connected graphs: no root disk beyond the order bound, "
+               "and the coefficient-ratio bound exact", True)
 
 
 def test_criterion_10_substitution_soundness():

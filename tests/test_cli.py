@@ -13,7 +13,8 @@ import mpmath as mp
 import relroots
 from relroots import ParamBox, RatPoly, cli, rel_complete
 from relroots.cli import TABLE1_REFERENCE, format_decimal, main, run_certificate, table1_rows
-from relroots.root_analysis import FixedEval, polished_root_disk
+from relroots.root_analysis import FixedEval, _outermost, _root_disks, polished_root_disk
+from relroots.stability import mpf_to_fraction
 
 K3 = '{"n":3,"edges":[[0,1,1],[1,2,1],[0,2,1]]}'
 P3 = '{"n":3,"edges":[[0,1,1],[1,2,1]]}'
@@ -200,13 +201,25 @@ def test_table1_ignores_mpmath_working_precision():
     # mpmath's: at 8 bits the rows n = 3 and 6 reported the -i member.
     root_sets = [relroots.find_roots(relroots.two_clique_reliability(
         relroots.TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0]) for n in range(3, 7)]
-    tops = [cli.max_modulus_root(rs) for rs in root_sets]
+    tops = [relroots.max_modulus_root(rs) for rs in root_sets]
     rows = table1_rows(6)
     with mp.workprec(8):
-        assert [cli.max_modulus_root(rs) for rs in root_sets] == tops
+        assert [relroots.max_modulus_root(rs) for rs in root_sets] == tops
         assert table1_rows(6) == rows
         assert mp.mp.prec == 8
     assert all(z.imag > 0 for z in tops)
+
+
+def test_table1_rows_are_proven_outermost():
+    # On rows 3..6 every root but the row's and its exact conjugate is
+    # proven smaller in modulus; of the two, the row reports the +i member.
+    for n in range(3, 7):
+        h = relroots.two_clique_reliability(relroots.TwoCliqueParams(n, n, 1, 6))
+        rs = relroots.find_roots(h.deflate_unit_roots()[0])
+        k, candidates = _outermost(_root_disks(rs)[0])
+        z = [(mpf_to_fraction(w.real), mpf_to_fraction(w.imag)) for w in rs.roots]
+        assert z[k][1] > 0 and [z[j] for j in candidates if j != k] == [(z[k][0], -z[k][1])]
+        assert rs.roots[k] == relroots.max_modulus_root(rs)
 
 
 @pytest.mark.parametrize("margin, code", [(0.999, 0), (1.001, 4)])
@@ -218,7 +231,7 @@ def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin
 
     def inflated(h, precision_bits):
         rs = solve(h, precision_bits)
-        rho = margin * (abs(cli.max_modulus_root(rs)) - 1) / h.degree
+        rho = margin * (abs(relroots.max_modulus_root(rs)) - 1) / h.degree
         return dataclasses.replace(rs, residuals=tuple(mp.mpf(rho) for _ in rs.roots))
 
     monkeypatch.setattr(cli, "find_roots", inflated)

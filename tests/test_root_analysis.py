@@ -5,9 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_man_exp
 
 from conftest import complete_graph, random_2connected_multigraph
-from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly,
+from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly, RootSet,
                       TwoCliqueParams, check_modulus_bound,
                       enestrom_kakeya, find_roots, max_modulus_root,
                       rel_bruteforce, reliability_root_set,
@@ -72,13 +73,35 @@ def test_max_modulus_tie_breaks():
     assert float(top.imag) > 0
 
 
+def test_max_modulus_root_is_exact_below_modulus_one():
+    # A tie tolerance would call moduli 1e-12 apart equal below modulus 1,
+    # and 2^-60 apart equal at 1; the proven disks tell both apart.
+    for small, large in ((Fraction(1, 10 ** 6), -Fraction(1, 10 ** 6) - Fraction(1, 10 ** 12)),
+                         (Fraction(1), -1 - Fraction(1, 2 ** 60))):
+        rs = find_roots(_product([small, large]))
+        top = max_modulus_root(rs)
+        disks, s = root_analysis._root_disks(rs)
+        x, y, r = disks[rs.roots.index(top)]
+        assert y == 0 and abs(x - large * 2 ** s) <= r, (small, large)
+
+
+def _disks_meet(rs, ann: Annulus) -> bool:
+    """Whether every proven root disk of rs meets the annulus, exactly."""
+    disks, s = root_analysis._root_disks(rs)
+    lo, hi = ann.lo * 2 ** s, ann.hi * 2 ** s
+    return all(x * x + y * y <= (hi + r) ** 2 and (lo <= r or x * x + y * y >= (lo - r) ** 2)
+               for x, y, r in disks)
+
+
 def test_enestrom_kakeya():
     assert enestrom_kakeya(RatPoly([1, 2])) == Annulus(Fraction(1, 2), Fraction(1, 2))
     assert enestrom_kakeya(RatPoly([1, 1, 1])) == Annulus(Fraction(1), Fraction(1))
     ann = enestrom_kakeya(RatPoly([1, 3, 6, 6]))
     assert ann == Annulus(Fraction(1, 3), Fraction(1))
     rs = find_roots(RatPoly([1, 3, 6, 6]))
-    assert all(ann.contains(z) for z in rs.roots)
+    assert _disks_meet(rs, ann)
+    assert not _disks_meet(rs, Annulus(Fraction(1, 3), Fraction(1, 2)))
+    assert not _disks_meet(rs, Annulus(Fraction(7, 10), Fraction(1)))
     with pytest.raises(InputError):
         enestrom_kakeya(RatPoly([1, -1, 1]))
 
@@ -91,7 +114,7 @@ def test_enestrom_kakeya_randomized():
         p = RatPoly(coeffs)
         ann = enestrom_kakeya(p)
         rs = find_roots(p, 128)
-        assert all(ann.contains(z) for z in rs.roots)
+        assert _disks_meet(rs, ann)
 
 
 def test_reliability_root_set_deflates():
@@ -148,6 +171,33 @@ def test_check_modulus_bound_randomized():
         g = random_2connected_multigraph(rng)
         rep = check_modulus_bound(g, 128)
         assert rep.ok, (g.edges, rep)
+
+
+def test_check_modulus_bound_takes_the_largest_ratio(monkeypatch):
+    # A graph's H is log-concave, so its top ratio is its largest; an H
+    # whose largest ratio, 3, sits below the top one, 1, shows that the
+    # bound reads every ratio.
+    h = RatPoly([1, 3, 1, 1])
+    monkeypatch.setattr(root_analysis, "rel_auto", lambda g: RatPoly([1, -1]) * h)
+    rep = check_modulus_bound(Multigraph.from_edges(2, [(0, 1, 6)]))
+    assert rep.ratio == enestrom_kakeya(h).hi == 3
+    assert rep.bound == 1 and not rep.ratio_within_bound
+
+
+def test_check_modulus_bound_sees_a_root_just_beyond(monkeypatch):
+    # A root 2^-40 beyond the bound, proven to 2^-200, is beyond it: no
+    # slack on the modulus lets it pass.
+    solve = root_analysis.find_roots
+
+    def beyond(h, precision_bits):
+        rs = solve(h, precision_bits)
+        z, rho = mp.make_mpf(from_man_exp((2 << 40) + 1, -40)), mp.make_mpf(from_man_exp(1, -200))
+        return RootSet((mp.mpc(z),) + rs.roots[1:], (rho,) + rs.residuals[1:], rs.precision_bits)
+
+    monkeypatch.setattr(root_analysis, "find_roots", beyond)
+    rep = check_modulus_bound(complete_graph(4))
+    assert rep.bound == 2 and rep.ratio_within_bound
+    assert not rep.roots_within_bound and not rep.ok
 
 
 def _product(roots) -> RatPoly:
@@ -320,16 +370,19 @@ def test_seeded_slopes_carry_their_own_power_of_two(monkeypatch):
 
 
 def test_moduli_ignore_mpmath_working_precision():
-    # check_modulus_bound takes the root moduli at the root set's precision
-    # and Annulus.contains at the precision of z itself, not at mpmath's.
+    # check_modulus_bound and roots_csv take the root moduli at the root
+    # set's precision, and mpf_to_fraction reads ints and floats exactly,
+    # not at mpmath's working precision.
     g = two_clique_graph(TwoCliqueParams(3, 3, 1, 6))
-    expected = check_modulus_bound(g)
-    z = mp.mpc(1 + mp.mpf(2) ** -20, mp.mpf(0))
+    rs = find_roots(RatPoly([1, 3, 6, 6]))
+    expected = check_modulus_bound(g), roots_csv(rs)
     with mp.workprec(8):
-        got = check_modulus_bound(g)
-        outside = Annulus(Fraction(1), Fraction(1)).contains(z)
-    assert got.max_modulus == expected.max_modulus == pytest.approx(1.0412603341, abs=1e-10)
-    assert not outside and Annulus(Fraction(1), Fraction(2)).contains(z)
+        got = check_modulus_bound(g), roots_csv(rs)
+        exact = mpf_to_fraction(1000003), mpf_to_fraction(0.1)
+        assert mp.mp.prec == 8
+    assert got == expected
+    assert expected[0].max_modulus == pytest.approx(1.0412603341, abs=1e-10)
+    assert exact == (1000003, Fraction(0.1))
 
 
 def test_one_evaluator_per_factor(monkeypatch):
