@@ -20,9 +20,11 @@ from .polynomials import HVector
 
 DEFAULT_STATE_GUARD = 1 << 24
 # Stable configurations burned per vectorized pass of _critical_rows.  Each
-# costs on the order of 150 bytes of arrays, so a chunk stays near 10 MB
+# takes 26 bytes per non-sink vertex (chips, the float ready mask and the
+# product in float64; the unfired and ready masks in bytes), so the arrays
+# of a 12-vertex graph's chunk take about 1.2 MB, which stays in cache,
 # however many states the guard admits.
-_CHUNK_STATES = 1 << 16
+_CHUNK_STATES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -87,35 +89,62 @@ def _mult_matrix(g: Multigraph) -> list[list[int]]:
 
 def _critical_rows(g: Multigraph, sink: int, degrees: list[int], others: list[int],
                    states: int) -> Iterator[np.ndarray]:
-    """Critical configurations, chunk by chunk, as rows of chip counts on the
-    non-sink vertices ``others`` (the stable space from ``_stable_space``).
+    """Critical configurations, chunk by chunk, as int64 rows of chip counts
+    on the non-sink vertices ``others`` (the stable space from ``_stable_space``).
 
     Scans the product space prod_v {0..deg(v)-1} of stable configurations
-    in the order of ``itertools.product`` (``np.unravel_index`` in C
-    order) and applies the burning criterion: fire the sink once and
+    in the order of ``itertools.product`` (C order: state i holds
+    i // stride(v) % deg(v) chips at v, for the mixed-radix strides of the
+    degrees) and applies the burning criterion: fire the sink once and
     require the cascade to fire every other vertex exactly once.  Each
-    chunk burns simultaneously, one synchronous firing round per pass (the
-    abelian property makes the firing order irrelevant).
+    chunk burns simultaneously, one synchronous firing round per BLAS
+    product ``transfer @ ready`` (the abelian property makes the firing
+    order irrelevant).  A chunk holds one row per vertex, so the final
+    test for "every vertex fired" reduces over contiguous rows.
+
+    The rounds run in float64 and are exact.  A vertex fires at most once,
+    so its chip count stays in [0, 2·deg(v)), and a partial sum of a product
+    is a sum of distinct entries of one row of ``transfer``, in
+    [-deg(v), deg(v)].  So every operand, product and partial sum is an
+    integer of magnitude at most 2·(largest non-sink degree) <= 2·states,
+    far below 2^53, and BLAS returns the exact integer in any summation
+    order.
     """
     import numpy as np
 
-    deg_o = np.array([degrees[v] for v in others], dtype=np.int32)
-    lam_full = _mult_matrix(g)
-    lam_sub = np.array([[lam_full[u][v] for v in others] for u in others], dtype=np.int32)
-    sink_row = np.array([lam_full[sink][v] for v in others], dtype=np.int32)
-    transfer = (lam_sub - np.diag(deg_o)).astype(np.int32)
-    for start in range(0, states, _CHUNK_STATES):
-        index = np.arange(start, min(start + _CHUNK_STATES, states), dtype=np.int64)
-        theta = np.stack(np.unravel_index(index, deg_o.tolist()), axis=1).astype(np.int32)
-        chips = theta + sink_row
-        fired = np.zeros_like(chips, dtype=bool)
+    k = len(others)
+    deg = np.array([[degrees[v]] for v in others], dtype=np.float64)
+    lam = _mult_matrix(g)
+    sink_col = np.array([[lam[sink][v]] for v in others], dtype=np.float64)
+    # transfer[i, j]: chips others[i] gains when others[j] fires.
+    transfer = np.array([[lam[u][v] for u in others] for v in others],
+                        dtype=np.float64) - np.diagflat(deg)
+    strides = [math.prod(degrees[w] for w in others[i + 1:]) for i in range(k)]
+    size = min(_CHUNK_STATES, states)
+    # The arrays are allocated once and written through out=, so a round
+    # allocates nothing: arrays this size can go back to the operating system
+    # when freed, and with a fresh ready.astype(...) per round the page
+    # faults doubled the time of a burn.
+    chips, ready_f, gained = (np.empty((k, size)) for _ in range(3))
+    unfired, ready = (np.empty((k, size), dtype=bool) for _ in range(2))
+    for start in range(0, states, size):
+        index = np.arange(start, min(start + size, states), dtype=np.int64)
+        c, rf, p, u, r = (a[:, :len(index)] for a in (chips, ready_f, gained, unfired, ready))
+        for i, v in enumerate(others):
+            c[i] = index // strides[i] % degrees[v]
+        c += sink_col
+        u[...] = True
         while True:
-            ready = (chips >= deg_o) & ~fired
-            if not ready.any():
+            np.greater_equal(c, deg, out=r)
+            r &= u
+            if not r.any():
                 break
-            chips = chips + ready.astype(np.int32) @ transfer
-            fired |= ready
-        yield theta[fired.all(axis=1)]
+            rf[...] = r
+            c += np.matmul(transfer, rf, out=p)
+            u ^= r  # clears the vertices that fired: r lies inside u
+        # Once every vertex has fired (the sink too), each has given away
+        # its degree and received it back, so c holds the configuration again.
+        yield c[:, ~u.any(axis=0)].T.astype(np.int64)
 
 
 def critical_configs(g: Multigraph, sink: int,

@@ -60,13 +60,19 @@ def _sig(x, digits: int = 17) -> str:
 
 
 def roots_csv(root_set) -> str:
-    """CSV with 17 significant digits, sorted by descending modulus then real part."""
-    rows = sorted(zip(root_set.moduli(), root_set.roots),
-                  key=lambda mz: (mz[0], mz[1].real, mz[1].imag), reverse=True)
-    lines = ["re,im,modulus"]
-    for modulus, z in rows:
-        lines.append(f"{_sig(z.real)},{_sig(z.imag)},{_sig(modulus)}")
-    return "\n".join(lines) + "\n"
+    """CSV with 17 significant digits, sorted by the printed modulus, then
+    real part, then imaginary part, all descending.
+
+    Sorting on the printed values keeps rounding noise below the 17th digit
+    from breaking ties: the six roots of 1 - q^6 all print modulus 1, so
+    they come out in descending real part.
+    """
+    rows = sorted(((_sig(z.real), _sig(z.imag), _sig(modulus))
+                   for modulus, z in zip(root_set.moduli(), root_set.roots)),
+                  key=lambda row: (decimal.Decimal(row[2]), decimal.Decimal(row[0]),
+                                   decimal.Decimal(row[1])),
+                  reverse=True)
+    return "\n".join(["re,im,modulus"] + [",".join(row) for row in rows]) + "\n"
 
 
 def roots_svg(root_set, size: int = 480) -> str:

@@ -49,16 +49,37 @@ def test_h_vector_chip_matches_transform():
         assert h_vector_chip(g, 0) == f_to_h(f_vector(g))
 
 
+# K5 with multiplicities 4..6 (every degree 20) has 20^4 = 160000 stable
+# configurations at sink 0: more than one scan chunk, ending in a partial one.
+K5_MULTI = Multigraph.from_edges(5, [(u, v, 4 + (u + v) % 3) for u in range(5)
+                                     for v in range(u + 1, 5)])
+# Vertex 1 has degree 130, so its chip count reaches 259 during a burn.
+DEGREE_130 = Multigraph.from_edges(3, [(0, 1, 100), (1, 2, 30), (0, 2, 2)])
+BUNDLE_3000 = Multigraph.from_edges(2, [(0, 1, 3000)])
+
+
 def test_h_vector_chip_spans_several_chunks():
-    # K5 with multiplicities 4..6 (every degree 20) has 20^4 = 160000 stable
-    # configurations at sink 0: more than one scan chunk, ending in a partial one.
-    g = Multigraph.from_edges(5, [(u, v, 4 + (u + v) % 3) for u in range(5)
-                                  for v in range(u + 1, 5)])
     states = 1
-    for d in g.degrees()[1:]:
+    for d in K5_MULTI.degrees()[1:]:
         states *= d
     assert states > chip_firing._CHUNK_STATES and states % chip_firing._CHUNK_STATES
-    assert h_vector_chip(g, 0) == f_to_h(f_vector(g))
+    assert h_vector_chip(K5_MULTI, 0) == f_to_h(f_vector(K5_MULTI))
+
+
+@pytest.mark.parametrize("g, expected_h", [
+    (K5_MULTI, f_to_h(f_vector(K5_MULTI)).values),
+    (DEGREE_130, f_to_h(f_vector(DEGREE_130)).values),
+    (BUNDLE_3000, (1,) * 3000),
+], ids=["K5-multi", "degree-130", "bundle-3000"])
+def test_chunking_does_not_change_results(g, expected_h, monkeypatch):
+    # One state per chunk, a chunk size that divides no degree product, and
+    # the default: the same configurations in the same order, the same H.
+    results = []
+    for size in (1, 7, chip_firing._CHUNK_STATES):
+        monkeypatch.setattr(chip_firing, "_CHUNK_STATES", size)
+        results.append((critical_configs(g, 0), h_vector_chip(g, 0)))
+    assert results[0] == results[1] == results[2]
+    assert results[0][1].values == expected_h
 
 
 def test_h_vector_counts_spanning_trees():

@@ -97,6 +97,21 @@ def test_family_then_roots(tmp_path, capsys):
     assert len(lines) == 1 + 16
 
 
+def test_roots_csv_breaks_modulus_ties_by_real_then_imaginary_part(tmp_path, capsys):
+    # The six roots of 1 - q^6 all print modulus 1.0000000000000000, though
+    # their computed moduli differ in the last bits.
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text('{"var":"q","coeffs":["1/1","0/1","0/1","0/1","0/1","0/1","-1/1"]}')
+    code, out = run(capsys, "roots", str(poly_file))
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert {modulus for _, _, modulus in rows} == {"1.0000000000000000"}
+    half, h = "0.50000000000000000", "0.86602540378443865"
+    assert [(re, im) for re, im, _ in rows] == [
+        ("1.0000000000000000", "0.0"), (half, h), (half, "-" + h),
+        ("-" + half, h), ("-" + half, "-" + h), ("-1.0000000000000000", "0.0")]
+
+
 def test_roots_svg(tmp_path, capsys):
     poly_file = tmp_path / "p.json"
     poly_file.write_text('{"var":"q","coeffs":["1/1","0/1","0/1","0/1","0/1","0/1","-1/1"]}')
