@@ -59,20 +59,33 @@ def _sig(x, digits: int = 17) -> str:
     return mp.nstr(x, digits, strip_zeros=False)
 
 
+def _radius(r: int, s: int) -> str:
+    """r/2^s rounded up to 3 significant digits, so that it still bounds the
+    disk; 0 prints as 0."""
+    if not r:
+        return "0"
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.rounding = decimal.ROUND_CEILING
+        return f"{decimal.Decimal(r) / decimal.Decimal(1 << s):.2e}"
+
+
 def roots_csv(root_set) -> str:
     """CSV with 17 significant digits, sorted by the printed modulus, then
-    real part, then imaginary part, all descending.
+    real part, then imaginary part, all descending; ``radius`` is the
+    radius n·ρ of the proven disk about each root (``_root_disks``).
 
     Sorting on the printed values keeps rounding noise below the 17th digit
     from breaking ties: the six roots of 1 - q^6 all print modulus 1, so
     they come out in descending real part.
     """
-    rows = sorted(((_sig(z.real), _sig(z.imag), _sig(modulus))
-                   for modulus, z in zip(root_set.moduli(), root_set.roots)),
+    disks, s = _root_disks(root_set)
+    rows = sorted(((_sig(z.real), _sig(z.imag), _sig(modulus), _radius(r, s))
+                   for modulus, z, (_, _, r) in zip(root_set.moduli(), root_set.roots, disks)),
                   key=lambda row: (decimal.Decimal(row[2]), decimal.Decimal(row[0]),
                                    decimal.Decimal(row[1])),
                   reverse=True)
-    return "\n".join(["re,im,modulus"] + [",".join(row) for row in rows]) + "\n"
+    return "\n".join(["re,im,modulus,radius"] + [",".join(row) for row in rows]) + "\n"
 
 
 def roots_svg(root_set, size: int = 480) -> str:

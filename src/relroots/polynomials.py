@@ -450,20 +450,29 @@ _C0, _C1 = QComplex(Fraction(0)), QComplex(Fraction(1))
 
 
 def _gcd_degree_mod_p(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) in GF(p)[x] (ascending lists, a nonzero; Euclid)."""
-    while b and b[-1] == 0:
-        b = b[:-1]
-    while b:
-        a, db = list(a), len(b) - 1
-        inv = pow(b[-1], -1, _P)
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = a[k + db] * inv % _P
+    """Degree of gcd(a, b) in GF(p)[x] (ascending lists, a nonzero; Euclid).
+
+    The rows are int64 arrays, each of which holds a remainder in its first
+    na or nb entries: residues lie below p < 2^30, so c·y < 2^60.
+    """
+    import numpy as np
+
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    na, nb = len(a), len(b)
+    while nb and not b[nb - 1]:
+        nb -= 1
+    while nb:
+        db = nb - 1
+        inv = pow(int(b[db]), -1, _P)
+        head = b[:db]
+        for k in range(na - 1 - db, -1, -1):
+            c = int(a[k + db]) * inv % _P
             if c:
-                a[k:k + db] = [(x - c * y) % _P for x, y in zip(a[k:k + db], b)]
-        a, b = b, a[:db]
-        while b and b[-1] == 0:
-            b = b[:-1]
-    return len(a) - 1
+                a[k:k + db] = (a[k:k + db] - c * head) % _P
+        a, b, na, nb = b, a, nb, min(na, db)
+        while nb and not b[nb - 1]:
+            nb -= 1
+    return na - 1
 
 
 def _squarefree_mod_p(f: list[QComplex]) -> bool:

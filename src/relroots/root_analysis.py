@@ -10,17 +10,21 @@ power of two so that those starts are of order one, and stops each root
 on its own: once its step is below 1e-13 relative, or once |p(z)| has
 stayed below the rounding-error bound 2^-53 * sum |c_k| |z|^k for ten
 iterations running; only active roots are evaluated and moved.  Then
-every start is Newton-polished in fixed-point Python integers at prec + 30
-bits or more (``FixedEval``), at prec/2 bits fewer up to the step that
-should land inside the bound below; after the first, whose p' comes from
-the double sweep, those early steps are secant steps, which evaluate p
-alone.  The Newton loop stops at the first
-point z whose own evaluation proves a residual bound ρ ≥ |p(z)/p'(z)| with
-d·ρ ≤ 2^-(prec/2+10)·|z|, d the degree.  z is frozen once its disk
-D(z, dρ), which holds a root, is disjoint from the disk of every frozen
-root, compared exactly in integers against the disks near it in real part;
-the d frozen disks then hold every root exactly once, and a root of a real
-p whose disk reaches the real axis is proven real.  When p is real, a
+every start is Newton-polished in fixed-point Python integers
+(``FixedEval``), at a working precision of prec + 30 bits or more.  The
+steps run at prec/2 bits fewer up to the step that should land inside
+the bound below; after the first, whose p' comes from the double sweep,
+they are secant steps, which evaluate p alone.  The Newton loop stops at
+the first point z whose own evaluation proves a residual bound
+ρ ≥ |p(z)/p'(z)| with d·ρ ≤ 2^-(prec/2+10)·|z|, d the degree.  That
+evaluation runs at the fewest bits, from half precision up in steps of
+16, whose rounding floor stays below a quarter of the bound; only after
+a proof there fails does Newton go on at the working precision.  z is
+frozen once its disk D(z, dρ), which holds a root, is disjoint from the
+disk of every frozen root, compared exactly in integers against the
+disks near it in real part; the d frozen disks then hold every root
+exactly once, and a root of a real p whose disk reaches the real axis is
+proven real.  When p is real, a
 lower-half start whose conjugate is plainly the nearest upper-half start
 is not polished: it takes the exact conjugate of that start's frozen root
 and its disk, and must still be disjoint from every frozen disk.  Only
@@ -591,17 +595,35 @@ def _within(d: int, limit: int, m: int, num: int, den: int = 1) -> bool:
     return d * num << limit <= m * den
 
 
+def _proof_bits(d: int, limit: int, m: int, num: int, den: int, half: int, bits: int) -> int:
+    """The lowest rung half + k·_SCALE_STEP, k ≥ 0, whose rounding floor F
+    passes d·F ≤ 2^-(limit+2)·m, a quarter of the freeze bound, capped at
+    ``bits``; F is num/den at half precision and halves with each bit added."""
+    rung = half
+    while rung < bits and not _within(d, limit + 2, m, num, den << rung - half):
+        rung += _SCALE_STEP
+    return min(rung, bits)
+
+
 def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
             slope: tuple[int, int, int] | None = None) -> tuple[tuple[int, int], int] | None:
     """Newton's method from a start near a simple root, to (z, ρ), or None;
     z and ρ are fixed-point at ``bits`` bits, prec plus the guard bits.
 
-    It returns at the first iterate z whose own evaluation at full
-    precision, ``bits``, proves ρ ≥ |p(z)/p'(z)| with
-    d·ρ ≤ b = 2^-(prec/2+10)·|z|, d the degree; the same evaluation gives
-    the Newton step when it does not.  Steps run at half precision instead,
-    bits − prec/2 (guard bits kept), up to the step that should land
-    inside b; a half-precision value never proves a residual.
+    It returns at the first iterate z whose own evaluation proves
+    ρ ≥ |p(z)/p'(z)| with d·ρ ≤ b = 2^-(prec/2+10)·|z|, d the degree; the
+    same evaluation gives the Newton step when it does not.  Steps run at
+    half precision, bits − prec/2 (guard bits kept), up to the step that
+    should land inside b; a half-precision step never proves a residual.
+    The first proving evaluation runs at the lowest rung, half precision
+    plus a multiple of ``_SCALE_STEP`` bits, whose rounding floor
+    F = err_p/|p'| passes d·F ≤ b/4 (``_proof_bits``).  F is read at the
+    last half-precision point, with |p'| ≈ |p|/s₁, s₁ the step taken from
+    it, and halves with each bit added.  z is truncated to the rung, which
+    is an exact shift of its integers, and a proof there freezes
+    (z, ρ·2^drop) at ``bits``, drop the bits the rung leaves out.  When it
+    fails, its own Newton step is taken, and every later evaluation runs
+    at full precision, ``bits``, as a proof and as a step.
 
     The first half step is a Newton step: p' comes from the same
     evaluation, or from ``slope``, (mr, mi, x) for p'(z) ≈ (mr + i·mi)·2^x,
@@ -622,16 +644,15 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
     others).  A full-precision Newton step from z lands at about K·e².  A
     half step cannot land closer than its rounding, F = err_p/|p'|, with
     |p'| taken as |p'| − err_dp from a Newton evaluation and as
-    (|Δp| − 2·err_p)/|Δz| for a secant step.  z is evaluated at full
-    precision when d·e ≤ b (z should prove), when e ≤ F (half precision
+    (|Δp| − 2·err_p)/|Δz| for a secant step.  z gets its proving
+    evaluation when d·e ≤ b (z should prove), when e ≤ F (half precision
     has nothing left to give), or when d·K·e² ≤ b < d·F (the next step
-    should land inside b, and a half step cannot); from then on every step
-    runs at full precision.  A wrong estimate costs an evaluation, never a
-    proof.  A secant step that fails (Δp = 0) or stops halving (from step
-    5 on) hands over to half-precision Newton steps.  A start whose Newton
-    steps stop halving (from step 5 on), or that is not proven within
-    ``_POLISH_STEPS`` steps, lies outside its basin and is left to the
-    Aberth sweep.
+    should land inside b, and a half step cannot).  A wrong estimate costs
+    an evaluation, never a proof.  A secant step that fails (Δp = 0) or
+    stops halving (from step 5 on) hands over to half-precision Newton
+    steps.  A start whose Newton steps stop halving (from step 5 on), or
+    that is not proven within ``_POLISH_STEPS`` steps, lies outside its
+    basin and is left to the Aberth sweep.
     """
     zr, zi = z
     d, shift, limit = evaluator.degree, prec // 2, prec // 2 + 10
@@ -639,8 +660,9 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
     # s1, s2: the last two step sizes, and n1, n2 the other error each one's
     # model multiplies into K·e (the step itself for a Newton step, the step
     # before it for a secant step); floor: the last half step's F, None once
-    # a full-precision step has run or when that step had no bound; last:
-    # the last half-precision point, p there and its scale t.
+    # a proving evaluation has run or when that step had no bound; last:
+    # the last half-precision point, p there, its scale t and err_p, None
+    # once a proof has run.
     s1 = s2 = n1 = n2 = floor = last = None
     # secant, set by the first step: the later half steps are secant steps;
     # calm: the first step that must halve the one before it.
@@ -648,24 +670,33 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
     for it in range(_POLISH_STEPS):
         m = _modulus(zr, zi)
         if s1 is None:
-            at_full = False
+            prove = False
         elif floor is None:
-            at_full = True
+            prove = True
         else:
             # K, e ≈ K·s1·n1 and K·e², each as a numerator over a denominator.
             k_num, k_den = (s1, s2 * n2) if s2 is not None else (d, m)
             e_num, e_den = k_num * s1 * n1, k_den
-            at_full = (_within(d, limit, m, e_num, e_den) or e_num <= floor * e_den
-                       or (not _within(d, limit, m, floor)
-                           and _within(d, limit, m, k_num * e_num * e_num, k_den * e_den * e_den)))
+            prove = (_within(d, limit, m, e_num, e_den) or e_num <= floor * e_den
+                     or (not _within(d, limit, m, floor)
+                         and _within(d, limit, m, k_num * e_num * e_num, k_den * e_den * e_den)))
         partner = None
-        if at_full:
+        if prove:
+            drop = 0
+            if last is not None:
+                # The first proof: |p'| ≈ |p|/s1 at the last half-precision point.
+                (_, (pr, pi), _, err_p), last = last, None
+                drop = bits - _proof_bits(d, limit, m, err_p * s1, _modulus(pr, pi), half, bits)
             floor = None
-            values = evaluator.evaluate(zr, zi, bits)
-            rho = evaluator.residual(values, bits)
-            if rho is not None and d * rho <= m >> limit:
-                return (zr, zi), rho
-            step = _quotient(*values[:4], bits)
+            # z truncated to the rung, exactly: a proof there proves (z, ρ·2^drop) at bits.
+            hr, hi, at = zr >> drop, zi >> drop, bits - drop
+            zr, zi = hr << drop, hi << drop
+            values = evaluator.evaluate(hr, hi, at)
+            rho = evaluator.residual(values, at)
+            if rho is not None and d * rho <= _modulus(hr, hi) >> limit:
+                return (zr, zi), rho << drop
+            step = _quotient(*values[:4], at)
+            step = step and (step[0] << drop, step[1] << drop)
         else:
             hr, hi = zr >> shift, zi >> shift
             if s1 is None and slope is not None:
@@ -677,7 +708,7 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
                 bound = _ratio(err_p, 0, _modulus(mr, mi), 0, half - t - x)
                 bound = bound and bound[0] << shift
             elif secant:
-                (lr, li), (lpr, lpi), t = last
+                (lr, li), (lpr, lpi), t, _ = last
                 err_p = evaluator.bounds(hr, hi, half)[0]
                 pr, pi = evaluator.value(hr, hi, half, t)
                 # The step p·Δz/Δp, and F ≈ err_p·|Δz|/(|Δp| − 2·err_p).
@@ -700,8 +731,8 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
             continue
         if step is None or (s1 and it >= calm and 2 * size > s1):
             return None
-        if not at_full:
-            floor, last = bound, ((hr, hi), (pr, pi), t)
+        if not prove:
+            floor, last = bound, ((hr, hi), (pr, pi), t, err_p)
         if s1 is None:
             # K·s₁ ≤ 1/2, K = d/|z|: each step should at least halve the error.
             secant = 2 * d * size <= m

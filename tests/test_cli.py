@@ -90,11 +90,31 @@ def test_family_then_roots(tmp_path, capsys):
     code, out = run(capsys, "roots", str(poly_file))
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "re,im,modulus"
+    assert lines[0] == "re,im,modulus,radius"
     # the smallest multigraph with reliability roots outside the unit disk
     top_modulus = float(lines[1].split(",")[2])
     assert top_modulus > 1.0
     assert len(lines) == 1 + 16
+
+
+def test_roots_csv_radius_bounds_each_proven_disk(tmp_path, capsys):
+    # radius is n·ρ (_root_disks) rounded up to 3 significant digits, so it
+    # still bounds the disk; the three roots at 1, deflated exactly, print 0.
+    poly_file = tmp_path / "fam.json"
+    assert run(capsys, "family", "2", "2", "6", "1", "--out", str(poly_file))[0] == 0
+    code, out = run(capsys, "roots", str(poly_file))
+    assert code == 0
+    rs = relroots.reliability_root_set(RatPoly.from_json(poly_file.read_text()))
+    disks, s = _root_disks(rs)
+    exact = {(cli._sig(z.real), cli._sig(z.imag)): Fraction(r, 1 << s)
+             for z, (_, _, r) in zip(rs.roots, disks)}
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == len(rs.roots) == 16
+    for re, im, _, radius in rows:
+        r = exact[re, im]
+        assert r <= Fraction(radius) <= r * Fraction(101, 100), (re, im, radius)
+        assert (radius == "0") == (r == 0) == ((re, im) == ("1.0000000000000000", "0.0"))
+    assert sum(radius == "0" for *_, radius in rows) == 3
 
 
 def test_roots_csv_breaks_modulus_ties_by_real_then_imaginary_part(tmp_path, capsys):
@@ -105,9 +125,9 @@ def test_roots_csv_breaks_modulus_ties_by_real_then_imaginary_part(tmp_path, cap
     code, out = run(capsys, "roots", str(poly_file))
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    assert {modulus for _, _, modulus in rows} == {"1.0000000000000000"}
+    assert {modulus for _, _, modulus, _ in rows} == {"1.0000000000000000"}
     half, h = "0.50000000000000000", "0.86602540378443865"
-    assert [(re, im) for re, im, _ in rows] == [
+    assert [(re, im) for re, im, _, _ in rows] == [
         ("1.0000000000000000", "0.0"), (half, h), (half, "-" + h),
         ("-" + half, h), ("-" + half, "-" + h), ("-1.0000000000000000", "0.0")]
 

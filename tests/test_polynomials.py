@@ -8,6 +8,7 @@ from relroots import (FVector, HVector, InputError, NumericalError, QComplex,
                       RatPoly, f_from_rel, f_to_h, f_vector, h_to_rel,
                       parse_complex_rational, rel_from_f)
 from relroots.multigraph import Multigraph
+from relroots import polynomials
 from relroots.polynomials import bareiss_det
 
 
@@ -230,3 +231,49 @@ def test_bareiss_reports_leading_minors():
         else:
             assert minors[-1] == det
     assert swaps >= 10
+
+
+def _euclid_degree(a, b, p):
+    """Degree of gcd(a, b) over GF(p), by the textbook Euclid on lists."""
+    def trim(f):
+        while f and f[-1] == 0:
+            f = f[:-1]
+        return f
+
+    a, b = trim(a), trim(b)
+    while b:
+        r, inv = list(a), pow(b[-1], -1, p)
+        while len(r) >= len(b):
+            c, k = r[-1] * inv % p, len(r) - len(b)
+            r = trim([(x - c * b[i - k]) % p if i >= k else x for i, x in enumerate(r)][:-1])
+        a, b = b, r
+    return len(a) - 1
+
+
+def test_gcd_degree_mod_p_matches_euclid():
+    # Random pairs with a planted common factor g, and a few zero or
+    # trailing-zero second arguments.
+    p, rng = polynomials._P, random.Random(1930)
+
+    def mul(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    def rand(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    degrees = set()
+    for trial in range(60):
+        g = rand(rng.randint(0, 6))
+        a, b = mul(g, rand(rng.randint(0, 40))), mul(g, rand(rng.randint(0, 40)))
+        if trial % 10 == 0:
+            b = [0] * rng.randint(0, 3)
+        elif trial % 10 == 1:
+            b += [0, 0]
+        expected = _euclid_degree(a, b, p)
+        assert polynomials._gcd_degree_mod_p(a, b) == expected, trial
+        degrees.add(expected)
+    assert len(degrees) > 5

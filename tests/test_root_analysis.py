@@ -256,6 +256,14 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     monkeypatch.setattr(polynomials, "_cgcd", None)
     freezes = _recorded_freezes(monkeypatch)
     passes = _recorded_passes(monkeypatch)
+    proofs = []    # the bits of every proof attempt
+    residual = FixedEval.residual
+
+    def proving(self, values, bits):
+        proofs.append(bits)
+        return residual(self, values, bits)
+
+    monkeypatch.setattr(FixedEval, "residual", proving)
     # Mirroring one root of each conjugate pair halves the fixed-point work
     # (220, 428, 775 and 1,277 evaluations when every start is polished).
     # Freezing each root at its first proven iterate, with the early steps
@@ -265,12 +273,16 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
     # land inside the freeze bound kept those totals and cut the full ones
     # to 29, 52, 84 and 132; each of the 58, 144, 236 and 417 half-precision
     # evaluations ran two recurrence passes, b and e.  Secant steps, seeded
-    # by the double sweep's p', run the b pass alone and no half-precision
-    # e pass at all (full precision, half-precision passes, mirrored).
-    budget = {3: (29, 84, 26), 4: (52, 156, 49), 5: (83, 310, 79), 6: (132, 549, 116)}
-    full_total = 0
+    # by the double sweep's p', run the b pass alone.  Each proof then ran
+    # at full precision, 290 bits, for 30,286, 55,172, 98,360 and 165,498
+    # bits over all passes; run at the lowest rung its rounding floor allows,
+    # 0, 0, 1 and 13 of them still run at full precision (proofs, full
+    # ones, step passes, mirrored, bits).
+    budget = {3: (29, 0, 84, 26, 22_862), 4: (52, 0, 156, 49, 41_860),
+              5: (83, 1, 310, 79, 77_432), 6: (132, 13, 549, 116, 135_738)}
     for n in range(3, 7):
         passes.clear()
+        proofs.clear()
         rel = two_clique_reliability(TwoCliqueParams(n, n, 1, 6))
         rs = reliability_root_set(rel, 256)
         diag = rs.diagnostics
@@ -280,17 +292,58 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         # Newton-polygon starts and the per-root stop end the double sweep
         # early instead of at its 400-iteration cap.
         assert diag.machine_iterations <= 100, (n, diag)
-        at_full = 256 + root_analysis._GUARD_BITS
-        full = [name for name, bits in passes if bits >= at_full]
-        half = [name for name, bits in passes if bits < at_full]
-        # A real table: one b pass and one e pass per full evaluation.
-        assert full.count("_b_pass") == full.count("_e_pass"), n
-        full_total += full.count("_e_pass")
-        assert full.count("_e_pass") <= budget[n][0] and len(half) <= budget[n][1], (n, diag)
-        assert "_e_pass" not in half, n
-        assert diag.mirrored == budget[n][2], (n, diag)
-    # 1,382 full-precision evaluations at first, then 695, then 297.
-    assert full_total <= 296
+        # A real table: each proof attempt runs one b pass and one e pass,
+        # at whatever rung; every step pass is a b pass alone.
+        e_passes = sorted(bits for name, bits in passes if name == "_e_pass")
+        assert e_passes == sorted(proofs), n
+        steps = sum(name == "_b_pass" for name, _ in passes) - len(proofs)
+        full = sum(bits >= 256 + root_analysis._GUARD_BITS for bits in proofs)
+        assert len(proofs) <= budget[n][0] and full <= budget[n][1], (n, proofs)
+        assert steps <= budget[n][2] and sum(bits for _, bits in passes) <= budget[n][4], n
+        assert diag.mirrored == budget[n][3], (n, diag)
+    _assert_freeze_bound(freezes)
+
+
+def test_proofs_at_the_rung_match_proofs_at_full_precision(monkeypatch):
+    # Proving at the lowest rung its rounding floor allows changes no count
+    # against proving at full precision: each root lands in the disk of its
+    # full-precision counterpart and the other way round, and every disk
+    # passes the freeze bound.  The rung proofs, one in six, hold in exact
+    # arithmetic: |p(z)| ≤ ρ·|p'(z)| at the point each returns.
+    third = Fraction(1, 3)
+    cases = [two_clique_reliability(TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0]
+             for n in range(3, 6)]
+    cases.append(_product([third, third + Fraction(1, 2 ** 100), third + Fraction(1, 2 ** 99),
+                           -2, Fraction(5, 7)]))
+    counts = ("direct", "mirrored", "reswept", "sweeps", "escalations")
+    freezes = _recorded_freezes(monkeypatch)
+    proofs = []
+    newton = root_analysis._newton
+
+    def recording(evaluator, z, bits, prec, slope=None):
+        out = newton(evaluator, z, bits, prec, slope)
+        if out is not None:
+            proofs.append((evaluator.coeffs, out, bits))
+        return out
+
+    monkeypatch.setattr(root_analysis, "_newton", recording)
+    ladder = [find_roots(p, 256) for p in cases]
+    assert len(proofs) > 150
+    for coeffs, ((zr, zi), rho), bits in proofs[::6]:
+        value, slope, _ = _exact_reference(coeffs)(zr, zi, bits)
+        assert value.abs2() * (1 << 2 * bits) <= rho * rho * slope.abs2()
+    monkeypatch.setattr(root_analysis, "_proof_bits", lambda *args: args[-1])
+    full = [find_roots(p, 256) for p in cases]
+    for p, rung, at_full in zip(cases, ladder, full):
+        assert ([getattr(rung.diagnostics, c) for c in counts]
+                == [getattr(at_full.diagnostics, c) for c in counts]), p.degree
+        for z, w, rho, sigma in zip(rung.roots, at_full.roots, at_full.residuals,
+                                    rung.residuals):
+            dx, dy = (mpf_to_fraction(a) - mpf_to_fraction(b) for a, b in
+                      ((z.real, w.real), (z.imag, w.imag)))
+            radius = p.degree * mpf_to_fraction(min(rho, sigma))
+            assert dx * dx + dy * dy <= radius * radius
+    assert full[-1].diagnostics.escalations == 1
     _assert_freeze_bound(freezes)
 
 
