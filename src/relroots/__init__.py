@@ -1,30 +1,53 @@
 """Exact all-terminal reliability polynomials, their complex roots, and
-certified root-location proofs over rational parameter boxes."""
+certified root-location proofs over rational parameter boxes.
 
-from .chip_firing import (Configuration, CriticalMonomial, critical_configs,
-                          h_vector_chip, ideal_check, monomials_of,
-                          recurrent_by_firing_search)
-from .closed_forms import (TwoCliqueParams, rel_complete,
-                           rel_complete_minus_edge, sprel_complete_minus_edge,
-                           two_clique_graph, two_clique_reliability)
-from .errors import (DisconnectedGraphError, GuardExceededError,
-                     IndeterminateError, InputError, NumericalError,
-                     RootFindingError, SchurCohnHypothesisError, ToolkitError)
-from .multigraph import (Block, Multigraph, blocks, bundle_replace,
-                         edge_connectivity, is_connected, parse_graph,
-                         spanning_tree_count)
-from .polynomials import (FVector, HVector, QComplex, RatPoly, f_from_rel,
-                          f_to_h, h_to_rel, parse_complex_rational, rel_from_f)
-from .reliability import (SplitSpec, f_vector, rel_auto, rel_bruteforce,
-                          rel_via_blocks, sprel)
-from .root_analysis import (Annulus, RootSet, SolverDiagnostics,
-                            check_modulus_bound, enestrom_kakeya, find_roots,
-                            max_modulus_root, reliability_root_set)
-from .stability import (BASE_ROOT_BOX, BoxPoly, CertificatePencil, ParamBox,
-                        SchurCohnReport, certificate_pencil, kth_root_ratio_box,
-                        schur_cohn, schur_cohn_box)
-from .substitution import (Gadget, bundle_gadget, complete_minus_edge_gadget,
-                           substitute_edges, substituted_reliability,
-                           substituted_root_poly, substituted_two_clique_graph)
+``import relroots`` loads no submodule: each public name is imported from
+its submodule when it is first read (PEP 562), so a process pays only for
+the modules it uses.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Each public name and the submodule that defines it.
+_SOURCES = {
+    **dict.fromkeys(("Configuration", "CriticalMonomial", "critical_configs", "h_vector_chip",
+                     "ideal_check", "monomials_of", "recurrent_by_firing_search"),
+                    "chip_firing"),
+    **dict.fromkeys(("TwoCliqueParams", "rel_complete", "rel_complete_minus_edge",
+                     "sprel_complete_minus_edge", "two_clique_graph",
+                     "two_clique_reliability"), "closed_forms"),
+    **dict.fromkeys(("DisconnectedGraphError", "GuardExceededError", "IndeterminateError",
+                     "InputError", "NumericalError", "RootFindingError",
+                     "SchurCohnHypothesisError", "ToolkitError"), "errors"),
+    **dict.fromkeys(("Block", "Multigraph", "blocks", "bundle_replace", "edge_connectivity",
+                     "is_connected", "parse_graph", "spanning_tree_count"), "multigraph"),
+    **dict.fromkeys(("FVector", "HVector", "QComplex", "RatPoly", "f_from_rel", "f_to_h",
+                     "h_to_rel", "parse_complex_rational", "rel_from_f"), "polynomials"),
+    **dict.fromkeys(("SplitSpec", "f_vector", "rel_auto", "rel_bruteforce", "rel_via_blocks",
+                     "sprel"), "reliability"),
+    **dict.fromkeys(("Annulus", "RootSet", "SolverDiagnostics", "check_modulus_bound",
+                     "enestrom_kakeya", "find_roots", "max_modulus_root",
+                     "reliability_root_set"), "root_analysis"),
+    **dict.fromkeys(("BASE_ROOT_BOX", "BoxPoly", "CertificatePencil", "ParamBox",
+                     "SchurCohnReport", "certificate_pencil", "kth_root_ratio_box",
+                     "schur_cohn", "schur_cohn_box"), "stability"),
+    **dict.fromkeys(("Gadget", "bundle_gadget", "complete_minus_edge_gadget",
+                     "substitute_edges", "substituted_reliability", "substituted_root_poly",
+                     "substituted_two_clique_graph"), "substitution"),
+}
+
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCES))

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .chip_firing import h_vector_chip
 from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_graph, \
     two_clique_reliability
 from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
@@ -376,6 +375,7 @@ def _dispatch(args) -> int:
     if args.command == "hvector":
         g = parse_graph(_read(args.graph))
         if args.via == "chip":
+            from .chip_firing import h_vector_chip
             h = h_vector_chip(g, args.sink)
         else:
             h = f_to_h(f_from_rel(rel_auto(g), g.n))

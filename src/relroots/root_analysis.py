@@ -747,19 +747,22 @@ def _aberth(evaluator: FixedEval, points: list, active: list[int], bits: int,
 
     The Aberth sum runs over every current point, frozen roots included, so
     a re-swept point is pushed away from the roots already found.  The sweep
-    only has to hand Newton a start inside its quadratic basin; it stops
-    once no active point moves by more than 2^-tol_shift of its modulus.
-    Points are fixed-point at ``bits`` bits.  Returns the number of sweeps.
+    only has to hand Newton a start inside its quadratic basin, so a point
+    stops once its step is at most 2^-tol_shift of its modulus: it is no
+    longer evaluated or moved, but keeps its place in every other point's
+    sum.  The sweeps end when every active point has stopped.  Points are
+    fixed-point at ``bits`` bits.  Returns the number of sweeps.
     """
     two_bits = 2 * bits
     one = 1 << bits
+    moving = active
     for sweep in range(1, _ABERTH_SWEEPS + 1):
-        settled = True
-        for k in active:
+        unsettled = []
+        for k in moving:
             zr, zi = points[k]
             w = _quotient(*evaluator.evaluate(zr, zi, bits)[:4], bits)
             if w is None:
-                settled = False
+                unsettled.append(k)
                 continue
             sr = si = 0
             for xr, xi in points:
@@ -774,8 +777,9 @@ def _aberth(evaluator: FixedEval, points: list, active: list[int], bits: int,
             zr, zi = zr - dz[0], zi - dz[1]
             points[k] = (zr, zi)
             if _modulus(*dz) > _modulus(zr, zi) >> tol_shift:
-                settled = False
-        if settled:
+                unsettled.append(k)
+        moving = unsettled
+        if not moving:
             return sweep
     return _ABERTH_SWEEPS
 

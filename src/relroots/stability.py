@@ -118,28 +118,47 @@ def _sign_changes(signs: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _schur_cohn_matrix(coeffs: list[GInt], k: int) -> list[list[GInt]]:
-    """The k x k Hermitian Schur-Cohn matrix H = B*B - A*A of the input.
+def _schur_cohn_matrix(coeffs: Sequence[int], conj: Sequence[int], k: int) -> list[list[int]]:
+    """The k x k Schur-Cohn matrix H = B*B - A*A of c_0 + c_1 q + ... + c_d q^d,
+    over the integers, with the conjugates c̄_i read from ``conj``.
 
-    For c_0 + c_1 q + ... + c_d q^d, A is the k x k upper triangular Toeplitz
-    matrix with A[i][j] = c_{j-i} and B the one with B[i][j] = conj(c_{d-j+i});
-    the starred blocks are conjugate transposes.  H[i][j] sums over l from 0
-    to min(i, j); its l = 0 term is c_{d-i} conj(c_{d-j}) - conj(c_i) c_j and
-    the rest is H[i-1][j-1], so the upper triangle fills in O(k^2), and
-    H[j][i] = conj(H[i][j]).
+    A is the k x k upper triangular Toeplitz matrix with A[i][j] = c_{j-i}
+    and B the one with B[i][j] = c̄_{d-j+i}; the starred blocks are their
+    transposes with c and c̄ exchanged (conjugate transposes when c̄ is the
+    conjugate of c).  H[i][j] sums over l from 0 to min(i, j); its
+    l = 0 term is c_{d-i} c̄_{d-j} - c̄_i c_j and the rest is H[i-1][j-1],
+    so H fills in O(k^2).
+
+    Every entry is bilinear in (c, c̄), so c̄ may be any sequence: the
+    Hermitian matrix of Gaussian-integer coefficients is assembled from
+    three such integer matrices (``_hermitian_matrix``), and the
+    certificate grid passes the real integers that c and c̄ become at an
+    imaginary parameter (``_det_sign_polynomials``).
     """
     d = len(coeffs) - 1
-    h = [[(0, 0)] * k for _ in range(k)]
+    h = [[0] * k for _ in range(k)]
     for i in range(k):
-        (hr, hi), (lr, li) = coeffs[d - i], coeffs[i]
-        for j in range(i, k):
-            (br, bi), (cr, ci) = coeffs[d - j], coeffs[j]
-            re = hr * br + hi * bi - lr * cr - li * ci
-            im = hi * br - hr * bi - lr * ci + li * cr
-            if i:
-                re, im = re + h[i - 1][j - 1][0], im + h[i - 1][j - 1][1]
-            h[i][j], h[j][i] = (re, im), (re, -im)
+        top, low, row = coeffs[d - i], conj[i], h[i]
+        for j in range(k):
+            row[j] = top * conj[d - j] - low * coeffs[j] + (h[i - 1][j - 1] if i and j else 0)
     return h
+
+
+def _hermitian_matrix(gcoeffs: list[GInt], k: int) -> list[list[GInt]] | list[list[int]]:
+    """The k x k Hermitian Schur-Cohn matrix of Gaussian-integer coefficients.
+
+    With c = x + iy and c̄ = x - iy, bilinearity splits H(c, c̄) into
+    G(x, x) + G(y, y) + i·(G(y, x) - G(x, y)), G the integer matrix of
+    ``_schur_cohn_matrix``, and G(y, x) is the transpose of G(x, y).  Real
+    coefficients give G(x, x) alone, as plain ints.
+    """
+    x = [re for re, _ in gcoeffs]
+    y = [im for _, im in gcoeffs]
+    h = _schur_cohn_matrix(x, x, k)
+    if not any(y):
+        return h
+    hy, g = _schur_cohn_matrix(y, y, k), _schur_cohn_matrix(x, y, k)
+    return [[(h[i][j] + hy[i][j], g[j][i] - g[i][j]) for j in range(k)] for i in range(k)]
 
 
 def schur_cohn(p) -> SchurCohnReport:
@@ -179,18 +198,25 @@ def _clear_denominators(coeffs: Sequence[QComplex]) -> tuple[list[GInt], int]:
     return [(int(c.re * denom), int(c.im * denom)) for c in coeffs], denom
 
 
-def _real(det: GInt) -> int:
+def _real(det: GInt | int) -> int:
     """A leading principal minor of the Hermitian test matrix H, which is real, as an int."""
+    if isinstance(det, int):
+        return det
     re, im = det
     if im != 0:
         raise NumericalError("test determinant came out non-real")
     return re
 
 
-def _real_det(gcoeffs: list[GInt], k: int) -> int:
-    """M_k of Gaussian-integer coefficients: the determinant of H's leading
-    k x k block, from its own elimination."""
-    return _real(bareiss_det(_schur_cohn_matrix(gcoeffs, k))[0])
+def _leading_minors(h: list[list]) -> list:
+    """The leading principal minors of orders 1..k of a k x k matrix.
+
+    ``bareiss_det`` reports them until its first row swap; each one past
+    that swap comes from the elimination of its own leading block.
+    """
+    _, minors = bareiss_det(h)
+    return minors + [bareiss_det([row[:k] for row in h[:k]])[0]
+                     for k in range(len(minors) + 1, len(h) + 1)]
 
 
 def _nested_dets(gcoeffs: list[GInt]) -> list[int]:
@@ -206,13 +232,10 @@ def _nested_dets(gcoeffs: list[GInt]) -> list[int]:
     Nesting: A and B are upper triangular, so an entry of B*B - A*A sums only
     over l <= min(i, j) < k, and the coefficients it reads do not depend on k.
     So H_k is the leading k x k block of H_d and M_k its leading principal
-    minor of order k, which ``bareiss_det`` reports until its first row swap.
-    Each M_k past that swap comes from its own determinant.
+    minor of order k (``_leading_minors``).
     """
     d = len(gcoeffs) - 1
-    _, minors = bareiss_det(_schur_cohn_matrix(gcoeffs, d))
-    return [_real(minors[k - 1]) if k <= len(minors) else _real_det(gcoeffs, k)
-            for k in range(1, d + 1)]
+    return [_real(m) for m in _leading_minors(_hermitian_matrix(gcoeffs, d))]
 
 
 def _exact_mks(coeffs: Sequence[QComplex]) -> list[Fraction]:
@@ -425,13 +448,13 @@ def _interp_1d(xs: list[int], ys: list[int], steps: list[int]) -> list[int]:
 def _det_sign_polynomials(n: int):
     """Exact bivariate polynomials P_k(a, t) with P_k(a, b^2) = M_k(a, b).
 
-    Two exact facts bring the work down to one elimination per node of one
-    shared grid.
+    Three exact facts bring the work down to one elimination over the
+    integers per node of one shared grid.
 
     Nested minors.  M_k is the leading principal minor of order k of the
     d x d Hermitian Schur-Cohn matrix H of the pencil, d its degree (proof
-    at ``_nested_dets``).  So one fraction-free elimination per node gives
-    M_1..M_d.
+    at ``_nested_dets``; the nesting holds for any c̄).  So one
+    fraction-free elimination per node gives M_1..M_d.
 
     Lower-set support.  Every pencil coefficient s_i - (a+bi) r_i is affine
     in (a, b), and every entry of H is a sum of products of two of them, so
@@ -443,20 +466,29 @@ def _det_sign_polynomials(n: int):
     N_j = (t - t_0)...(t - t_{j-1}); as t^j is a combination of N_0..N_j,
     C_j has degree <= 2k - 2j in a.  At a node a_i, C_j(a_i) is the divided
     difference of P_k(a_i, .) on t_0..t_j, which needs the values at
-    (a_i, b_0..b_j) only, and it is needed for i <= 2k - 2j; C_j then
+    (a_i, t_0..t_j) only, and it is needed for i <= 2k - 2j; C_j then
     follows by interpolation on a_0..a_{2k-2j}.  With a = 0, 1, -1, 2, -2, ...
-    and b = 0, 1, ..., d, every k reads its nodes (a_i, b_j), i + 2j <= 2k,
-    off the one grid for k = d: (d + 1)^2 nodes, 121 at n = 6.
+    and t = 0, -1, -4, ..., -d^2, every k reads its nodes (a_i, t_j),
+    i + 2j <= 2k, off the one grid for k = d: (d + 1)^2 nodes, 121 at n = 6.
 
-    The pencil's coefficients s_i, r_i are integers (checked once), so at
-    an integer node the Gaussian-integer coefficients s_i - a·r_i, -b·r_i
-    are formed directly, every grid value is an integer, and the
-    interpolation runs over the integers: C_j(a_i) carries the
-    denominator D^t_j of its order in t, the a-interpolation of C_j one
-    more, D^a_{2k-2j}, and each coefficient of P_k becomes one fraction
-    over their lcm.  Every coefficient must come out an integer, and each
-    P_k is checked against the exact M_k at one off-grid rational point,
-    all k from one more elimination.
+    Real integers at every node.  With the conjugate written as the
+    polynomial c̄_i = s_i - (a - bi) r_i, every entry of H is an integer
+    polynomial in (a, b), bilinear in (c, c̄) (``_schur_cohn_matrix``), so
+    M_k(a, b) = P_k(a, b^2) holds for complex b as well.  At b = iβ,
+    c_i = s_i - a·r_i + β·r_i and c̄_i = s_i - a·r_i - β·r_i are real, so
+    P_k(a, -β^2) is the leading principal minor of order k of a real
+    integer matrix, and every grid elimination runs over plain ints.  The
+    t-nodes -β^2 lie as far apart as the squares β^2 do, so the
+    denominators below are those of the nodes β^2.
+
+    The pencil's coefficients s_i, r_i are integers (checked once), so
+    every grid value is an integer, and the interpolation runs over the
+    integers: C_j(a_i) carries the denominator D^t_j of its order in t,
+    the a-interpolation of C_j one more, D^a_{2k-2j}, and each coefficient
+    of P_k becomes one fraction over their lcm.  Every coefficient must
+    come out an integer, and each P_k is checked against the exact M_k of
+    the Hermitian matrix at one off-grid rational point, all k from one
+    more elimination, over the Gaussian integers.
     """
     pencil = certificate_pencil(n)
     d = pencil.degree
@@ -465,12 +497,17 @@ def _det_sign_polynomials(n: int):
         raise NumericalError("certificate pencil coefficients are not integers")
     pairs = [(int(s), int(r)) for s, r in pairs]
     a_nodes = [(i + 1) // 2 if i % 2 else -(i // 2) for i in range(2 * d + 1)]
-    t_nodes = [b * b for b in range(d + 1)]
+    t_nodes = [-beta * beta for beta in range(d + 1)]
     a_steps, t_steps = _newton_steps(a_nodes), _newton_steps(t_nodes)
-    # grid[i][j][k - 1] = M_k(a_i, b_j) on the lower set i + 2j <= 2d.
-    grid = [[_nested_dets([(s - a * r, -b * r) for s, r in pairs])
-             for b in range((2 * d - i) // 2 + 1)]
-            for i, a in enumerate(a_nodes)]
+    # grid[i][j][k - 1] = P_k(a_i, t_j) on the lower set i + 2j <= 2d.
+    grid = []
+    for i, a in enumerate(a_nodes):
+        row = []
+        for beta in range((2 * d - i) // 2 + 1):
+            c = [s - a * r + beta * r for s, r in pairs]
+            c_bar = [s - a * r - beta * r for s, r in pairs]
+            row.append(_leading_minors(_schur_cohn_matrix(c, c_bar, d)))
+        grid.append(row)
     # Spot check at an off-grid rational point.
     a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
     t_chk = b_chk * b_chk

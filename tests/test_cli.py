@@ -354,16 +354,39 @@ def test_certify_rejects_a_base_disk_spilling_out_of_the_base_box(monkeypatch, r
         assert cert["base_disk"] is None
 
 
+_NAMES_RESOLVE = """
+import importlib
+for name in relroots.__all__:
+    value = getattr(relroots, name)
+    module = "relroots." + relroots._SOURCES[name]
+    assert value is getattr(importlib.import_module(module), name), name
+    assert getattr(value, "__module__", module) == module, name
+from relroots import *
+assert RatPoly is relroots.RatPoly and "RatPoly" in dir(relroots)
+try:
+    relroots.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+
+
 @pytest.mark.parametrize("code, loads_numpy", [
-    ("from relroots.cli import run_certificate\nassert run_certificate(9, 3)['pass']", False),
+    ("from relroots.cli import run_certificate\nassert run_certificate(9, 3)['pass']\n"
+     "assert 'relroots.chip_firing' not in sys.modules", False),
     ("assert len(relroots.find_roots(relroots.RatPoly([-2, 0, 1]))) == 2", True),
     ("g = relroots.parse_graph('{\"n\":3,\"edges\":[[0,1,1],[1,2,1],[0,2,1]]}')\n"
      "assert relroots.h_vector_chip(g, 0).values == (1, 2)", True),
-], ids=["certify", "find_roots", "h_vector_chip"])
+    (_NAMES_RESOLVE, False),
+], ids=["certify", "find_roots", "h_vector_chip", "names"])
 def test_numpy_loads_only_where_it_runs(code, loads_numpy):
-    # Each case runs after ``import relroots`` in a new interpreter.
+    # Each case runs after ``import relroots`` in a new interpreter, which
+    # loads no submodule, no mpmath and no numpy: every public name is
+    # imported from its submodule when it is first read.
     env = {**os.environ, "PYTHONPATH": str(Path(relroots.__file__).parents[1])}
-    script = ("import sys\nimport relroots\nassert 'numpy' not in sys.modules\n"
+    script = ("import sys\nimport relroots\n"
+              "assert not [m for m in sys.modules if m.startswith(('relroots.', 'mpmath', 'numpy'))]\n"
               f"{code}\nprint('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -731,12 +731,34 @@ def test_fallback_resolves_wilkinson_30():
     assert rs.diagnostics.direct + rs.diagnostics.reswept == 30
 
 
-def test_fallback_separates_a_tight_cluster():
+def test_fallback_separates_a_tight_cluster(monkeypatch):
+    # Each re-swept point stops on its own: once settled, it is no longer
+    # evaluated, so a re-sweep evaluates fewer points than sweeps x active.
+    runs = []
+    aberth = root_analysis._aberth
+
+    class Counting:
+        def __init__(self, evaluator):
+            self.evaluator, self.calls = evaluator, 0
+
+        def evaluate(self, *args):
+            self.calls += 1
+            return self.evaluator.evaluate(*args)
+
+    def counting(evaluator, points, active, bits, tol_shift):
+        counted = Counting(evaluator)
+        sweeps = aberth(counted, points, active, bits, tol_shift)
+        runs.append((counted.calls, sweeps * len(active)))
+        return sweeps
+
+    monkeypatch.setattr(root_analysis, "_aberth", counting)
     exact = [1 + Fraction(j, 10 ** 6) for j in range(8)] + [Fraction(k) for k in range(2, 12)]
     with mp.workprec(300):
         rs = find_roots(_product(exact))
         _assert_matches(rs, exact, mp.mpf(2) ** -100)
     assert rs.diagnostics.reswept >= 1 and rs.diagnostics.escalations == 0
+    assert all(calls <= full for calls, full in runs)
+    assert sum(calls for calls, _ in runs) < sum(full for _, full in runs), runs
 
 
 def test_freeze_rejects_a_second_copy_of_a_root():

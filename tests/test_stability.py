@@ -10,9 +10,9 @@ from relroots import stability
 from relroots.polynomials import bareiss_det
 from relroots.root_analysis import polished_root_disk
 from relroots.stability import (BASE_ROOT_BOX, ParamBox, _clear_denominators,
-                                _det_sign_polynomials, _exact_mks, _nested_dets,
-                                _real_det, _schur_cohn_matrix, certificate_pencil,
-                                kth_root_ratio_box, schur_cohn, schur_cohn_box)
+                                _det_sign_polynomials, _exact_mks, _hermitian_matrix,
+                                _nested_dets, _real, certificate_pencil, kth_root_ratio_box,
+                                schur_cohn, schur_cohn_box)
 from test_acceptance import PUBLISHED_BOX_K7, PUBLISHED_BOX_K9, transported_box
 from test_polynomials import _elimination_det
 
@@ -284,24 +284,38 @@ def test_beta_agrees_with_solver_randomized():
         done += 1
 
 
+def _real_det(gcoeffs, k):
+    """M_k from the k x k Hermitian matrix built at order k, by its own elimination."""
+    return _real(bareiss_det(_hermitian_matrix(gcoeffs, k))[0])
+
+
+def _counting_eliminations(monkeypatch) -> list:
+    """Record the order of every elimination that stability runs."""
+    orders = []
+    kernel = stability.bareiss_det
+
+    def counting(matrix):
+        orders.append(len(matrix))
+        return kernel(matrix)
+
+    monkeypatch.setattr(stability, "bareiss_det", counting)
+    return orders
+
+
 def test_nested_dets_match_per_k_determinants(monkeypatch):
     # M_k is read off one elimination until its first row swap; later M_k
     # come from their own determinants.  Small coefficients with zeros make
     # swaps common, so both branches run.
-    fallbacks = []
-
-    def per_k(gcoeffs, k):
-        fallbacks.append(k)
-        return _real_det(gcoeffs, k)
-
-    monkeypatch.setattr(stability, "_real_det", per_k)
+    orders, fallbacks = _counting_eliminations(monkeypatch), []
     rng = random.Random(404)
     for trial in range(150):
         deg = rng.randint(1, 7)
         gcoeffs = [(rng.randint(-2, 2), rng.randint(-2, 2) if trial % 2 else 0)
                    for _ in range(deg + 1)]
         expected = [_real_det(gcoeffs, k) for k in range(1, deg + 1)]
+        orders.clear()
         assert _nested_dets(gcoeffs) == expected
+        fallbacks += orders[1:]
     assert len(fallbacks) >= 20
 
 
@@ -333,22 +347,18 @@ def test_nested_dets_match_block_determinants(monkeypatch):
     # rationals on the block matrix checks the block identity, the nesting and
     # the fallback after a row swap.  Small coefficients with zeros make zero
     # leading minors common.
-    fallbacks = []
-
-    def per_k(gcoeffs, k):
-        fallbacks.append(k)
-        return _real_det(gcoeffs, k)
-
-    monkeypatch.setattr(stability, "_real_det", per_k)
+    orders, fallbacks = _counting_eliminations(monkeypatch), []
     rng = random.Random(1936)
     cases = [[(rng.randint(-2, 2), rng.randint(-2, 2) if trial % 2 else 0)
               for _ in range(rng.randint(1, 8) + 1)] for trial in range(60)]
     # The one n = 4 grid node, a = -2 and b = 0, where M_1 = 0 makes the
     # elimination of H swap rows.
     node, _ = _clear_denominators(certificate_pencil(4).exact_poly(-2, 0))
-    assert len(bareiss_det(_schur_cohn_matrix(node, 3))[1]) == 1
+    assert len(bareiss_det(_hermitian_matrix(node, 3))[1]) == 1
     for gcoeffs in cases + [node]:
+        orders.clear()
         dets = _nested_dets(gcoeffs)
+        fallbacks += orders[1:]
         assert [QComplex.of(m) for m in dets] == [
             _elimination_det(_block_matrix(gcoeffs, k)) for k in range(1, len(gcoeffs))]
     assert fallbacks[-2:] == [2, 3]
@@ -356,20 +366,35 @@ def test_nested_dets_match_block_determinants(monkeypatch):
 
 
 def test_det_sign_polynomials_one_elimination_per_node(monkeypatch):
-    # n = 6 has pencil degree d = 10: one elimination of the order-10
-    # Hermitian matrix at each of the (d + 1)^2 = 121 lower-set nodes, and
-    # one more for the spot check of every k.
+    # n = 6 has pencil degree d = 10: one elimination of an order-10 real
+    # integer matrix at each of the (d + 1)^2 = 121 lower-set nodes, and one
+    # of the Hermitian matrix over the Gaussian integers for the spot check
+    # of every k.
     orders = Counter()
     kernel = stability.bareiss_det
 
     def counting(matrix):
-        orders[len(matrix)] += 1
+        orders[len(matrix), "gaussian" if isinstance(matrix[0][0], tuple) else "int"] += 1
         return kernel(matrix)
 
     monkeypatch.setattr(stability, "bareiss_det", counting)
     _det_sign_polynomials.cache_clear()
     _det_sign_polynomials(6)
-    assert orders == Counter({10: 121 + 1})
+    assert orders == Counter({(10, "int"): 121, (10, "gaussian"): 1})
+
+
+def test_det_sign_polynomials_match_hermitian_minors_at_real_nodes():
+    # The grid runs at imaginary b; at real integer b the polynomials must
+    # give the leading minors of the Hermitian matrix itself.
+    for n in range(3, 7):
+        pen = certificate_pencil(n)
+        polys = _det_sign_polynomials(n)
+        for a, b in ((0, 1), (-2, 3), (1, 2), (3, -1), (-1, 5)):
+            gcoeffs, denom = _clear_denominators(pen.exact_poly(a, b))
+            assert denom == 1
+            assert _nested_dets(gcoeffs) == [
+                sum(c * a ** i * (b * b) ** j for i, row in enumerate(p) for j, c in enumerate(row))
+                for p in polys]
 
 
 def test_det_polynomials_match_determinants_off_grid():
