@@ -326,7 +326,7 @@ def _box_signs(bp: BoxPoly) -> list[str]:
         for row in reversed(p):
             inner = iv.mpf(0)
             for c in reversed(row):
-                inner = inner * t + c.numerator
+                inner = inner * t + c
             val = val * a + inner
         signs.append("+" if val.a > 0 else "-" if val.b < 0 else "?")
     return signs
@@ -485,10 +485,11 @@ def _det_sign_polynomials(n: int):
     every grid value is an integer, and the interpolation runs over the
     integers: C_j(a_i) carries the denominator D^t_j of its order in t,
     the a-interpolation of C_j one more, D^a_{2k-2j}, and each coefficient
-    of P_k becomes one fraction over their lcm.  Every coefficient must
-    come out an integer, and each P_k is checked against the exact M_k of
-    the Hermitian matrix at one off-grid rational point, all k from one
-    more elimination, over the Gaussian integers.
+    of P_k comes out as an integer times their lcm.  That lcm must divide
+    every coefficient exactly, and each P_k is checked against the exact
+    M_k of the Hermitian matrix at one off-grid rational point, all k from
+    one more elimination, over the Gaussian integers.  The coefficients
+    are returned as ints.
     """
     pencil = certificate_pencil(n)
     d = pencil.degree
@@ -508,15 +509,14 @@ def _det_sign_polynomials(n: int):
             c_bar = [s - a * r - beta * r for s, r in pairs]
             row.append(_leading_minors(_schur_cohn_matrix(c, c_bar, d)))
         grid.append(row)
-    # Spot check at an off-grid rational point.
-    a_chk, b_chk = Fraction(1, 3), Fraction(1, 7)
-    t_chk = b_chk * b_chk
-    direct = _exact_mks(pencil.exact_poly(a_chk, b_chk))
+    # Spot check at an off-grid rational point, t = b^2 = 1/49.
+    a_chk, t_chk = Fraction(1, 3), Fraction(1, 49)
+    direct = _exact_mks(pencil.exact_poly(a_chk, Fraction(1, 7)))
     # D^t_j for each order j in t.
     t_dens = [prod(t_steps[1:j + 1]) for j in range(d + 1)]
     polys = []
     for k in range(1, d + 1):
-        # newton[i][j] = D^t_j · C_j(a_i), from the t-nodes b_0..b_j with i + 2j <= 2k.
+        # newton[i][j] = D^t_j · C_j(a_i), from the t-nodes t_0..t_j with i + 2j <= 2k.
         newton = []
         for i in range(2 * k + 1):
             count = (2 * k - i) // 2 + 1
@@ -538,14 +538,17 @@ def _det_sign_polynomials(n: int):
             basis = [0] + basis
             for l in range(len(basis) - 1):
                 basis[l] -= t_nodes[j] * basis[l + 1]
-        p = [[Fraction(c, den) for c in row] for row in p]
-        if any(c.denominator != 1 for row in p for c in row):
+        if any(c % den for row in p for c in row):
             raise NumericalError("determinant polynomial interpolation went non-integral")
-        interp = sum(p[i][j] * a_chk ** i * t_chk ** j
-                     for i in range(len(p)) for j in range(len(p[i])))
-        if direct[k - 1] != interp:
+        p = tuple(tuple(c // den for c in row) for row in p)
+        # P_k at the spot point times the denominator a_pows[0]·t_pows[0].
+        a_pows = [a_chk.numerator ** i * a_chk.denominator ** (2 * k - i)
+                  for i in range(2 * k + 1)]
+        t_pows = [t_chk.numerator ** j * t_chk.denominator ** (k - j) for j in range(k + 1)]
+        scaled = sum(c * a_pows[i] * t_pows[j] for i, row in enumerate(p) for j, c in enumerate(row))
+        if direct[k - 1] != Fraction(scaled, a_pows[0] * t_pows[0]):
             raise NumericalError("determinant polynomial failed its spot check")
-        polys.append(tuple(tuple(row) for row in p))
+        polys.append(p)
     return tuple(polys)
 
 
