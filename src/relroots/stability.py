@@ -114,7 +114,7 @@ def _sign_changes(signs: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact path: the Hermitian Schur-Cohn matrix over the Gaussian integers
+# Exact path: the Schur-Cohn matrix over the integers and the Gaussian integers
 # ---------------------------------------------------------------------------
 
 
@@ -501,14 +501,10 @@ def _det_sign_polynomials(n: int):
     t_nodes = [-beta * beta for beta in range(d + 1)]
     a_steps, t_steps = _newton_steps(a_nodes), _newton_steps(t_nodes)
     # grid[i][j][k - 1] = P_k(a_i, t_j) on the lower set i + 2j <= 2d.
-    grid = []
-    for i, a in enumerate(a_nodes):
-        row = []
-        for beta in range((2 * d - i) // 2 + 1):
-            c = [s - a * r + beta * r for s, r in pairs]
-            c_bar = [s - a * r - beta * r for s, r in pairs]
-            row.append(_leading_minors(_schur_cohn_matrix(c, c_bar, d)))
-        grid.append(row)
+    grid = [[_leading_minors(_schur_cohn_matrix([s - a * r + beta * r for s, r in pairs],
+                                                [s - a * r - beta * r for s, r in pairs], d))
+             for beta in range((2 * d - i) // 2 + 1)]
+            for i, a in enumerate(a_nodes)]
     # Spot check at an off-grid rational point, t = b^2 = 1/49.
     a_chk, t_chk = Fraction(1, 3), Fraction(1, 49)
     direct = _exact_mks(pencil.exact_poly(a_chk, Fraction(1, 7)))
