@@ -12,21 +12,29 @@ import argparse
 import decimal
 import json
 import sys
-from fractions import Fraction
 
 import mpmath as mp
 
-from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_graph, \
-    two_clique_reliability
+from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_reliability
 from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
+from .fixed_point import DEFAULT_PRECISION_BITS, polished_root_disk
 from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
 from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
-from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
-from .root_analysis import (DEFAULT_PRECISION_BITS, RootSet, _outermost, _root_disks,
-                            find_roots, polished_root_disk, reliability_root_set)
 from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
                         mpf_to_fraction, schur_cohn, schur_cohn_box)
 from .substitution import substituted_two_clique_graph
+
+
+def __getattr__(name: str):
+    """``find_roots`` read as an attribute of this module (PEP 562), which
+    ``perfbench/certify_child.py`` wraps: the solver and the reliability
+    recursion are imported inside the commands that run them, so that
+    ``certify`` loads neither."""
+    if name != "find_roots":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .root_analysis import find_roots
+    return find_roots
+
 
 # Published max-modulus reliability roots of the two-clique graphs with
 # parameters (n, n, 1, 6), rounded to 10 decimals.
@@ -78,6 +86,8 @@ def roots_csv(root_set) -> str:
     from breaking ties: the six roots of 1 - q^6 all print modulus 1, so
     they come out in descending real part.
     """
+    from .root_analysis import _root_disks
+
     disks, s = _root_disks(root_set)
     rows = sorted(((_sig(z.real), _sig(z.imag), _sig(modulus), _radius(r, s))
                    for modulus, z, (_, _, r) in zip(root_set.moduli(), root_set.roots, disks)),
@@ -132,6 +142,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _check_digits(digits: int, precision_bits: int) -> None:
+    if digits < 1:
+        raise InputError(f"--digits must be at least 1, got {digits}")
     capacity = int(precision_bits * 0.3010) // 2
     if digits > capacity:
         raise InputError(
@@ -143,11 +155,15 @@ def _check_digits(digits: int, precision_bits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def compute_rel(g: Multigraph, method: str = "auto", guard: int = DEFAULT_GUARD_PAIRS) -> RatPoly:
+def compute_rel(g: Multigraph, method: str = "auto", guard: int | None = None) -> RatPoly:
+    """Rel(G; q) by ``method``; ``guard`` caps the vertex pairs that ``brute``
+    enumerates (None: ``reliability.DEFAULT_GUARD_PAIRS``)."""
+    from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
+
     if not is_connected(g):
         raise InputError("reliability of a disconnected graph is not defined here")
     if method == "brute":
-        return rel_bruteforce(g, guard)
+        return rel_bruteforce(g, DEFAULT_GUARD_PAIRS if guard is None else guard)
     if method == "auto":
         return rel_auto(g)
     raise InputError(f"unknown method {method!r}")
@@ -163,6 +179,8 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
     Rel.  That disk lies outside the closed unit disk when |z| > 1 + dρ, checked
     exactly in integers (``_root_disks``); otherwise the row raises ``NumericalError``.
     """
+    from .root_analysis import RootSet, _outermost, _root_disks, find_roots
+
     if not 3 <= max_n <= 12:
         raise InputError("table supports max_n in 3..12")
     rows = []
@@ -253,7 +271,7 @@ def _add_common(parser, suppress: bool) -> None:
     parser.add_argument("--digits", type=int, **(kw or {"default": 10}))
     parser.add_argument("--guard-m", type=int,
                         help="distinct vertex pairs that rel --method brute may enumerate",
-                        **(kw or {"default": DEFAULT_GUARD_PAIRS}))
+                        **(kw or {"default": None}))
     parser.add_argument("--out", type=str, **(kw or {"default": None}))
 
 
@@ -365,6 +383,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "roots":
+        from .root_analysis import reliability_root_set
         rs = reliability_root_set(RatPoly.from_json(_read(args.poly)), args.precision_bits)
         _emit(roots_csv(rs), args.out)
         if args.svg:
@@ -378,6 +397,7 @@ def _dispatch(args) -> int:
             from .chip_firing import h_vector_chip
             h = h_vector_chip(g, args.sink)
         else:
+            from .reliability import rel_auto
             h = f_to_h(f_from_rel(rel_auto(g), g.n))
         doc = {"n": h.n, "m": h.m, "H": [str(v) for v in h.values]}
         _emit(json.dumps(doc) + "\n", args.out)
@@ -409,7 +429,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "certify":
-        box = ParamBox.of(*(Fraction(x) for x in args.box)) if args.box else None
+        box = ParamBox.of(*args.box) if args.box else None
         cert = run_certificate(args.k, args.n, box, args.precision_bits)
         _emit(json.dumps(cert, indent=2) + "\n", args.out)
         if not cert["pass"]:

@@ -30,8 +30,8 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
 from .errors import InputError, NumericalError, SchurCohnHypothesisError
+from .fixed_point import _dyadic
 from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
-from .root_analysis import _dyadic
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,13 @@ class ParamBox:
 
     @classmethod
     def of(cls, a_lo, a_hi, b_lo, b_hi) -> "ParamBox":
-        return cls(Fraction(a_lo), Fraction(a_hi), Fraction(b_lo), Fraction(b_hi))
+        """The box with these endpoints, each read as a ``Fraction`` (a number
+        or a string such as '3/2'); an unreadable one raises ``InputError``."""
+        try:
+            ends = [Fraction(x) for x in (a_lo, a_hi, b_lo, b_hi)]
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise InputError(f"bad parameter box endpoint: {exc}") from exc
+        return cls(*ends)
 
     def split(self) -> tuple["ParamBox", "ParamBox"]:
         """Bisect along the longest side."""

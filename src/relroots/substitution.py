@@ -18,7 +18,6 @@ from .closed_forms import TwoCliqueParams, two_clique_graph
 from .errors import InputError, NumericalError
 from .multigraph import Multigraph, is_connected
 from .polynomials import QComplex, RatPoly, compose_homogeneous
-from .reliability import contract, rel_auto
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,8 @@ def _terminal_reliabilities(gadget: Gadget) -> tuple[RatPoly, RatPoly]:
     H/uv is connected exactly when H is connected or splits into a u-part
     and a v-part, so spRel(H; u, v) = Rel(H/uv) - Rel(H).
     """
+    from .reliability import contract, rel_auto
+
     h = gadget.graph
     rel_contracted = rel_auto(Multigraph(*contract(h.n, h.edges, gadget.u, gadget.v)))
     return rel_contracted - rel_auto(h), rel_contracted
@@ -106,6 +107,8 @@ def substituted_reliability(g: Multigraph, gadget: Gadget) -> RatPoly:
     with x = q, y = 1-q; putting x = spRel(H) and y = Rel(H), whose sum is
     Rel(H/uv), gives sum_j a_j spRel(H)^j Rel(H/uv)^(m-j).
     """
+    from .reliability import rel_auto
+
     a, sp_h, rel_contracted = ([c.numerator for c in p.coeffs]
                                for p in (rel_auto(g), *_terminal_reliabilities(gadget)))
     return RatPoly(compose_homogeneous(a, g.m, sp_h, rel_contracted))

@@ -11,9 +11,10 @@ import pytest
 import mpmath as mp
 
 import relroots
-from relroots import ParamBox, RatPoly, cli, rel_complete
+from relroots import ParamBox, RatPoly, cli, rel_complete, root_analysis
 from relroots.cli import TABLE1_REFERENCE, format_decimal, main, run_certificate, table1_rows
-from relroots.root_analysis import FixedEval, _outermost, _root_disks, polished_root_disk
+from relroots.fixed_point import FixedEval, polished_root_disk
+from relroots.root_analysis import _outermost, _root_disks
 from relroots.stability import mpf_to_fraction
 
 K3 = '{"n":3,"edges":[[0,1,1],[1,2,1],[0,2,1]]}'
@@ -65,6 +66,8 @@ def test_guard_exit_code(tmp_path, capsys):
     f = tmp_path / "k8.json"
     f.write_text(K8)
     assert main(["rel", str(f), "--method", "brute", "--guard-m", "20"]) == 2
+    # K8's 28 pairs are past the default guard of 24 too.
+    assert main(["rel", str(f), "--method", "brute"]) == 2
     capsys.readouterr()
 
 
@@ -262,14 +265,14 @@ def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin
     # Every residual becomes margin·(|z| - 1)/d for the row's root z, with d
     # the degree of the deflated h, so the disk D(z, d·residual) misses the
     # unit disk just barely, or reaches into it just barely.
-    solve = cli.find_roots
+    solve = root_analysis.find_roots
 
     def inflated(h, precision_bits):
         rs = solve(h, precision_bits)
         rho = margin * (abs(relroots.max_modulus_root(rs)) - 1) / h.degree
         return dataclasses.replace(rs, residuals=tuple(mp.mpf(rho) for _ in rs.roots))
 
-    monkeypatch.setattr(cli, "find_roots", inflated)
+    monkeypatch.setattr(root_analysis, "find_roots", inflated)
     assert main(["table1", "3"]) == code
     out = capsys.readouterr().out
     assert out.splitlines()[1:] == (["3," + ",".join(TABLE1_REFERENCE[3])] if code == 0 else [])
@@ -278,6 +281,20 @@ def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin
 def test_digits_capacity_check(capsys):
     assert main(["--digits", "100", "table1", "3"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("digits", ["-2", "0"])
+def test_digits_below_one_are_rejected(capsys, digits):
+    assert main(["--digits", digits, "table1", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --digits")
+
+
+@pytest.mark.parametrize("box", [["x", "0", "0", "1"], ["1/0", "1", "0", "1"]])
+def test_certify_rejects_an_unreadable_box_endpoint(capsys, box):
+    assert main(["certify", "9", "3", "--box", *box]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad parameter box endpoint")
 
 
 def test_format_decimal_half_even():
@@ -392,3 +409,36 @@ def test_numpy_loads_only_where_it_runs(code, loads_numpy):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(loads_numpy)
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["certify", "9", "3"], False),
+    (["roots", "POLY"], True),
+    (["table1", "3"], True),
+], ids=["certify", "roots", "table1"])
+def test_commands_load_the_solver_only_where_it_runs(tmp_path, argv, solver):
+    # One command through ``cli.main`` in a new interpreter: ``certify``
+    # proves its base disk with ``fixed_point`` alone, so it loads neither
+    # the root solver nor the reliability recursion, chip-firing or numpy;
+    # ``roots`` and ``table1`` load the solver.  ``cli.find_roots`` still
+    # reads as the solver's.
+    poly = tmp_path / "p.json"
+    poly.write_text('{"coeffs": ["-2", "0", "1"]}')
+    argv = [str(poly) if arg == "POLY" else arg for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(relroots.__file__).parents[1])}
+    watched = ("relroots.root_analysis", "relroots.reliability", "relroots.chip_firing", "numpy")
+    script = ("import contextlib, io, json, sys\nfrom relroots import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert cli.main({argv!r}) == 0\n"
+              f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))\n"
+              "from relroots import root_analysis\n"
+              "assert cli.find_roots is root_analysis.find_roots\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    if solver:
+        assert {"relroots.root_analysis", "numpy"} <= set(loaded)
+        assert "relroots.chip_firing" not in loaded
+    else:
+        assert loaded == []

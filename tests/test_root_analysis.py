@@ -13,10 +13,11 @@ from relroots import (Annulus, InputError, Multigraph, QComplex, RatPoly, RootSe
                       enestrom_kakeya, find_roots, max_modulus_root,
                       rel_bruteforce, reliability_root_set,
                       two_clique_graph, two_clique_reliability)
-from relroots import polynomials, root_analysis
+from relroots import fixed_point, polynomials, root_analysis
 from relroots.cli import main, roots_csv
 from relroots.polynomials import _squarefree_mod_p, convolve, squarefree_split
-from relroots.root_analysis import FixedEval, _Solve, polished_root_disk
+from relroots.fixed_point import FixedEval, polished_root_disk
+from relroots.root_analysis import _Solve
 from relroots.stability import BASE_ROOT_BOX, mpf_to_fraction
 
 
@@ -235,7 +236,7 @@ def _recorded_freezes(monkeypatch) -> list:
 
 def _assert_freeze_bound(seen) -> None:
     # Every root is frozen with d·ρ ≤ 2^-(prec/2+10)·|z|, exactly.
-    assert seen and all(radius <= root_analysis._modulus(*z) >> (prec // 2 + 10)
+    assert seen and all(radius <= fixed_point._modulus(*z) >> (prec // 2 + 10)
                         for z, radius, prec, _ in seen)
 
 
@@ -243,11 +244,11 @@ def _recorded_passes(monkeypatch) -> list:
     """Patch the two recurrence passes to record (pass, bits) for every run."""
     passes = []
     for name in ("_b_pass", "_e_pass"):
-        def recording(table, zr, r2, bits, run=getattr(root_analysis, name), name=name):
+        def recording(table, zr, r2, bits, run=getattr(fixed_point, name), name=name):
             passes.append((name, bits))
             return run(table, zr, r2, bits)
 
-        monkeypatch.setattr(root_analysis, name, recording)
+        monkeypatch.setattr(fixed_point, name, recording)
     return passes
 
 
@@ -297,7 +298,7 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         e_passes = sorted(bits for name, bits in passes if name == "_e_pass")
         assert e_passes == sorted(proofs), n
         steps = sum(name == "_b_pass" for name, _ in passes) - len(proofs)
-        full = sum(bits >= 256 + root_analysis._GUARD_BITS for bits in proofs)
+        full = sum(bits >= 256 + fixed_point._GUARD_BITS for bits in proofs)
         assert len(proofs) <= budget[n][0] and full <= budget[n][1], (n, proofs)
         assert steps <= budget[n][2] and sum(bits for _, bits in passes) <= budget[n][4], n
         assert diag.mirrored == budget[n][3], (n, diag)
@@ -332,7 +333,7 @@ def test_proofs_at_the_rung_match_proofs_at_full_precision(monkeypatch):
     for coeffs, ((zr, zi), rho), bits in proofs[::6]:
         value, slope, _ = _exact_reference(coeffs)(zr, zi, bits)
         assert value.abs2() * (1 << 2 * bits) <= rho * rho * slope.abs2()
-    monkeypatch.setattr(root_analysis, "_proof_bits", lambda *args: args[-1])
+    monkeypatch.setattr(fixed_point, "_proof_bits", lambda *args: args[-1])
     full = [find_roots(p, 256) for p in cases]
     for p, rung, at_full in zip(cases, ladder, full):
         assert ([getattr(rung.diagnostics, c) for c in counts]
@@ -366,7 +367,7 @@ def test_b_pass_gives_the_values_of_evaluate():
     # what the fused loop gave.  Rows 3..6 run real tables, Gaussian
     # polynomials complex ones.
     rng = random.Random(1964)
-    cases = [root_analysis._as_qcomplex_coeffs(
+    cases = [fixed_point._as_qcomplex_coeffs(
         two_clique_reliability(TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0])
         for n in range(3, 7)]
     cases += [[QComplex(Fraction(rng.randint(-99, 99)), Fraction(rng.randint(-99, 99)))
@@ -377,8 +378,8 @@ def test_b_pass_gives_the_values_of_evaluate():
         for z in find_roots(coeffs).roots[::5]:
             for bits in (158, 286):
                 wiggle = Fraction(rng.randint(-2 ** 20, 2 ** 20), 2 ** 60)
-                zr = root_analysis._scaled_int(mpf_to_fraction(z.real) + wiggle, bits)
-                zi = root_analysis._scaled_int(mpf_to_fraction(z.imag) - wiggle, bits)
+                zr = fixed_point._scaled_int(mpf_to_fraction(z.real) + wiggle, bits)
+                zi = fixed_point._scaled_int(mpf_to_fraction(z.imag) - wiggle, bits)
                 values = evaluator.evaluate(zr, zi, bits)
                 t = values[6]
                 assert evaluator.value(zr, zi, bits, t) == values[:2]
@@ -386,8 +387,8 @@ def test_b_pass_gives_the_values_of_evaluate():
                 for table in evaluator._table(t):
                     if table is None:
                         continue
-                    bs = root_analysis._b_pass(table, zr, r2, bits)
-                    e2, e3 = root_analysis._e_pass(bs, zr, r2, bits)
+                    bs = fixed_point._b_pass(table, zr, r2, bits)
+                    e2, e3 = fixed_point._e_pass(bs, zr, r2, bits)
                     assert (bs[-1], bs[-2], e2, e3) == _fused_remainders(table, zr, r2, bits)
                     tables += 1
     assert tables > 300
@@ -896,12 +897,12 @@ def test_fixed_eval_against_exact_evaluation():
             evaluator, reference = FixedEval(coeffs), _exact_reference(coeffs)
             for x in (1 - Fraction(1, 2 ** 20), Fraction(-127, 128), Fraction(1, 2 ** 30),
                       Fraction(far), Fraction(-far)):
-                zr = root_analysis._scaled_int(x, bits)
+                zr = fixed_point._scaled_int(x, bits)
                 for zi in (0, 1 << (bits - 60), -(zr >> 40)):
                     check(reference, evaluator, zr, zi, bits)
             for radius in (Fraction(1, 2 ** 30), Fraction(1), Fraction(far)):
-                check(reference, evaluator, root_analysis._scaled_int(radius * Fraction(3, 4), bits),
-                      root_analysis._scaled_int(radius * Fraction(5, 8), bits), bits)
+                check(reference, evaluator, fixed_point._scaled_int(radius * Fraction(3, 4), bits),
+                      fixed_point._scaled_int(radius * Fraction(5, 8), bits), bits)
 
 
 def test_fixed_eval_scale_reads_the_largest_term_off_the_hull():
@@ -913,8 +914,8 @@ def test_fixed_eval_scale_reads_the_largest_term_off_the_hull():
     rng = random.Random(1974)
     for n in range(3, 10):
         h, _ = two_clique_reliability(TwoCliqueParams(m=n, n=n, a=1, b=6)).deflate_unit_roots()
-        coeffs = root_analysis._as_qcomplex_coeffs(h)
-        logs = [root_analysis._log2_abs(c) for c in coeffs]
+        coeffs = fixed_point._as_qcomplex_coeffs(h)
+        logs = [fixed_point._log2_abs(c) for c in coeffs]
         evaluator = FixedEval(coeffs)
         points = ([rng.uniform(-4, 4) for _ in range(500)]
                   + [rng.gauss(0, 0.1) for _ in range(500)] + evaluator._descents)

@@ -8,7 +8,7 @@ from relroots import (InputError, QComplex, RatPoly, SchurCohnHypothesisError,
                       TwoCliqueParams, find_roots, two_clique_reliability)
 from relroots import stability
 from relroots.polynomials import bareiss_det
-from relroots.root_analysis import polished_root_disk
+from relroots.fixed_point import polished_root_disk
 from relroots.stability import (BASE_ROOT_BOX, ParamBox, _clear_denominators,
                                 _det_sign_polynomials, _exact_mks, _hermitian_matrix,
                                 _nested_dets, _real, certificate_pencil, kth_root_ratio_box,
