@@ -23,9 +23,9 @@ _SOURCES = {
                      "SchurCohnHypothesisError", "ToolkitError"), "errors"),
     **dict.fromkeys(("Block", "Multigraph", "blocks", "bundle_replace", "edge_connectivity",
                      "is_connected", "parse_graph", "spanning_tree_count"), "multigraph"),
-    **dict.fromkeys(("FVector", "HVector", "QComplex", "RatPoly", "f_from_rel", "f_to_h",
-                     "h_to_rel", "parse_complex_rational", "rel_from_f"), "polynomials"),
-    **dict.fromkeys(("SplitSpec", "f_vector", "rel_auto", "rel_bruteforce", "rel_via_blocks",
+    **dict.fromkeys(("QComplex", "RatPoly", "parse_complex_rational"), "polynomials"),
+    **dict.fromkeys(("FVector", "HVector", "SplitSpec", "f_from_rel", "f_to_h", "f_vector",
+                     "h_to_rel", "rel_auto", "rel_bruteforce", "rel_from_f", "rel_via_blocks",
                      "sprel"), "reliability"),
     **dict.fromkeys(("Annulus", "RootSet", "SolverDiagnostics", "check_modulus_bound",
                      "enestrom_kakeya", "find_roots", "max_modulus_root",

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import GuardExceededError, InputError
 from .multigraph import Multigraph, is_connected
-from .polynomials import HVector
+from .reliability import HVector
 
 DEFAULT_STATE_GUARD = 1 << 24
 # Stable configurations burned per vectorized pass of _critical_rows.  Each

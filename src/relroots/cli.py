@@ -19,7 +19,7 @@ from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_r
 from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
 from .fixed_point import DEFAULT_PRECISION_BITS, polished_root_disk
 from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
-from .polynomials import RatPoly, f_from_rel, f_to_h, parse_complex_rational
+from .polynomials import RatPoly, parse_complex_rational
 from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
                         mpf_to_fraction, schur_cohn, schur_cohn_box)
 from .substitution import substituted_two_clique_graph
@@ -139,15 +139,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _check_digits(digits: int, precision_bits: int) -> None:
-    if digits < 1:
-        raise InputError(f"--digits must be at least 1, got {digits}")
-    capacity = int(precision_bits * 0.3010) // 2
-    if digits > capacity:
-        raise InputError(
-            f"{digits} digits exceed what {precision_bits} precision bits support ({capacity})")
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +357,8 @@ def _parse_poly_literal(text: str):
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_digits(args.digits, args.precision_bits)
+        if args.digits < 1:
+            raise InputError(f"--digits must be at least 1, got {args.digits}")
         return _dispatch(args)
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -397,7 +389,7 @@ def _dispatch(args) -> int:
             from .chip_firing import h_vector_chip
             h = h_vector_chip(g, args.sink)
         else:
-            from .reliability import rel_auto
+            from .reliability import f_from_rel, f_to_h, rel_auto
             h = f_to_h(f_from_rel(rel_auto(g), g.n))
         doc = {"n": h.n, "m": h.m, "H": [str(v) for v in h.values]}
         _emit(json.dumps(doc) + "\n", args.out)
@@ -437,6 +429,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "table1":
+        # Only table1 reads --digits; half the decimal digits of the
+        # precision are what its roots resolve.
+        capacity = int(args.precision_bits * 0.3010) // 2
+        if args.digits > capacity:
+            raise InputError(f"{args.digits} digits exceed what {args.precision_bits} "
+                             f"precision bits support ({capacity})")
         rows = table1_rows(args.max_n, args.precision_bits, args.digits)
         lines = ["n,re,im,modulus"]
         for n, re, im, mod in rows:

@@ -10,7 +10,6 @@ integer coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import InputError
@@ -33,18 +32,29 @@ def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TwoCliqueParams:
     """Parameters (m, n, a, b): clique orders and internal/cross multiplicities."""
 
-    m: int
-    n: int
-    a: int
-    b: int
+    __slots__ = ("m", "n", "a", "b")
 
-    def __post_init__(self):
-        if min(self.m, self.n, self.a, self.b) < 1:
+    def __init__(self, m: int, n: int, a: int, b: int):
+        if min(m, n, a, b) < 1:
             raise InputError("two-clique parameters must all be >= 1")
+        self.m, self.n, self.a, self.b = m, n, a, b
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.m, self.n, self.a, self.b
+
+    def __eq__(self, other):
+        if other.__class__ is not TwoCliqueParams:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "TwoCliqueParams(m={!r}, n={!r}, a={!r}, b={!r})".format(*self._key())
 
     @property
     def edge_count(self) -> int:

@@ -1,15 +1,15 @@
 """Loopless undirected multigraphs and their structural queries.
 
 A :class:`Multigraph` stores parallel edges as a single (u, v, mult) entry
-per vertex pair with u < v.  Everything here is immutable and pure, so
-values can be shared freely between threads.
+per vertex pair with u < v.  Nothing here changes a graph once it is
+built and every function is pure, so values can be shared freely between
+threads.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError, InputError
@@ -18,33 +18,41 @@ from .polynomials import bareiss_det
 Edge = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """Loopless multigraph on vertices 0..n-1 with positive edge multiplicities.
 
     ``edges`` must be canonical: one (u, v, mult) entry per pair, u < v,
     sorted by pair.  :meth:`from_edges` builds that form from any edge list.
-    Raises :class:`InputError` otherwise.
+    Raises :class:`InputError` otherwise.  ``m`` is the number of edges,
+    counted with multiplicity.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    m: int = field(init=False)
+    __slots__ = ("n", "edges", "m")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
-        for u, v, mult in self.edges:
+    def __init__(self, n: int, edges: tuple[Edge, ...]):
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {n}")
+        for u, v, mult in edges:
             if u == v:
                 raise InputError(f"loop edge at vertex {u} is not allowed")
-            if not 0 <= u < v < self.n:
+            if not 0 <= u < v < n:
                 raise InputError(
-                    f"edge ({u}, {v}) is not a pair u < v of vertices in 0..{self.n - 1}")
+                    f"edge ({u}, {v}) is not a pair u < v of vertices in 0..{n - 1}")
             if mult < 1:
                 raise InputError(f"edge ({u}, {v}) has multiplicity {mult} < 1")
-        if any(a[:2] >= b[:2] for a, b in zip(self.edges, self.edges[1:])):
+        if any(a[:2] >= b[:2] for a, b in zip(edges, edges[1:])):
             raise InputError("edge pairs must be unique and sorted")
-        object.__setattr__(self, "m", sum(mult for _, _, mult in self.edges))
+        self.n = n
+        self.edges = edges
+        self.m = sum(mult for _, _, mult in edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not Multigraph:
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Multigraph":
@@ -153,15 +161,28 @@ def _require_connected(g: Multigraph) -> None:
         raise DisconnectedGraphError("operation requires a connected graph")
 
 
-@dataclass(frozen=True)
 class Block:
     """A biconnected component, relabelled to 0..n_B-1.
 
     ``vertices[i]`` is the label in the parent graph of block vertex ``i``.
     """
 
-    graph: Multigraph
-    vertices: tuple[int, ...]
+    __slots__ = ("graph", "vertices")
+
+    def __init__(self, graph: Multigraph, vertices: tuple[int, ...]):
+        self.graph = graph
+        self.vertices = vertices
+
+    def __eq__(self, other):
+        if other.__class__ is not Block:
+            return NotImplemented
+        return (self.graph, self.vertices) == (other.graph, other.vertices)
+
+    def __hash__(self):
+        return hash((self.graph, self.vertices))
+
+    def __repr__(self):
+        return f"Block(graph={self.graph!r}, vertices={self.vertices!r})"
 
 
 def blocks(g: Multigraph) -> list[Block]:

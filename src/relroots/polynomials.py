@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence, Union
@@ -227,123 +226,28 @@ def compose_homogeneous(c: Sequence, d: int, s: Sequence, t: Sequence) -> list:
 
 
 # ---------------------------------------------------------------------------
-# F-vectors and H-vectors of the cographic matroid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FVector:
-    """F_i = number of i-edge subsets whose removal leaves the graph connected."""
-
-    values: tuple[int, ...]
-    n: int
-    m: int
-
-    def __post_init__(self):
-        expect = self.m - self.n + 2
-        if len(self.values) != expect:
-            raise InputError(
-                f"F-vector needs m-n+2 = {expect} entries, got {len(self.values)}")
-        if any(v < 0 for v in self.values):
-            raise InputError("F-vector entries must be nonnegative")
-        if self.values and self.values[0] != 1:
-            raise InputError("F_0 must be 1 for a connected graph")
-
-    def check_binomial_bound(self) -> bool:
-        return all(v <= math.comb(self.m, i) for i, v in enumerate(self.values))
-
-    def to_polynomial(self) -> RatPoly:
-        """The generating polynomial F(G; x)."""
-        return RatPoly(self.values)
-
-
-@dataclass(frozen=True)
-class HVector:
-    """Coefficients of Rel after the (1-q)^(n-1) factor is removed."""
-
-    values: tuple[int, ...]
-    n: int
-    m: int
-
-    def __post_init__(self):
-        expect = self.m - self.n + 2
-        if len(self.values) != expect:
-            raise InputError(
-                f"H-vector needs m-n+2 = {expect} entries, got {len(self.values)}")
-        if self.values and self.values[0] != 1:
-            raise InputError("H_0 must be 1")
-
-    def is_strictly_positive(self) -> bool:
-        return all(v >= 1 for v in self.values)
-
-    def is_log_concave(self) -> bool:
-        v = self.values
-        return all(v[i] * v[i] >= v[i - 1] * v[i + 1] for i in range(1, len(v) - 1))
-
-    def to_polynomial(self) -> RatPoly:
-        return RatPoly(self.values)
-
-    def total(self) -> int:
-        """H(1); equals the number of spanning trees."""
-        return sum(self.values)
-
-
-def f_to_h(f: FVector) -> HVector:
-    """Convert an F-vector to the unique H-vector with the same reliability polynomial.
-
-    Rel = sum_i F_i q^i (1-q)^(m-i), and a validated F-vector has entries
-    only for i <= m-n+1, where m-i >= n-1.  So every term keeps the factor
-    (1-q)^(n-1), and H = sum_i F_i q^i (1-q)^(m-n+1-i) has integer
-    coefficients with nothing left over.  A corrupt F-vector shows as a
-    nonpositive H entry.
-    """
-    values = tuple(compose_homogeneous(f.values, f.m - f.n + 1, Q, ONE_MINUS_Q))
-    if any(v <= 0 for v in values):
-        raise NumericalError("H-vector entries must be strictly positive; corrupt F-vector")
-    return HVector(values=values, n=f.n, m=f.m)
-
-
-def h_to_rel(h: HVector) -> RatPoly:
-    """Expand (1-q)^(n-1) * sum_k H_k q^k; the result has degree exactly m."""
-    one_minus_q = RatPoly([1, -1])
-    return (one_minus_q ** (h.n - 1)) * h.to_polynomial()
-
-
-def rel_from_f(f: FVector) -> RatPoly:
-    """Expand sum_i F_i q^i (1-q)^(m-i)."""
-    return RatPoly(compose_homogeneous(f.values, f.m, Q, ONE_MINUS_Q))
-
-
-def f_from_rel(rel: RatPoly, n: int) -> FVector:
-    """Recover the F-vector from an expanded reliability polynomial.
-
-    Uses F(t) = (1+t)^m Rel(t/(1+t)) = sum_j c_j t^j (1+t)^(m-j); entries
-    beyond degree m-n+1 must vanish, which doubles as a sanity check.  The
-    map is unimodular, so F is integral exactly when Rel is.
-    """
-    if rel.is_zero():
-        raise InputError("cannot take the F-vector of the zero polynomial")
-    if any(c.denominator != 1 for c in rel.coeffs):
-        raise NumericalError("non-integral F-vector recovered")
-    m = rel.degree
-    f = compose_homogeneous([c.numerator for c in rel.coeffs], m, Q, ONE_PLUS_Q)
-    top = m - n + 1
-    if top < 0 or any(f[top + 1:]):
-        raise NumericalError("reliability polynomial is inconsistent with the claimed vertex count")
-    return FVector(values=tuple(f[:top + 1]), n=n, m=m)
-
-
-# ---------------------------------------------------------------------------
 # Gaussian rationals, for complex-coefficient polynomials
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QComplex:
     """Exact complex number with rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
+        self.re, self.im = re, im
+
+    def __eq__(self, other):
+        if other.__class__ is not QComplex:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"QComplex(re={self.re!r}, im={self.im!r})"
 
     @classmethod
     def of(cls, value) -> "QComplex":

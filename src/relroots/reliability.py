@@ -7,6 +7,8 @@ oracles ``f_vector``, ``rel_bruteforce`` and ``sprel`` (split reliability:
 each surviving component holds exactly one vertex of a target set K).
 Outside the oracles split reliability for two terminals comes from the
 recursion, as spRel(H; u, v) = Rel(H/uv) - Rel(H) with ``contract``.
+The F- and H-vectors, and the transforms between them and Rel, live here
+too, so that a ``certify`` run, which needs none of them, never loads them.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
-from .errors import DisconnectedGraphError, GuardExceededError, InputError
+from .errors import DisconnectedGraphError, GuardExceededError, InputError, NumericalError
 from .multigraph import Multigraph, blocks, edges_connected, is_connected
-from .polynomials import (ONE_MINUS_Q, Q, FVector, RatPoly, compose_homogeneous, convolve,
-                          rel_from_f)
+from .polynomials import ONE_MINUS_Q, ONE_PLUS_Q, Q, RatPoly, compose_homogeneous, convolve
 
 DEFAULT_GUARD_PAIRS = 24
 DEFAULT_DC_BUDGET = 500_000
@@ -39,6 +40,113 @@ class SplitSpec:
     @classmethod
     def of(cls, vertices: Iterable[int]) -> "SplitSpec":
         return cls(tuple(vertices))
+
+
+# ---------------------------------------------------------------------------
+# F-vectors and H-vectors of the cographic matroid
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FVector:
+    """F_i = number of i-edge subsets whose removal leaves the graph connected."""
+
+    values: tuple[int, ...]
+    n: int
+    m: int
+
+    def __post_init__(self):
+        expect = self.m - self.n + 2
+        if len(self.values) != expect:
+            raise InputError(
+                f"F-vector needs m-n+2 = {expect} entries, got {len(self.values)}")
+        if any(v < 0 for v in self.values):
+            raise InputError("F-vector entries must be nonnegative")
+        if self.values and self.values[0] != 1:
+            raise InputError("F_0 must be 1 for a connected graph")
+
+    def check_binomial_bound(self) -> bool:
+        return all(v <= comb(self.m, i) for i, v in enumerate(self.values))
+
+    def to_polynomial(self) -> RatPoly:
+        """The generating polynomial F(G; x)."""
+        return RatPoly(self.values)
+
+
+@dataclass(frozen=True)
+class HVector:
+    """Coefficients of Rel after the (1-q)^(n-1) factor is removed."""
+
+    values: tuple[int, ...]
+    n: int
+    m: int
+
+    def __post_init__(self):
+        expect = self.m - self.n + 2
+        if len(self.values) != expect:
+            raise InputError(
+                f"H-vector needs m-n+2 = {expect} entries, got {len(self.values)}")
+        if self.values and self.values[0] != 1:
+            raise InputError("H_0 must be 1")
+
+    def is_strictly_positive(self) -> bool:
+        return all(v >= 1 for v in self.values)
+
+    def is_log_concave(self) -> bool:
+        v = self.values
+        return all(v[i] * v[i] >= v[i - 1] * v[i + 1] for i in range(1, len(v) - 1))
+
+    def to_polynomial(self) -> RatPoly:
+        return RatPoly(self.values)
+
+    def total(self) -> int:
+        """H(1); equals the number of spanning trees."""
+        return sum(self.values)
+
+
+def f_to_h(f: FVector) -> HVector:
+    """Convert an F-vector to the unique H-vector with the same reliability polynomial.
+
+    Rel = sum_i F_i q^i (1-q)^(m-i), and a validated F-vector has entries
+    only for i <= m-n+1, where m-i >= n-1.  So every term keeps the factor
+    (1-q)^(n-1), and H = sum_i F_i q^i (1-q)^(m-n+1-i) has integer
+    coefficients with nothing left over.  A corrupt F-vector shows as a
+    nonpositive H entry.
+    """
+    values = tuple(compose_homogeneous(f.values, f.m - f.n + 1, Q, ONE_MINUS_Q))
+    if any(v <= 0 for v in values):
+        raise NumericalError("H-vector entries must be strictly positive; corrupt F-vector")
+    return HVector(values=values, n=f.n, m=f.m)
+
+
+def h_to_rel(h: HVector) -> RatPoly:
+    """Expand (1-q)^(n-1) * sum_k H_k q^k; the result has degree exactly m."""
+    one_minus_q = RatPoly([1, -1])
+    return (one_minus_q ** (h.n - 1)) * h.to_polynomial()
+
+
+def rel_from_f(f: FVector) -> RatPoly:
+    """Expand sum_i F_i q^i (1-q)^(m-i)."""
+    return RatPoly(compose_homogeneous(f.values, f.m, Q, ONE_MINUS_Q))
+
+
+def f_from_rel(rel: RatPoly, n: int) -> FVector:
+    """Recover the F-vector from an expanded reliability polynomial.
+
+    Uses F(t) = (1+t)^m Rel(t/(1+t)) = sum_j c_j t^j (1+t)^(m-j); entries
+    beyond degree m-n+1 must vanish, which doubles as a sanity check.  The
+    map is unimodular, so F is integral exactly when Rel is.
+    """
+    if rel.is_zero():
+        raise InputError("cannot take the F-vector of the zero polynomial")
+    if any(c.denominator != 1 for c in rel.coeffs):
+        raise NumericalError("non-integral F-vector recovered")
+    m = rel.degree
+    f = compose_homogeneous([c.numerator for c in rel.coeffs], m, Q, ONE_PLUS_Q)
+    top = m - n + 1
+    if top < 0 or any(f[top + 1:]):
+        raise NumericalError("reliability polynomial is inconsistent with the claimed vertex count")
+    return FVector(values=tuple(f[:top + 1]), n=n, m=m)
 
 
 class _DSU:

@@ -53,7 +53,6 @@ from .fixed_point import (_GUARD_BITS, DEFAULT_PRECISION_BITS, FixedEval, PolyLi
                           _to_fixed)
 from .multigraph import Multigraph, blocks, is_connected
 from .polynomials import QComplex, RatPoly, squarefree_split
-from .reliability import rel_auto
 
 MAX_PRECISION_BITS = 4096
 
@@ -719,6 +718,8 @@ def check_modulus_bound(g: Multigraph,
     vertex has no incident multiple edges; the H ratios prove it exactly, and
     the root disks of a solve at ``precision_bits`` cross-check it exactly.
     """
+    from .reliability import rel_auto
+
     if not is_connected(g) or g.n < 2:
         raise InputError("modulus bound check needs a connected graph on >= 2 vertices")
     if len(blocks(g)) != 1:

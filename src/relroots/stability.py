@@ -19,7 +19,6 @@ which rounds every endpoint outward.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
@@ -34,18 +33,29 @@ from .fixed_point import _dyadic
 from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
 
 
-@dataclass(frozen=True)
 class ParamBox:
     """Rational rectangle [a_lo,a_hi] x [b_lo,b_hi] for the parameter a+bi."""
 
-    a_lo: Fraction
-    a_hi: Fraction
-    b_lo: Fraction
-    b_hi: Fraction
+    __slots__ = ("a_lo", "a_hi", "b_lo", "b_hi")
 
-    def __post_init__(self):
-        if self.a_lo > self.a_hi or self.b_lo > self.b_hi:
+    def __init__(self, a_lo: Fraction, a_hi: Fraction, b_lo: Fraction, b_hi: Fraction):
+        if a_lo > a_hi or b_lo > b_hi:
             raise InputError("parameter box endpoints out of order")
+        self.a_lo, self.a_hi, self.b_lo, self.b_hi = a_lo, a_hi, b_lo, b_hi
+
+    def _key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self.a_lo, self.a_hi, self.b_lo, self.b_hi
+
+    def __eq__(self, other):
+        if other.__class__ is not ParamBox:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "ParamBox(a_lo={!r}, a_hi={!r}, b_lo={!r}, b_hi={!r})".format(*self._key())
 
     @classmethod
     def of(cls, a_lo, a_hi, b_lo, b_hi) -> "ParamBox":
@@ -89,7 +99,6 @@ BASE_ROOT_BOX = ParamBox.of(Fraction(69659, 100000), Fraction(69660, 100000),
                             Fraction(77393, 100000), Fraction(77394, 100000))
 
 
-@dataclass
 class SchurCohnReport:
     """Signs of the nested determinants and the induced outside-root count.
 
@@ -97,10 +106,24 @@ class SchurCohnReport:
     prefixed by 1) is present only when every sign is determinate.
     """
 
-    signs: tuple[str, ...]
-    beta: Optional[int]
-    box: Optional[ParamBox] = None
-    subdivision_depth: int = 0
+    __slots__ = ("signs", "beta", "box", "subdivision_depth")
+
+    def __init__(self, signs: tuple[str, ...], beta: Optional[int],
+                 box: Optional[ParamBox] = None, subdivision_depth: int = 0):
+        self.signs, self.beta = signs, beta
+        self.box, self.subdivision_depth = box, subdivision_depth
+
+    def _key(self) -> tuple:
+        return self.signs, self.beta, self.box, self.subdivision_depth
+
+    def __eq__(self, other):
+        if other.__class__ is not SchurCohnReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return ("SchurCohnReport(signs={!r}, beta={!r}, box={!r}, subdivision_depth={!r})"
+                .format(*self._key()))
 
     @property
     def determinate(self) -> bool:
@@ -276,7 +299,6 @@ def _enclose(iv: MPIntervalContext, lo: Fraction, hi: Fraction):
                    iv.mpf(hi.numerator) / hi.denominator))
 
 
-@dataclass
 class BoxPoly:
     """A certificate pencil with its parameter ranging over a rational box.
 
@@ -284,8 +306,18 @@ class BoxPoly:
     over ``box`` and bisects it when a sign is undecided.
     """
 
-    box: ParamBox
-    pencil: "CertificatePencil" = field(repr=False)
+    __slots__ = ("box", "pencil")
+
+    def __init__(self, box: ParamBox, pencil: "CertificatePencil"):
+        self.box, self.pencil = box, pencil
+
+    def __eq__(self, other):
+        if other.__class__ is not BoxPoly:
+            return NotImplemented
+        return (self.box, self.pencil) == (other.box, other.pencil)
+
+    def __repr__(self):
+        return f"BoxPoly(box={self.box!r})"
 
     @property
     def degree(self) -> int:
@@ -372,7 +404,6 @@ def schur_cohn_box(bp: BoxPoly, max_depth: int = 12) -> SchurCohnReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CertificatePencil:
     """The parametric polynomial s(q) - (a+bi) r(q) whose roots outside the
     unit circle certify reliability roots of the substituted graphs.
@@ -381,9 +412,25 @@ class CertificatePencil:
     an edge, both divided exactly by their common (1-q)^(n-2) factor.
     """
 
-    n: int
-    split_reduced: RatPoly
-    rel_reduced: RatPoly
+    __slots__ = ("n", "split_reduced", "rel_reduced")
+
+    def __init__(self, n: int, split_reduced: RatPoly, rel_reduced: RatPoly):
+        self.n, self.split_reduced, self.rel_reduced = n, split_reduced, rel_reduced
+
+    def _key(self) -> tuple[int, RatPoly, RatPoly]:
+        return self.n, self.split_reduced, self.rel_reduced
+
+    def __eq__(self, other):
+        if other.__class__ is not CertificatePencil:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CertificatePencil(n={!r}, split_reduced={!r}, rel_reduced={!r})".format(
+            *self._key())
 
     @property
     def degree(self) -> int:

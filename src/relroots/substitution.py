@@ -11,7 +11,6 @@ contraction identity spRel(H; u, v) = Rel(H/uv) - Rel(H).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .closed_forms import TwoCliqueParams, two_clique_graph
@@ -20,24 +19,36 @@ from .multigraph import Multigraph, is_connected
 from .polynomials import QComplex, RatPoly, compose_homogeneous
 
 
-@dataclass(frozen=True)
 class Gadget:
     """A connected graph with two distinct marked terminals."""
 
-    graph: Multigraph
-    u: int
-    v: int
+    __slots__ = ("graph", "u", "v")
 
-    def __post_init__(self):
-        if self.graph.n < 2:
+    def __init__(self, graph: Multigraph, u: int, v: int):
+        if graph.n < 2:
             raise InputError("gadget needs at least two vertices")
-        if self.u == self.v:
+        if u == v:
             raise InputError("gadget terminals must be distinct")
-        for t in (self.u, self.v):
-            if not (0 <= t < self.graph.n):
-                raise InputError(f"gadget terminal {t} outside 0..{self.graph.n - 1}")
-        if not is_connected(self.graph):
+        for t in (u, v):
+            if not (0 <= t < graph.n):
+                raise InputError(f"gadget terminal {t} outside 0..{graph.n - 1}")
+        if not is_connected(graph):
             raise InputError("gadget must be connected")
+        self.graph, self.u, self.v = graph, u, v
+
+    def _key(self) -> tuple[Multigraph, int, int]:
+        return self.graph, self.u, self.v
+
+    def __eq__(self, other):
+        if other.__class__ is not Gadget:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Gadget(graph={!r}, u={!r}, v={!r})".format(*self._key())
 
 
 def bundle_gadget(k: int) -> Gadget:

@@ -279,8 +279,18 @@ def test_table1_proves_its_row_outside_the_unit_disk(monkeypatch, capsys, margin
 
 
 def test_digits_capacity_check(capsys):
+    # Only table1 reads --digits, so only table1 checks them against the
+    # precision: 60 bits hold 9 digits, and certify still passes at 60
+    # bits under the default of 10.  Every command rejects digits below 1.
     assert main(["--digits", "100", "table1", "3"]) == 1
-    capsys.readouterr()
+    assert main(["table1", "3", "--digits", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == 2 * "error: 100 digits exceed what 256 precision bits support (38)\n"
+    assert main(["--precision-bits", "60", "certify", "9", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert main(["--digits", "0", "certify", "9", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: --digits")
 
 
 @pytest.mark.parametrize("digits", ["-2", "0"])
@@ -419,14 +429,17 @@ def test_numpy_loads_only_where_it_runs(code, loads_numpy):
 def test_commands_load_the_solver_only_where_it_runs(tmp_path, argv, solver):
     # One command through ``cli.main`` in a new interpreter: ``certify``
     # proves its base disk with ``fixed_point`` alone, so it loads neither
-    # the root solver nor the reliability recursion, chip-firing or numpy;
-    # ``roots`` and ``table1`` load the solver.  ``cli.find_roots`` still
-    # reads as the solver's.
+    # the root solver nor the reliability recursion, chip-firing or numpy,
+    # and its records are plain classes, so it loads no ``dataclasses``
+    # (nor the ``inspect`` that it imports); ``roots`` and ``table1`` load
+    # the solver but not the recursion.  ``cli.find_roots`` still reads as
+    # the solver's.
     poly = tmp_path / "p.json"
     poly.write_text('{"coeffs": ["-2", "0", "1"]}')
     argv = [str(poly) if arg == "POLY" else arg for arg in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(relroots.__file__).parents[1])}
-    watched = ("relroots.root_analysis", "relroots.reliability", "relroots.chip_firing", "numpy")
+    watched = ("relroots.root_analysis", "relroots.reliability", "relroots.chip_firing", "numpy",
+               "dataclasses", "inspect")
     script = ("import contextlib, io, json, sys\nfrom relroots import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    assert cli.main({argv!r}) == 0\n"
@@ -439,6 +452,6 @@ def test_commands_load_the_solver_only_where_it_runs(tmp_path, argv, solver):
     loaded = json.loads(proc.stdout)
     if solver:
         assert {"relroots.root_analysis", "numpy"} <= set(loaded)
-        assert "relroots.chip_firing" not in loaded
+        assert not {"relroots.reliability", "relroots.chip_firing"} & set(loaded)
     else:
         assert loaded == []

@@ -1,5 +1,6 @@
 """The benchmark's workloads call and patch these package names."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -7,6 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
+
+from relroots import InputError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +39,20 @@ def test_table1_workload_check_passes(monkeypatch):
     rows = workloads.table1_run(orders, SimpleNamespace(lib=workloads.library()))
     problems, _ = workloads.table1_check(orders, rows)
     assert problems == []
+
+
+def test_records_the_controls_replace_are_dataclasses():
+    # The benchmark's negative controls corrupt an HVector and a RootSet
+    # with dataclasses.replace, which also runs their validation.
+    from relroots import FVector, HVector, RatPoly, RootSet, find_roots
+
+    assert all(dataclasses.is_dataclass(cls) for cls in (FVector, HVector, RootSet))
+    h = HVector(values=(1, 2), n=3, m=3)
+    assert dataclasses.replace(h, values=(1, 3)) == HVector(values=(1, 3), n=3, m=3)
+    with pytest.raises(InputError):
+        dataclasses.replace(h, values=(2, 3))
+    f = FVector(values=(1, 3), n=3, m=3)
+    assert dataclasses.replace(f, values=(1, 2)).values == (1, 2)
+    rs = find_roots(RatPoly([-2, 0, 1]))
+    short = dataclasses.replace(rs, roots=rs.roots[:-1], residuals=rs.residuals[:-1])
+    assert (short.roots, short.residuals) == (rs.roots[:1], rs.residuals[:1])

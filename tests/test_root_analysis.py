@@ -179,7 +179,7 @@ def test_check_modulus_bound_takes_the_largest_ratio(monkeypatch):
     # whose largest ratio, 3, sits below the top one, 1, shows that the
     # bound reads every ratio.
     h = RatPoly([1, 3, 1, 1])
-    monkeypatch.setattr(root_analysis, "rel_auto", lambda g: RatPoly([1, -1]) * h)
+    monkeypatch.setattr("relroots.reliability.rel_auto", lambda g: RatPoly([1, -1]) * h)
     rep = check_modulus_bound(Multigraph.from_edges(2, [(0, 1, 6)]))
     assert rep.ratio == enestrom_kakeya(h).hi == 3
     assert rep.bound == 1 and not rep.ratio_within_bound
