@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from relroots import InputError
+from relroots import FVector, HVector, InputError, RatPoly, RootSet, find_roots
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,8 +44,6 @@ def test_table1_workload_check_passes(monkeypatch):
 def test_records_the_controls_replace_are_dataclasses():
     # The benchmark's negative controls corrupt an HVector and a RootSet
     # with dataclasses.replace, which also runs their validation.
-    from relroots import FVector, HVector, RatPoly, RootSet, find_roots
-
     assert all(dataclasses.is_dataclass(cls) for cls in (FVector, HVector, RootSet))
     h = HVector(values=(1, 2), n=3, m=3)
     assert dataclasses.replace(h, values=(1, 3)) == HVector(values=(1, 3), n=3, m=3)

@@ -10,6 +10,7 @@ from relroots import (Block, Gadget, InputError, Multigraph, ParamBox, QComplex,
 from relroots.reliability import contract
 
 TRIANGLE = ((0, 1, 1), (0, 2, 1), (1, 2, 1))
+K3 = Multigraph(n=3, edges=TRIANGLE)
 PATH = Multigraph(n=3, edges=((0, 1, 1), (1, 2, 1)))
 
 # name -> (build a fresh value, build a different one, hashable).  The
@@ -30,7 +31,7 @@ RECORDS = {
     "BoxPoly": (lambda: certificate_pencil(3).box_poly(ParamBox.of(0, 1, 0, 1)),
                 lambda: certificate_pencil(3).box_poly(ParamBox.of(0, 1, 0, 2)), False),
     "CertificatePencil": (lambda: certificate_pencil(4), lambda: certificate_pencil(3), True),
-    "Gadget": (lambda: Gadget(graph=Multigraph(n=3, edges=TRIANGLE), u=0, v=2),
+    "Gadget": (lambda: Gadget(graph=K3, u=0, v=2),
                lambda: Gadget(PATH, 0, 2), True),
 }
 
@@ -51,9 +52,6 @@ def test_record_equality_and_hashing(make, other, hashable):
 def test_multigraph_counts_its_edges():
     assert Multigraph(n=3, edges=((0, 1, 2), (1, 2, 3))).m == 5
     assert Multigraph(*contract(3, TRIANGLE, 0, 1)) == Multigraph(n=2, edges=((0, 1, 2),))
-
-
-K3 = Multigraph(n=3, edges=TRIANGLE)
 
 
 @pytest.mark.parametrize("build", [
