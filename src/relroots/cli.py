@@ -344,7 +344,12 @@ def _parse_poly_literal(text: str):
             if head.startswith("(") and head.endswith(")"):
                 head = head[1:-1]
             coeff = parse_complex_rational(head) if head else parse_complex_rational("1")
-            power = int(tail[1:]) if tail.startswith("^") else 1
+            if not tail:
+                power = 1
+            elif tail[0] == "^" and tail[1:].isascii() and tail[1:].isdigit():
+                power = int(tail[1:])
+            else:
+                raise InputError(f"bad power in polynomial term {term!r}")
         else:
             coeff = parse_complex_rational(term)
             power = 0

@@ -14,7 +14,7 @@ from math import comb
 
 from .errors import InputError
 from .multigraph import Multigraph
-from .polynomials import RatPoly
+from .polynomials import RatPoly, Record
 
 
 def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
@@ -32,7 +32,7 @@ def _padd_into(acc: list[int], p: list[int], shift: int, scale: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-class TwoCliqueParams:
+class TwoCliqueParams(Record):
     """Parameters (m, n, a, b): clique orders and internal/cross multiplicities."""
 
     __slots__ = ("m", "n", "a", "b")
@@ -41,20 +41,6 @@ class TwoCliqueParams:
         if min(m, n, a, b) < 1:
             raise InputError("two-clique parameters must all be >= 1")
         self.m, self.n, self.a, self.b = m, n, a, b
-
-    def _key(self) -> tuple[int, int, int, int]:
-        return self.m, self.n, self.a, self.b
-
-    def __eq__(self, other):
-        if other.__class__ is not TwoCliqueParams:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "TwoCliqueParams(m={!r}, n={!r}, a={!r}, b={!r})".format(*self._key())
 
     @property
     def edge_count(self) -> int:

@@ -29,8 +29,6 @@ import math
 from fractions import Fraction
 from typing import Sequence, Union
 
-from mpmath.libmp import fzero
-
 from .errors import InputError, NumericalError
 from .polynomials import QComplex, RatPoly, cpoly_normalize
 
@@ -462,6 +460,6 @@ def polished_root_disk(p: PolyLike, re, im, precision_bits: int = DEFAULT_PRECIS
 def _dyadic(raw) -> tuple[int, int]:
     """(m, e), m·2^e the exact value of a raw mpmath float: the one mpf reader."""
     sign, man, exp, _ = raw
-    if not man and raw != fzero:
+    if not man and raw != (0, 0, 0, 0):  # mpmath's zero; inf and nan have man 0 too
         raise NumericalError("non-finite value has no exact rational")
     return (-int(man) if sign else int(man)), int(exp)

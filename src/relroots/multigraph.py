@@ -13,12 +13,17 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError, InputError
-from .polynomials import bareiss_det
+from .polynomials import Record, bareiss_det
 
 Edge = tuple[int, int, int]
 
 
-class Multigraph:
+def _is_int(x) -> bool:
+    """An int that is not a bool, so JSON's true and false are not read as 1 and 0."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Multigraph(Record):
     """Loopless multigraph on vertices 0..n-1 with positive edge multiplicities.
 
     ``edges`` must be canonical: one (u, v, mult) entry per pair, u < v,
@@ -46,14 +51,6 @@ class Multigraph:
         self.edges = edges
         self.m = sum(mult for _, _, mult in edges)
 
-    def __eq__(self, other):
-        if other.__class__ is not Multigraph:
-            return NotImplemented
-        return (self.n, self.edges) == (other.n, other.edges)
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Multigraph":
         """Build a normalized multigraph, merging parallel (u, v) entries.
@@ -70,7 +67,7 @@ class Multigraph:
                 mult = 1
             else:
                 raise InputError(f"edge entry must be [u, v, mult], got {entry!r}")
-            if not all(isinstance(x, int) for x in (u, v, mult)):
+            if not all(_is_int(x) for x in (u, v, mult)):
                 raise InputError(f"edge entry must contain integers, got {entry!r}")
             if mult < 1:  # checked per entry: merging could hide it
                 raise InputError(f"edge ({u}, {v}) has multiplicity {mult} < 1")
@@ -107,7 +104,7 @@ class Multigraph:
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "edges": [[u, v, mult] for u, v, mult in self.edges]})
 
-    def __repr__(self):  # pragma: no cover - debugging aid
+    def __repr__(self):
         return f"Multigraph(n={self.n}, m={self.m}, pairs={self.pair_count})"
 
 
@@ -120,7 +117,7 @@ def parse_graph(text: str) -> Multigraph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise InputError('graph JSON must be an object with keys "n" and "edges"')
     n = doc["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise InputError(f'"n" must be an integer, got {n!r}')
     if not isinstance(doc["edges"], list):
         raise InputError('"edges" must be a list of [u, v, mult] triples')
@@ -161,7 +158,7 @@ def _require_connected(g: Multigraph) -> None:
         raise DisconnectedGraphError("operation requires a connected graph")
 
 
-class Block:
+class Block(Record):
     """A biconnected component, relabelled to 0..n_B-1.
 
     ``vertices[i]`` is the label in the parent graph of block vertex ``i``.
@@ -172,17 +169,6 @@ class Block:
     def __init__(self, graph: Multigraph, vertices: tuple[int, ...]):
         self.graph = graph
         self.vertices = vertices
-
-    def __eq__(self, other):
-        if other.__class__ is not Block:
-            return NotImplemented
-        return (self.graph, self.vertices) == (other.graph, other.vertices)
-
-    def __hash__(self):
-        return hash((self.graph, self.vertices))
-
-    def __repr__(self):
-        return f"Block(graph={self.graph!r}, vertices={self.vertices!r})"
 
 
 def blocks(g: Multigraph) -> list[Block]:

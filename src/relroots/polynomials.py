@@ -29,6 +29,32 @@ def _frac(x) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as an exact rational")
 
 
+class Record:
+    """Base of the plain slotted records.
+
+    Equality (between records of the same class), hashing and the repr
+    ``Name(field=value, ...)`` all follow the subclass's ``__slots__``, in
+    order; a subclass writes only ``__init__`` and what differs.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
 class RatPoly:
     """Univariate polynomial with exact rational coefficients (ascending degree)."""
 
@@ -181,7 +207,7 @@ class RatPoly:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed polynomial JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "coeffs" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list):
             raise InputError('polynomial JSON must be an object with a "coeffs" list')
         try:
             return cls([Fraction(c) for c in doc["coeffs"]])
@@ -230,24 +256,13 @@ def compose_homogeneous(c: Sequence, d: int, s: Sequence, t: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
-class QComplex:
+class QComplex(Record):
     """Exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Fraction, im: Fraction = Fraction(0)):
         self.re, self.im = re, im
-
-    def __eq__(self, other):
-        if other.__class__ is not QComplex:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"QComplex(re={self.re!r}, im={self.im!r})"
 
     @classmethod
     def of(cls, value) -> "QComplex":
@@ -328,15 +343,18 @@ def parse_complex_rational(text: str) -> QComplex:
     terms.append(s[start:])
     re_part = Fraction(0)
     im_part = Fraction(0)
-    for term in terms:
-        if term in ("i", "+i"):
-            im_part += 1
-        elif term == "-i":
-            im_part -= 1
-        elif term.endswith("i"):
-            im_part += Fraction(term[:-1])
-        else:
-            re_part += Fraction(term)
+    try:
+        for term in terms:
+            if term in ("i", "+i"):
+                im_part += 1
+            elif term == "-i":
+                im_part -= 1
+            elif term.endswith("i"):
+                im_part += Fraction(term[:-1])
+            else:
+                re_part += Fraction(term)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad complex literal {text!r}: {exc}") from exc
     return QComplex(re_part, im_part)
 
 

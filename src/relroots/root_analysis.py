@@ -674,8 +674,11 @@ def reliability_root_set(rel: RatPoly, precision_bits: int = DEFAULT_PRECISION_B
     ``find_roots`` would find the multiple root at 1 through its squarefree
     split too, but the gcd of a high-degree Rel and its derivative costs far
     more than synthetic division by (1-q), so the root at 1 is deflated here
-    and re-attached k times with residual 0.
+    and re-attached k times with residual 0.  A nonzero constant has no
+    roots; the zero polynomial raises ``InputError``.
     """
+    if rel.is_zero():
+        raise InputError("cannot find roots of the zero polynomial")
     h, k = rel.deflate_unit_roots()
     if h.degree < 1:
         base = RootSet(roots=(), residuals=(), precision_bits=precision_bits,

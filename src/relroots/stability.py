@@ -30,10 +30,10 @@ from mpmath.ctx_iv import MPIntervalContext
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
 from .errors import InputError, NumericalError, SchurCohnHypothesisError
 from .fixed_point import _dyadic
-from .polynomials import GInt, QComplex, RatPoly, bareiss_det, cpoly_normalize
+from .polynomials import GInt, QComplex, RatPoly, Record, bareiss_det, cpoly_normalize
 
 
-class ParamBox:
+class ParamBox(Record):
     """Rational rectangle [a_lo,a_hi] x [b_lo,b_hi] for the parameter a+bi."""
 
     __slots__ = ("a_lo", "a_hi", "b_lo", "b_hi")
@@ -42,20 +42,6 @@ class ParamBox:
         if a_lo > a_hi or b_lo > b_hi:
             raise InputError("parameter box endpoints out of order")
         self.a_lo, self.a_hi, self.b_lo, self.b_hi = a_lo, a_hi, b_lo, b_hi
-
-    def _key(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return self.a_lo, self.a_hi, self.b_lo, self.b_hi
-
-    def __eq__(self, other):
-        if other.__class__ is not ParamBox:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "ParamBox(a_lo={!r}, a_hi={!r}, b_lo={!r}, b_hi={!r})".format(*self._key())
 
     @classmethod
     def of(cls, a_lo, a_hi, b_lo, b_hi) -> "ParamBox":
@@ -99,7 +85,7 @@ BASE_ROOT_BOX = ParamBox.of(Fraction(69659, 100000), Fraction(69660, 100000),
                             Fraction(77393, 100000), Fraction(77394, 100000))
 
 
-class SchurCohnReport:
+class SchurCohnReport(Record):
     """Signs of the nested determinants and the induced outside-root count.
 
     ``signs[k]`` is '+', '-' or '?'; ``beta`` (sign changes in the sequence
@@ -113,17 +99,7 @@ class SchurCohnReport:
         self.signs, self.beta = signs, beta
         self.box, self.subdivision_depth = box, subdivision_depth
 
-    def _key(self) -> tuple:
-        return self.signs, self.beta, self.box, self.subdivision_depth
-
-    def __eq__(self, other):
-        if other.__class__ is not SchurCohnReport:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return ("SchurCohnReport(signs={!r}, beta={!r}, box={!r}, subdivision_depth={!r})"
-                .format(*self._key()))
+    __hash__ = None
 
     @property
     def determinate(self) -> bool:
@@ -299,7 +275,7 @@ def _enclose(iv: MPIntervalContext, lo: Fraction, hi: Fraction):
                    iv.mpf(hi.numerator) / hi.denominator))
 
 
-class BoxPoly:
+class BoxPoly(Record):
     """A certificate pencil with its parameter ranging over a rational box.
 
     Sign certification evaluates the pencil's exact determinant polynomials
@@ -311,10 +287,7 @@ class BoxPoly:
     def __init__(self, box: ParamBox, pencil: "CertificatePencil"):
         self.box, self.pencil = box, pencil
 
-    def __eq__(self, other):
-        if other.__class__ is not BoxPoly:
-            return NotImplemented
-        return (self.box, self.pencil) == (other.box, other.pencil)
+    __hash__ = None
 
     def __repr__(self):
         return f"BoxPoly(box={self.box!r})"
@@ -404,7 +377,7 @@ def schur_cohn_box(bp: BoxPoly, max_depth: int = 12) -> SchurCohnReport:
 # ---------------------------------------------------------------------------
 
 
-class CertificatePencil:
+class CertificatePencil(Record):
     """The parametric polynomial s(q) - (a+bi) r(q) whose roots outside the
     unit circle certify reliability roots of the substituted graphs.
 
@@ -416,21 +389,6 @@ class CertificatePencil:
 
     def __init__(self, n: int, split_reduced: RatPoly, rel_reduced: RatPoly):
         self.n, self.split_reduced, self.rel_reduced = n, split_reduced, rel_reduced
-
-    def _key(self) -> tuple[int, RatPoly, RatPoly]:
-        return self.n, self.split_reduced, self.rel_reduced
-
-    def __eq__(self, other):
-        if other.__class__ is not CertificatePencil:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "CertificatePencil(n={!r}, split_reduced={!r}, rel_reduced={!r})".format(
-            *self._key())
 
     @property
     def degree(self) -> int:

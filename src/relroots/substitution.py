@@ -16,10 +16,10 @@ from fractions import Fraction
 from .closed_forms import TwoCliqueParams, two_clique_graph
 from .errors import InputError, NumericalError
 from .multigraph import Multigraph, is_connected
-from .polynomials import QComplex, RatPoly, compose_homogeneous
+from .polynomials import QComplex, RatPoly, Record, compose_homogeneous
 
 
-class Gadget:
+class Gadget(Record):
     """A connected graph with two distinct marked terminals."""
 
     __slots__ = ("graph", "u", "v")
@@ -35,20 +35,6 @@ class Gadget:
         if not is_connected(graph):
             raise InputError("gadget must be connected")
         self.graph, self.u, self.v = graph, u, v
-
-    def _key(self) -> tuple[Multigraph, int, int]:
-        return self.graph, self.u, self.v
-
-    def __eq__(self, other):
-        if other.__class__ is not Gadget:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "Gadget(graph={!r}, u={!r}, v={!r})".format(*self._key())
 
 
 def bundle_gadget(k: int) -> Gadget:

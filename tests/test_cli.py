@@ -300,6 +300,26 @@ def test_digits_below_one_are_rejected(capsys, digits):
     assert out == "" and err.startswith("error: --digits")
 
 
+@pytest.mark.parametrize("literal",
+                         ["q^x", "2*q^", "(1+i", "1/0*q", "q^-1+2", "q^-1+q", "qq", "q*2"])
+def test_schur_cohn_rejects_a_bad_literal(capsys, literal):
+    assert main(["schur-cohn", literal]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_roots_of_the_zero_polynomial_and_a_constant(tmp_path, capsys):
+    poly_file = tmp_path / "p.json"
+    poly_file.write_text('{"coeffs": []}')
+    assert main(["roots", str(poly_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot find roots of the zero polynomial\n"
+    # a nonzero constant has no roots, which is no error
+    poly_file.write_text('{"coeffs": ["3/1"]}')
+    code, out = run(capsys, "roots", str(poly_file))
+    assert code == 0 and out == "re,im,modulus,radius\n"
+
+
 @pytest.mark.parametrize("box", [["x", "0", "0", "1"], ["1/0", "1", "0", "1"]])
 def test_certify_rejects_an_unreadable_box_endpoint(capsys, box):
     assert main(["certify", "9", "3", "--box", *box]) == 1

@@ -38,6 +38,16 @@ def test_parse_rejects_bad_ids_and_mults():
         parse_graph('[1,2,3]')
 
 
+@pytest.mark.parametrize("text", ['{"n": true, "edges": []}',
+                                  '{"n": 2, "edges": [[false, 1, 1]]}',
+                                  '{"n": 2, "edges": [[0, true]]}',
+                                  '{"n": 2, "edges": [[0, 1, true]]}'])
+def test_parse_rejects_booleans(text):
+    # bool is an int subclass: JSON true would otherwise read as 1
+    with pytest.raises(InputError):
+        parse_graph(text)
+
+
 def test_constructor_rejects_noncanonical_edges():
     bad = [
         (2, ((0, 0, 1),)),               # loop

@@ -144,6 +144,13 @@ def test_poly_json_round_trip():
         RatPoly.from_json('{"var":"q"}')
 
 
+@pytest.mark.parametrize("coeffs", ['"12"', '{"0": "1"}'])
+def test_poly_json_needs_a_coeffs_list(coeffs):
+    # a string would otherwise be read character by character, "12" as 1 + 2q
+    with pytest.raises(InputError):
+        RatPoly.from_json('{"coeffs": %s}' % coeffs)
+
+
 def test_qcomplex_field_ops():
     z = QComplex(Fraction(1, 2), Fraction(3))
     w = QComplex(Fraction(-2), Fraction(1, 4))
@@ -157,6 +164,9 @@ def test_parse_complex_rational():
     assert parse_complex_rational("-1/2+3i") == QComplex(Fraction(-1, 2), Fraction(3))
     assert parse_complex_rational("2i") == QComplex(Fraction(0), Fraction(2))
     assert parse_complex_rational("1-i") == QComplex(Fraction(1), Fraction(-1))
+    for bad in ("(1", "1/0", "2j"):
+        with pytest.raises(InputError):
+            parse_complex_rational(bad)
 
 
 def _elimination_det(matrix) -> QComplex:

@@ -13,35 +13,49 @@ TRIANGLE = ((0, 1, 1), (0, 2, 1), (1, 2, 1))
 K3 = Multigraph(n=3, edges=TRIANGLE)
 PATH = Multigraph(n=3, edges=((0, 1, 1), (1, 2, 1)))
 
-# name -> (build a fresh value, build a different one, hashable).  The
-# builds use the positional and keyword forms that callers use.
+# name -> (build a fresh value, build a different one, hashable, the fresh
+# value's repr).  The builds use the positional and keyword forms that
+# callers use.
 RECORDS = {
     "QComplex": (lambda: QComplex(Fraction(1, 2), Fraction(-3)),
-                 lambda: QComplex(Fraction(1, 2)), True),
+                 lambda: QComplex(Fraction(1, 2)), True,
+                 "QComplex(re=Fraction(1, 2), im=Fraction(-3, 1))"),
     "Multigraph": (lambda: Multigraph(*contract(3, TRIANGLE, 0, 1)),
-                   lambda: Multigraph(n=2, edges=((0, 1, 1),)), True),
+                   lambda: Multigraph(n=2, edges=((0, 1, 1),)), True,
+                   "Multigraph(n=2, m=2, pairs=1)"),
     "Block": (lambda: blocks(PATH)[0],
-              lambda: Block(graph=Multigraph(n=2, edges=((0, 1, 1),)), vertices=(0, 2)), True),
+              lambda: Block(graph=Multigraph(n=2, edges=((0, 1, 1),)), vertices=(0, 2)), True,
+              "Block(graph=Multigraph(n=2, m=1, pairs=1), vertices=(1, 2))"),
     "TwoCliqueParams": (lambda: TwoCliqueParams(*(3, 3, 1, 6)),
-                        lambda: TwoCliqueParams(m=3, n=3, a=1, b=5), True),
+                        lambda: TwoCliqueParams(m=3, n=3, a=1, b=5), True,
+                        "TwoCliqueParams(m=3, n=3, a=1, b=6)"),
     "ParamBox": (lambda: ParamBox.of(0, "1/2", 0, 1),
-                 lambda: ParamBox(Fraction(0), Fraction(1, 2), Fraction(0), Fraction(2)), True),
+                 lambda: ParamBox(Fraction(0), Fraction(1, 2), Fraction(0), Fraction(2)), True,
+                 "ParamBox(a_lo=Fraction(0, 1), a_hi=Fraction(1, 2), "
+                 "b_lo=Fraction(0, 1), b_hi=Fraction(1, 1))"),
     "SchurCohnReport": (lambda: SchurCohnReport(signs=("-",), beta=1),
-                        lambda: SchurCohnReport(("-",), 1, subdivision_depth=2), False),
+                        lambda: SchurCohnReport(("-",), 1, subdivision_depth=2), False,
+                        "SchurCohnReport(signs=('-',), beta=1, box=None, subdivision_depth=0)"),
     "BoxPoly": (lambda: certificate_pencil(3).box_poly(ParamBox.of(0, 1, 0, 1)),
-                lambda: certificate_pencil(3).box_poly(ParamBox.of(0, 1, 0, 2)), False),
-    "CertificatePencil": (lambda: certificate_pencil(4), lambda: certificate_pencil(3), True),
+                lambda: certificate_pencil(3).box_poly(ParamBox.of(0, 1, 0, 2)), False,
+                "BoxPoly(box=ParamBox(a_lo=Fraction(0, 1), a_hi=Fraction(1, 1), "
+                "b_lo=Fraction(0, 1), b_hi=Fraction(1, 1)))"),
+    "CertificatePencil": (lambda: certificate_pencil(4), lambda: certificate_pencil(3), True,
+                          "CertificatePencil(n=4, split_reduced=RatPoly(2*q^2 + 6*q^3), "
+                          "rel_reduced=RatPoly(1*q^0 + 2*q^1 + 1*q^2 + -4*q^3))"),
     "Gadget": (lambda: Gadget(graph=K3, u=0, v=2),
-               lambda: Gadget(PATH, 0, 2), True),
+               lambda: Gadget(PATH, 0, 2), True,
+               "Gadget(graph=Multigraph(n=3, m=3, pairs=3), u=0, v=2)"),
 }
 
 
-@pytest.mark.parametrize("make, other, hashable", RECORDS.values(), ids=RECORDS)
-def test_record_equality_and_hashing(make, other, hashable):
+@pytest.mark.parametrize("make, other, hashable, text", RECORDS.values(), ids=RECORDS)
+def test_record_equality_and_hashing(make, other, hashable, text):
     a, b, c = make(), make(), other()
     assert a is not b and a == b and not a != b
     assert a != c and a != tuple(getattr(a, name) for name in type(a).__slots__)
     assert repr(a).startswith(type(a).__name__ + "(")
+    assert repr(a) == text
     if hashable:
         assert hash(a) == hash(b) and len({a, b, c}) == 2
     else:
