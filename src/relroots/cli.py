@@ -416,11 +416,14 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "schur-cohn":
-        text = args.poly
+        # A path that cannot be read is a polynomial literal; a file that
+        # can be read must hold polynomial JSON.
         try:
-            coeffs = RatPoly.from_json(_read(text)).coeffs
-        except (InputError, OSError):
-            coeffs = _parse_poly_literal(text)
+            source = _read(args.poly)
+        except InputError:
+            coeffs = _parse_poly_literal(args.poly)
+        else:
+            coeffs = RatPoly.from_json(source).coeffs
         report = schur_cohn(list(coeffs))
         _emit(report.to_json() + "\n", args.out)
         return 0

@@ -12,6 +12,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError, NumericalError
@@ -216,9 +217,22 @@ class RatPoly:
 
 
 def convolve(a: Sequence, b: Sequence) -> list:
-    """Ascending coefficient list of the product of two ascending coefficient lists."""
+    """Ascending coefficient list of the product of two ascending coefficient lists.
+
+    A two-term b is one linear pass, out_k = b_0 a_k + b_1 a_(k-1); for
+    b = 1 ± q, the t of every F/Rel/H transform, it is additions only.
+    """
     if not a or not b:
         return []
+    if len(b) == 2:
+        lo, hi = [*a, 0], [0, *a]
+        if b[0] != 1:
+            lo = [b[0] * x for x in lo]
+        if b[1] == 1:
+            return list(map(add, lo, hi))
+        if b[1] == -1:
+            return list(map(sub, lo, hi))
+        return [x + b[1] * y for x, y in zip(lo, hi)]
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -235,19 +249,27 @@ ONE_PLUS_Q = (1, 1)
 def compose_homogeneous(c: Sequence, d: int, s: Sequence, t: Sequence) -> list:
     """Ascending coefficient list of sum_j c_j s^j t^(d-j), for len(c) <= d+1.
 
-    Horner in s: acc <- acc*s + c_j t^(d-j) for j = d..0, keeping one
-    running power of t.  Every F/Rel/H transform and the substitution
-    formula are this sum; with integer inputs it stays in integers.
+    Horner in t: acc <- acc*t + c_j s^j for j = 0..d, keeping one running
+    power of s.  With s = q the term is c_j at index j, and a two-term t
+    makes each step one pass of additions (the Taylor-shift structure of
+    von zur Gathen and Gerhard, ISSAC 1997).  Every F/Rel/H transform and
+    the substitution formula are this sum; with integer inputs it stays in
+    integers.
     """
+    monomial = tuple(s) == Q
     acc: list = []
-    t_pow: list = [1]
-    for j in range(d, -1, -1):
-        acc = convolve(acc, s)
+    s_pow: list = [1]
+    for j in range(d + 1):
+        acc = convolve(acc, t)
         if j < len(c) and c[j]:
-            term = [c[j] * x for x in t_pow]
-            acc = [x + y for x, y in zip_longest(acc, term, fillvalue=0)]
-        if j:
-            t_pow = convolve(t_pow, t)
+            if monomial:
+                acc += [0] * (j + 1 - len(acc))
+                acc[j] += c[j]
+            else:
+                term = [c[j] * x for x in s_pow]
+                acc = [x + y for x, y in zip_longest(acc, term, fillvalue=0)]
+        if j < d and not monomial:
+            s_pow = convolve(s_pow, s)
     return acc
 
 

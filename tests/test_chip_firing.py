@@ -1,13 +1,14 @@
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
 from conftest import complete_graph, random_connected_multigraph
-from relroots import (GuardExceededError, InputError, Multigraph,
-                      critical_configs, f_to_h, f_vector, h_vector_chip,
+from relroots import (FVector, GuardExceededError, InputError, Multigraph,
+                      critical_configs, f_from_rel, f_to_h, f_vector, h_vector_chip,
                       ideal_check, monomials_of, recurrent_by_firing_search,
-                      spanning_tree_count)
+                      rel_auto, rel_from_f, spanning_tree_count)
 from relroots import chip_firing
 from relroots.chip_firing import Configuration
 
@@ -80,6 +81,25 @@ def test_chunking_does_not_change_results(g, expected_h, monkeypatch):
         results.append((critical_configs(g, 0), h_vector_chip(g, 0)))
     assert results[0] == results[1] == results[2]
     assert results[0][1].values == expected_h
+
+
+def test_transforms_at_large_degree():
+    # The 1,000-edge bundle's H through F and both transforms: all ones.
+    bundle = Multigraph.from_edges(2, [(0, 1, 1000)])
+    assert f_to_h(f_from_rel(rel_auto(bundle), 2)).values == (1,) * 1000
+    # A triangle of bundles a, b, c loses connectivity exactly when two
+    # bundles are removed whole, so F_i = C(m, i) - sum_pairs C(m-p, i-p)
+    # for i <= m-2.  Rel_from_f and f_from_rel round-trip it at degree 499.
+    a, b, c = 200, 150, 149
+    m = a + b + c
+    triangle = Multigraph.from_edges(3, [(0, 1, a), (1, 2, b), (0, 2, c)])
+    pairs = (a + b, b + c, a + c)
+    f = FVector(values=tuple(comb(m, i) - sum(comb(m - p, i - p) for p in pairs if p <= i)
+                             for i in range(m - 1)), n=3, m=m)
+    rel = rel_from_f(f)
+    assert rel == rel_auto(triangle)
+    assert f_from_rel(rel, 3) == f
+    assert f_to_h(f).total() == spanning_tree_count(triangle) == a * b + b * c + a * c
 
 
 def test_h_vector_counts_spanning_trees():

@@ -308,6 +308,20 @@ def test_schur_cohn_rejects_a_bad_literal(capsys, literal):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+def test_schur_cohn_reads_a_literal_only_when_no_file_can_be_read(capsys, tmp_path):
+    # A readable file with bad JSON reports the JSON error, not a bad literal.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"coeffs": "12"}')
+    assert main(["schur-cohn", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == 'error: polynomial JSON must be an object with a "coeffs" list\n'
+    assert main(["schur-cohn", "q^x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    code, out = run(capsys, "schur-cohn", "1+2*q")
+    assert code == 0 and json.loads(out)["beta"] == 0
+
+
 def test_roots_of_the_zero_polynomial_and_a_constant(tmp_path, capsys):
     poly_file = tmp_path / "p.json"
     poly_file.write_text('{"coeffs": []}')

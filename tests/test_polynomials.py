@@ -9,7 +9,7 @@ from relroots import (FVector, HVector, InputError, NumericalError, QComplex,
                       parse_complex_rational, rel_from_f)
 from relroots.multigraph import Multigraph
 from relroots import polynomials
-from relroots.polynomials import bareiss_det
+from relroots.polynomials import ONE_MINUS_Q, ONE_PLUS_Q, Q, bareiss_det, compose_homogeneous
 
 
 def test_ring_arithmetic():
@@ -115,6 +115,38 @@ def test_f_from_rel_round_trip():
         g = random_connected_multigraph(rng, max_m=12, max_n=6)
         f = f_vector(g)
         assert f_from_rel(rel_from_f(f), g.n).values == f.values
+
+
+def _compose_reference(c, d, s, t):
+    """sum_j c_j s^j t^(d-j) by RatPoly powers, as a list as long as its
+    longest unreduced term, 1 + j(len(s)-1) + (d-j)(len(t)-1) entries."""
+    total, length = RatPoly.zero(), 0
+    for j, cj in enumerate(c):
+        if cj:
+            total = total + RatPoly(s) ** j * RatPoly(t) ** (d - j) * cj
+            length = max(length, 1 + j * (len(s) - 1) + (d - j) * (len(t) - 1))
+    return list(total.coeffs) + [0] * (length - len(total.coeffs))
+
+
+def test_compose_homogeneous_against_powers():
+    rng = random.Random(28)
+
+    def coeffs(k):
+        return [rng.choice((0, 1, -1, rng.randint(-99, 99), rng.randint(-2 ** 70, 2 ** 70)))
+                for _ in range(k)]
+
+    cases = [([], 3, Q, ONE_MINUS_Q), ([0, 0, 0], 2, Q, ONE_PLUS_Q), ([7], 0, Q, ONE_MINUS_Q),
+             ([0], 0, (2, 3), (1, 4, 4)), ([0, 0, 5, 0], 3, Q, ONE_MINUS_Q),
+             ([0, 2], 4, (1, 2, 1), ONE_MINUS_Q), ([1, 0, 0], 5, Q, (3, 0, 1))]
+    twos = (Q, ONE_MINUS_Q, ONE_PLUS_Q, (1, 0), (-3, 5))
+    for _ in range(300):
+        d = rng.randint(0, 9)
+        c = coeffs(rng.randint(0, d + 1))
+        s, t = (rng.choice(twos) if rng.random() < 0.5 else tuple(coeffs(rng.randint(1, 4)))
+                for _ in range(2))
+        cases.append((c, d, s, t))
+    for c, d, s, t in cases:
+        assert compose_homogeneous(c, d, s, t) == _compose_reference(c, d, s, t), (c, d, s, t)
 
 
 def test_vector_shape_validation():
