@@ -219,20 +219,13 @@ class RatPoly:
 def convolve(a: Sequence, b: Sequence) -> list:
     """Ascending coefficient list of the product of two ascending coefficient lists.
 
-    A two-term b is one linear pass, out_k = b_0 a_k + b_1 a_(k-1); for
-    b = 1 ± q, the t of every F/Rel/H transform, it is additions only.
+    For b = 1 ± q, the t of every F/Rel/H transform, the product is one
+    linear pass of additions, out_k = a_k ± a_(k-1).
     """
     if not a or not b:
         return []
-    if len(b) == 2:
-        lo, hi = [*a, 0], [0, *a]
-        if b[0] != 1:
-            lo = [b[0] * x for x in lo]
-        if b[1] == 1:
-            return list(map(add, lo, hi))
-        if b[1] == -1:
-            return list(map(sub, lo, hi))
-        return [x + b[1] * y for x, y in zip(lo, hi)]
+    if len(b) == 2 and b[0] == 1 and b[1] in (1, -1):
+        return list(map(add if b[1] == 1 else sub, [*a, 0], [0, *a]))
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -250,10 +243,10 @@ def compose_homogeneous(c: Sequence, d: int, s: Sequence, t: Sequence) -> list:
     """Ascending coefficient list of sum_j c_j s^j t^(d-j), for len(c) <= d+1.
 
     Horner in t: acc <- acc*t + c_j s^j for j = 0..d, keeping one running
-    power of s.  With s = q the term is c_j at index j, and a two-term t
-    makes each step one pass of additions (the Taylor-shift structure of
-    von zur Gathen and Gerhard, ISSAC 1997).  Every F/Rel/H transform and
-    the substitution formula are this sum; with integer inputs it stays in
+    power of s.  With s = q the term is c_j at index j, and t = 1 ± q makes
+    each step one pass of additions (the Taylor-shift structure of von zur
+    Gathen and Gerhard, ISSAC 1997).  Every F/Rel/H transform and the
+    substitution formula are this sum; with integer inputs it stays in
     integers.
     """
     monomial = tuple(s) == Q
