@@ -89,7 +89,7 @@ def test_transforms_at_large_degree():
     assert f_to_h(f_from_rel(rel_auto(bundle), 2)).values == (1,) * 1000
     # A triangle of bundles a, b, c loses connectivity exactly when two
     # bundles are removed whole, so F_i = C(m, i) - sum_pairs C(m-p, i-p)
-    # for i <= m-2.  Rel_from_f and f_from_rel round-trip it at degree 499.
+    # for i <= m-2; rel_from_f and f_from_rel round-trip it at degree 499.
     a, b, c = 200, 150, 149
     m = a + b + c
     triangle = Multigraph.from_edges(3, [(0, 1, a), (1, 2, b), (0, 2, c)])
