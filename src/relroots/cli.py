@@ -13,12 +13,10 @@ import decimal
 import json
 import sys
 
-import mpmath as mp
-
 from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_reliability
 from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
 from .fixed_point import DEFAULT_PRECISION_BITS, polished_root_disk
-from .multigraph import Multigraph, edge_connectivity, is_connected, parse_graph
+from .multigraph import edge_connectivity, parse_graph
 from .polynomials import RatPoly, parse_complex_rational
 from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
                         mpf_to_fraction, schur_cohn, schur_cohn_box)
@@ -63,6 +61,8 @@ def format_decimal(x, digits: int) -> str:
 
 
 def _sig(x, digits: int = 17) -> str:
+    import mpmath as mp
+
     return mp.nstr(x, digits, strip_zeros=False)
 
 
@@ -129,7 +129,7 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -144,20 +144,6 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Command implementations (importable; the CLI wraps these)
 # ---------------------------------------------------------------------------
-
-
-def compute_rel(g: Multigraph, method: str = "auto", guard: int | None = None) -> RatPoly:
-    """Rel(G; q) by ``method``; ``guard`` caps the vertex pairs that ``brute``
-    enumerates (None: ``reliability.DEFAULT_GUARD_PAIRS``)."""
-    from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
-
-    if not is_connected(g):
-        raise InputError("reliability of a disconnected graph is not defined here")
-    if method == "brute":
-        return rel_bruteforce(g, DEFAULT_GUARD_PAIRS if guard is None else guard)
-    if method == "auto":
-        return rel_auto(g)
-    raise InputError(f"unknown method {method!r}")
 
 
 def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -183,7 +169,7 @@ def table1_rows(max_n: int, precision_bits: int = DEFAULT_PRECISION_BITS,
         z, (x, y, r) = rs.roots[k], disks[k]
         if x * x + y * y <= ((1 << s) + r) ** 2:
             raise NumericalError(f"table1 row n={n}: the root disk of radius {r / 2 ** s:.3g} "
-                                 f"about {mp.nstr(z, 12)} is not proven outside the unit disk")
+                                 f"about {_sig(z, 12)} is not proven outside the unit disk")
         modulus = RootSet((z,), rs.residuals[k:k + 1], rs.precision_bits).moduli()[0]
         rows.append((n, format_decimal(z.real, digits), format_decimal(z.imag, digits),
                      format_decimal(modulus, digits)))
@@ -198,11 +184,12 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
     The parameter box, unless given, is ``BASE_ROOT_BOX`` transported by
     ``kth_root_ratio_box``.  ``pass`` also needs a proven disk about a root
     of the deflated Rel(3,3,1,6) inside ``BASE_ROOT_BOX`` (``base_disk``,
-    checked with or without a given box), an exact Schur-Cohn count of
-    zero roots outside the unit circle for the gadget's deflated
-    reliability, and edge connectivity n-1.  The disk comes from Newton's
-    method started at the centre of ``BASE_ROOT_BOX``
-    (``polished_root_disk``), and its containment in the box is exact.
+    checked with or without a given box), a box that holds the transported
+    bounding square of that disk, and so the parameter of the root, an
+    exact Schur-Cohn count of zero roots outside the unit circle for the
+    gadget's deflated reliability, and edge connectivity n-1.  The disk
+    comes from Newton's method started at the centre of ``BASE_ROOT_BOX``
+    (``polished_root_disk``), and both containments are exact.
     """
     if box is None:
         box = kth_root_ratio_box(BASE_ROOT_BOX.a_lo, BASE_ROOT_BOX.a_hi,
@@ -210,8 +197,9 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
     base, _ = two_clique_reliability(TwoCliqueParams(m=3, n=3, a=1, b=6)).deflate_unit_roots()
     disk = polished_root_disk(base, (BASE_ROOT_BOX.a_lo + BASE_ROOT_BOX.a_hi) / 2,
                               (BASE_ROOT_BOX.b_lo + BASE_ROOT_BOX.b_hi) / 2, precision_bits)
-    if disk is not None and not BASE_ROOT_BOX.contains(ParamBox.square(*disk)):
-        disk = None
+    square = None if disk is None else ParamBox.square(*disk)
+    if square is not None and not BASE_ROOT_BOX.contains(square):
+        disk = square = None
     graph = substituted_two_clique_graph(k, n)
     lam = edge_connectivity(graph, upper_bound=n)
     pencil = certificate_pencil(n)
@@ -220,8 +208,10 @@ def run_certificate(k: int, n: int, box: ParamBox | None = None,
     h_gadget, _ = rel_complete_minus_edge(n).deflate_unit_roots()
     inside = h_gadget.degree < 1 or schur_cohn(h_gadget).beta == 0
 
+    holds_root = square is not None and box.contains(
+        kth_root_ratio_box(square.a_lo, square.a_hi, square.b_lo, square.b_hi, k))
     passed = (report.determinate and report.beta is not None and report.beta >= 1 and inside
-              and lam == n - 1 and disk is not None)
+              and lam == n - 1 and holds_root)
     return {
         "k": k,
         "n": n,
@@ -374,8 +364,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "rel":
+        from .reliability import DEFAULT_GUARD_PAIRS, rel_auto, rel_bruteforce
         g = parse_graph(_read(args.graph))
-        rel = compute_rel(g, args.method, args.guard_m)
+        if args.method == "brute":
+            guard = DEFAULT_GUARD_PAIRS if args.guard_m is None else args.guard_m
+            rel = rel_bruteforce(g, guard)
+        else:
+            rel = rel_auto(g)
         _emit(rel.to_json() + "\n", args.out)
         return 0
 

@@ -6,14 +6,16 @@ integers after clearing denominators, which rescales every determinant by
 a positive factor).  For the certificate pencil, whose coefficients depend
 on a complex parameter a+bi ranging over a rational box, the determinants
 are exact bivariate polynomials in the parameter, bounded over the box by
-interval Horner evaluation.  When an interval sign is undecided the box is
-bisected along its longest side, and a certificate requires one uniform
-sign pattern across all leaves.
+interval Horner evaluation in exact integers, over the box's common
+denominator.  When an interval sign is undecided the box is bisected along
+its longest side, and a certificate requires one uniform sign pattern
+across all leaves.
 
 Every certificate box is the image of one root enclosure, transported as
-a single cell and returned as an exact rational hull.  The transport and
-the sign bounds run in one private mpmath interval context at 256 bits,
-which rounds every endpoint outward.
+a single cell: a disk about a k-th root polished by Newton's method, with
+an exact binomial-series radius, mapped exactly by the Möbius map z/(1-z)
+and rounded outward to a 2^-256 grid.  Nothing here uses floating point
+for a bound, nor mpmath.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
-from math import comb, lcm, prod
+from math import comb, isqrt, lcm, prod
 from typing import Iterator, Optional, Sequence
-
-from mpmath.ctx_iv import MPIntervalContext
 
 from .closed_forms import rel_complete_minus_edge, sprel_complete_minus_edge
 from .errors import InputError, NumericalError, SchurCohnHypothesisError
-from .fixed_point import _dyadic
+from .fixed_point import _dyadic, _modulus, _quotient, _scaled_int, _to_fixed
 from .polynomials import GInt, QComplex, RatPoly, Record, bareiss_det, cpoly_normalize
 
 
@@ -254,27 +254,6 @@ def _exact_mks(coeffs: Sequence[QComplex]) -> list[Fraction]:
 # Box path
 # ---------------------------------------------------------------------------
 
-# Working precision of the private interval context of the box transport
-# and the certificate sign checks; it holds every determinant polynomial
-# coefficient (at most 152 bits) exactly.
-_INTERVAL_BITS = 256
-
-
-@cache
-def _interval_context() -> MPIntervalContext:
-    """The one private context, so no call reads or sets mpmath's global
-    precision.  Nothing changes its precision, so calls may run concurrently."""
-    iv = MPIntervalContext()
-    iv.prec = _INTERVAL_BITS
-    return iv
-
-
-def _enclose(iv: MPIntervalContext, lo: Fraction, hi: Fraction):
-    """An interval of ``iv`` holding [lo, hi], its rational endpoints rounded outward."""
-    return iv.mpf((iv.mpf(lo.numerator) / lo.denominator,
-                   iv.mpf(hi.numerator) / hi.denominator))
-
-
 class BoxPoly(Record):
     """A certificate pencil with its parameter ranging over a rational box.
 
@@ -311,11 +290,57 @@ class BoxPoly(Record):
         return not (box.a_lo <= s_d / r_d <= box.a_hi and box.b_lo <= 0 <= box.b_hi)
 
 
+def _integer_box(box: ParamBox) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """(D, A, T): the box over one common denominator D, with a in A/D and
+    t = b^2 in T/D^2 for integer intervals A and T.
+
+    T is the exact range of the square, [0, max] when b straddles 0 (the
+    product of such a b interval with itself would take a negative end).
+    """
+    den = lcm(box.a_lo.denominator, box.a_hi.denominator,
+              box.b_lo.denominator, box.b_hi.denominator)
+    a_lo, a_hi, b_lo, b_hi = (x.numerator * (den // x.denominator)
+                              for x in (box.a_lo, box.a_hi, box.b_lo, box.b_hi))
+    squares = b_lo * b_lo, b_hi * b_hi
+    return den, (a_lo, a_hi), (0 if b_lo <= 0 <= b_hi else min(squares), max(squares))
+
+
+def _times(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The exact product of two integer intervals: the hull of four products."""
+    prods = x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]
+    return min(prods), max(prods)
+
+
+def _scaled_horner(p, k: int, den: int, a: tuple[int, int], t: tuple[int, int]) -> tuple[int, int]:
+    """An integer interval holding D^(2k)·P_k(A/D, T/D^2) over the integer
+    intervals A and T (``_integer_box``), D = ``den``.
+
+    D^(2k)·P_k = sum c_ij·D^(2k-i-2j)·A^i·T^j, so one interval Horner pass
+    over the scaled coefficients, in T within each row and then in A, runs
+    in exact integers.  Scaling by a positive constant commutes with interval
+    products and sums, so this is D^(2k) times the exact interval Horner
+    value of P_k on the rational box, which any outward rounding contains.
+    """
+    pows = [1]
+    for _ in range(2 * k):
+        pows.append(pows[-1] * den)
+    val = (0, 0)
+    for i in range(len(p) - 1, -1, -1):
+        inner = (0, 0)
+        for j in range(len(p[i]) - 1, -1, -1):
+            c = p[i][j] * pows[2 * k - i - 2 * j]
+            lo, hi = _times(inner, t)
+            inner = lo + c, hi + c
+        lo, hi = _times(val, a)
+        val = lo + inner[0], hi + inner[1]
+    return val
+
+
 def _box_signs(bp: BoxPoly) -> list[str]:
     """Evaluate the exact determinant polynomials over the box.
 
-    Each P_k(a, t = b^2) takes one interval Horner pass in the private
-    interval context, and its sign is '+' or '-' only when the whole
+    Each P_k(a, t = b^2) takes one interval Horner pass in exact integers
+    (``_scaled_horner``), and its sign is '+' or '-' only when the whole
     interval excludes 0.
 
     Interval elimination on the coefficient intervals would ignore that
@@ -325,21 +350,11 @@ def _box_signs(bp: BoxPoly) -> list[str]:
     """
     if not bp.valid_degree:
         return ["?"] * bp.degree
-    iv = _interval_context()
-    box = bp.box
-    a = _enclose(iv, box.a_lo, box.a_hi)
-    # An even power, not b * b: the product of a b interval straddling 0
-    # with itself takes a negative lower end.
-    t = _enclose(iv, box.b_lo, box.b_hi) ** 2
+    box = _integer_box(bp.box)
     signs = []
-    for p in _det_sign_polynomials(bp.pencil.n):
-        val = iv.mpf(0)
-        for row in reversed(p):
-            inner = iv.mpf(0)
-            for c in reversed(row):
-                inner = inner * t + c
-            val = val * a + inner
-        signs.append("+" if val.a > 0 else "-" if val.b < 0 else "?")
+    for k, p in enumerate(_det_sign_polynomials(bp.pencil.n), start=1):
+        lo, hi = _scaled_horner(p, k, *box)
+        signs.append("+" if lo > 0 else "-" if hi < 0 else "?")
     return signs
 
 
@@ -516,9 +531,11 @@ def _det_sign_polynomials(n: int):
                                                 [s - a * r - beta * r for s, r in pairs], d))
              for beta in range((2 * d - i) // 2 + 1)]
             for i, a in enumerate(a_nodes)]
-    # Spot check at an off-grid rational point, t = b^2 = 1/49.
-    a_chk, t_chk = Fraction(1, 3), Fraction(1, 49)
-    direct = _exact_mks(pencil.exact_poly(a_chk, Fraction(1, 7)))
+    # Spot check at an off-grid rational point, a = 1/3 and b = 1/7, read as
+    # a point box by the evaluator of the box path.
+    spot = ParamBox.of(Fraction(1, 3), Fraction(1, 3), Fraction(1, 7), Fraction(1, 7))
+    spot_box = _integer_box(spot)
+    direct = _exact_mks(pencil.exact_poly(spot.a_lo, spot.b_lo))
     # D^t_j for each order j in t.
     t_dens = [prod(t_steps[1:j + 1]) for j in range(d + 1)]
     polys = []
@@ -548,12 +565,8 @@ def _det_sign_polynomials(n: int):
         if any(c % den for row in p for c in row):
             raise NumericalError("determinant polynomial interpolation went non-integral")
         p = tuple(tuple(c // den for c in row) for row in p)
-        # P_k at the spot point times the denominator a_pows[0]·t_pows[0].
-        a_pows = [a_chk.numerator ** i * a_chk.denominator ** (2 * k - i)
-                  for i in range(2 * k + 1)]
-        t_pows = [t_chk.numerator ** j * t_chk.denominator ** (k - j) for j in range(k + 1)]
-        scaled = sum(c * a_pows[i] * t_pows[j] for i, row in enumerate(p) for j, c in enumerate(row))
-        if direct[k - 1] != Fraction(scaled, a_pows[0] * t_pows[0]):
+        scaled, _ = _scaled_horner(p, k, *spot_box)
+        if direct[k - 1] != Fraction(scaled, spot_box[0] ** (2 * k)):
             raise NumericalError("determinant polynomial failed its spot check")
         polys.append(p)
     return tuple(polys)
@@ -585,16 +598,53 @@ def certificate_pencil(n: int) -> CertificatePencil:
 # Rigorous image box of z/(1-z) over k-th roots of a root enclosure
 # ---------------------------------------------------------------------------
 
+# The image box is rounded outward to multiples of 2^-_GRID_BITS, and the
+# k-th root is polished at a fixed point of twice as many bits.
+_GRID_BITS = 256
+
+
+def _ceil_sqrt(n: int) -> int:
+    """The least integer at or above the square root of the integer n >= 0."""
+    return isqrt(n - 1) + 1 if n else 0
+
+
+def _powers(zr: int, zi: int, k: int, shift: int = 0) -> list[tuple[int, int]]:
+    """z^0, ..., z^k of z = zr + i·zi: exact Gaussian integers for shift 0,
+    else at the fixed point 2^shift with every product floored."""
+    out = [(1 << shift, 0)]
+    for _ in range(k):
+        pr, pi = out[-1]
+        out.append(((pr * zr - pi * zi) >> shift, (pr * zi + pi * zr) >> shift))
+    return out
+
+
 def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int) -> ParamBox:
     """Enclose { z/(1-z) : z principal k-th root of w, w in the input box }.
 
-    The box, with its exact rational endpoints rounded outward, is mapped
-    as one interval cell through z = exp(log(w)/k) and -1 + 1/(1-z) in
-    mpmath's interval arithmetic, which rounds every operation outward.
-    The arithmetic runs in a private interval context at 256 bits, so it
-    neither reads nor changes mpmath's process-wide precision.  The exact
-    rational hull of the image is returned, so it contains the true image
-    without any pad.
+    Every bound is exact, in integers, for whatever approximate root z0 of
+    the box's centre w0 the Newton steps give:
+
+    - z0 starts from doubles and takes three Newton steps on z^k = w0 at a
+      fixed point of 2·_GRID_BITS bits.  The box lies in the disk D(w0, r),
+      r its half diagonal.
+    - With s = (|z0^k - w0| + r)/|z0|^k < 1, every w in the box is
+      z0^k·(1 + δ) with |δ| <= s, and z = z0·(1 + δ)^(1/k) (the binomial
+      series) is a k-th root of w.  As |C(1/k, j)| <= 1/k for j >= 1,
+      |z - z0| <= ρ = |z0|·s/(k(1 - s)).  For k = 1, z = w and
+      ρ = |z0 - w0| + r.  So s < 1 rejects the boxes that hold 0.
+    - These roots are principal.  The box avoids the negative real axis,
+      where the principal root jumps, so on the connected box it is a
+      constant k-th root of unity times z0·(1 + δ)^(1/k), and it is enough
+      that the root of w0 in D(z0, ρ0), ρ0 the radius for r = 0, is
+      principal.  Every point of that disk is: for k > 1, Im z^j keeps the
+      sign of Im z0 for j = 1..k exactly when 0 < |arg z| < π/k, and
+      Re z^j > 0 for j = 1..k gives |arg z| < π/(2k), as the first j with
+      j·|arg z| >= π/2 would have j·|arg z| < π.  Over the disk,
+      |z^j - z0^j| <= (|z0| + ρ0)^j - |z0|^j bounds both.
+    - -1 + 1/(1-z) maps D(z0, ρ) onto the disk with centre -1 + ū/g and
+      radius ρ/g, u = 1 - z0 and g = |u|^2 - ρ^2 > 0, so g > 0 rejects the
+      boxes that hold the pole 1.  Its bounding square, rounded outward to
+      multiples of 2^-_GRID_BITS, is returned.
     """
     if k < 1:
         raise InputError("root index k must be >= 1")
@@ -602,22 +652,59 @@ def kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k: int) -> ParamBox:
     im_lo, im_hi = Fraction(im_lo), Fraction(im_hi)
     if re_lo > re_hi or im_lo > im_hi:
         raise InputError("input box endpoints out of order")
-    if re_lo <= 1 <= re_hi and im_lo <= 0 <= im_hi:
-        raise InputError("input box contains 1, a pole of z/(1-z)")
-    if k > 1 and re_lo <= 0 <= re_hi and im_lo <= 0 <= im_hi:
-        raise InputError("input box contains 0; k-th root enclosure is ambiguous")
-    # The principal logarithm jumps across the negative real axis; an
-    # interval argument straddling it widens to [-pi, pi].
+    # The principal root jumps across the negative real axis.
     if k > 1 and not (re_lo > 0 or im_lo > 0 or im_hi < 0):
         raise InputError("input box must avoid the negative real axis for k > 1")
 
-    iv = _interval_context()
-    z = iv.mpc(_enclose(iv, re_lo, re_hi), _enclose(iv, im_lo, im_hi))
-    if k > 1:
-        z = iv.exp(iv.log(z) / k)
-    (a_lo, a_hi), (b_lo, b_hi) = (-1 + 1 / (1 - z))._mpci_
-    return ParamBox(_exact_fraction(a_lo), _exact_fraction(a_hi),
-                    _exact_fraction(b_lo), _exact_fraction(b_hi))
+    bits = 2 * _GRID_BITS
+    q = lcm(re_lo.denominator, re_hi.denominator, im_lo.denominator, im_hi.denominator)
+    x0, x1, y0, y1 = (v.numerator * (q // v.denominator) for v in (re_lo, re_hi, im_lo, im_hi))
+    cx, cy = x0 + x1, y0 + y1    # w0 = (cx + i·cy) / 2q
+    wr, wi = _scaled_int(Fraction(cx, 2 * q), bits), _scaled_int(Fraction(cy, 2 * q), bits)
+    # A double start, read from w0 / 2^(k·e) so that it stays in range.
+    e = (max(abs(cx), abs(cy)).bit_length() - (2 * q).bit_length()) // k
+    scale = Fraction(2) ** (k * e) * 2 * q
+    z = _to_fixed(complex(cx / scale, cy / scale) ** (1 / k), bits + e)
+    for _ in range(3):
+        (pr, pi), (xk, yk) = _powers(*z, k, bits)[k - 1:]
+        z = _quotient((k - 1) * xk + wr, (k - 1) * yk + wi, k * pr, k * pi, bits)
+        if z is None:
+            raise InputError("input box lies too near 0; k-th root enclosure is ambiguous")
+    zr, zi = z
+    pows = _powers(zr, zi, k)
+    xk, yk = pows[k]
+    # s = s_num / s_den, both at the scale 2q·2^(k·bits), rounded up and down.
+    ex, ey = 2 * q * xk - (cx << k * bits), 2 * q * yk - (cy << k * bits)
+    e_num = _ceil_sqrt(ex * ex + ey * ey)
+    s_num = e_num + _ceil_sqrt(((x1 - x0) ** 2 + (y1 - y0) ** 2) << 2 * k * bits)
+    if k == 1:
+        rho = -(-s_num // (2 * q))    # ρ·2^bits, rounded up
+    else:
+        s_den = 2 * q * _modulus(xk, yk)
+        if s_num >= s_den:
+            raise InputError("input box lies too near 0; k-th root enclosure is ambiguous")
+        norm = zr * zr + zi * zi
+        # ρ·2^bits for the box, and for its centre alone, rounded up.
+        rho, rho0 = (-(-(_ceil_sqrt(norm) * num) // (k * (s_den - num)))
+                     for num in (s_num, e_num))
+        step_up, step_down = _ceil_sqrt(norm) + rho0, _modulus(zr, zi)
+        upper = lower = 1
+        same_side = right = True
+        for xj, yj in pows[1:]:
+            upper, lower = upper * step_up, lower * step_down
+            same_side &= (yj if zi > 0 else -yj) > upper - lower
+            right &= xj > upper - lower
+        if not (same_side or right):
+            raise InputError("the k-th root of the input box's centre was not proven principal")
+    ur = (1 << bits) - zr
+    g = ur * ur + zi * zi - rho * rho    # g·2^(2·bits)
+    if g <= 0:
+        raise InputError("input box contains 1, a pole of z/(1-z), or lies too near it")
+    shift, grid = bits + _GRID_BITS, 1 << _GRID_BITS
+    return ParamBox(Fraction(((ur - rho) << shift) // g - grid, grid),
+                    Fraction(-((-(ur + rho) << shift) // g) - grid, grid),
+                    Fraction(((zi - rho) << shift) // g, grid),
+                    Fraction(-((-(zi + rho) << shift) // g), grid))
 
 
 def _exact_fraction(raw) -> Fraction:

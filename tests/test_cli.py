@@ -171,6 +171,19 @@ def test_substitute_command(tmp_path, capsys):
         assert poly(q) == t ** 28 * rel_complete(8)(s / t)
 
 
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    # main returns exit code 1 with an error line instead of raising
+    # UnicodeDecodeError; schur-cohn then reads the path as a bad literal.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(bytes.fromhex("fffe00626164"))
+    assert main(["rel", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read")
+    assert main(["schur-cohn", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad complex literal")
+
+
 def test_schur_cohn_command(capsys, tmp_path):
     code, out = run(capsys, "schur-cohn", "q-2")
     assert code == 0
@@ -203,6 +216,23 @@ def test_certify_indeterminate_exit(capsys):
     code = main(["certify", "9", "3", "--box", "-2", "2", "0", "1"])
     assert code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["9", "3", "--box", "-5", "-4", "0", "1"], 3),
+    (["7", "4", "--box", "-3", "-2", "5", "6"], 3),
+    # The published (9,3) box, in decimals: argparse reads -101749/100000
+    # as an option.
+    (["9", "3", "--box", "-1.01749", "-1.01731", "10.70762", "10.70814"], 0),
+], ids=["k9-far", "k7-far", "k9-published"])
+def test_certify_needs_a_box_that_holds_the_root_parameter(capsys, argv, code):
+    # Every box here gets determinate signs with beta = 1 and a proven base
+    # disk (M_1 = 4a + 4 < 0 for any a < -1), but only a box that holds the
+    # transported square of that disk holds the parameter of the root.
+    got, out = run(capsys, "certify", *argv)
+    doc = json.loads(out)
+    assert doc["beta"] == 1 and doc["base_disk"] is not None
+    assert got == code and doc["pass"] is (code == 0)
 
 
 def test_table1_command(capsys):
@@ -462,8 +492,9 @@ def test_numpy_loads_only_where_it_runs(code, loads_numpy):
 ], ids=["certify", "roots", "table1"])
 def test_commands_load_the_solver_only_where_it_runs(tmp_path, argv, solver):
     # One command through ``cli.main`` in a new interpreter: ``certify``
-    # proves its base disk with ``fixed_point`` alone, so it loads neither
-    # the root solver nor the reliability recursion, chip-firing or numpy,
+    # proves its base disk with ``fixed_point`` alone and its box in exact
+    # integers, so it loads neither the root solver nor the reliability
+    # recursion, chip-firing, numpy or mpmath,
     # and its records are plain classes, so it loads no ``dataclasses``
     # (nor the ``inspect`` that it imports); ``roots`` and ``table1`` load
     # the solver but not the recursion.  ``cli.find_roots`` still reads as
@@ -473,7 +504,7 @@ def test_commands_load_the_solver_only_where_it_runs(tmp_path, argv, solver):
     argv = [str(poly) if arg == "POLY" else arg for arg in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(relroots.__file__).parents[1])}
     watched = ("relroots.root_analysis", "relroots.reliability", "relroots.chip_firing", "numpy",
-               "dataclasses", "inspect")
+               "mpmath", "dataclasses", "inspect")
     script = ("import contextlib, io, json, sys\nfrom relroots import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    assert cli.main({argv!r}) == 0\n"

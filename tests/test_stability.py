@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -159,21 +161,21 @@ def test_box_signs_match_exact_points():
                             for i, row in enumerate(p) for j, c in enumerate(row))
                 assert value == mks[k - 1]
             assert schur_cohn(coeffs).signs == box_signs
-        # A point box at a non-dyadic rational rounds its endpoints outward
-        # once; its signs must still be exactly those of the exact test,
-        # near the certificate box and elsewhere.
+        # A point box at a non-dyadic rational is evaluated over its common
+        # denominator; its signs must be exactly those of the exact test,
+        # near the certificate box and at 50 seeded points elsewhere.
         rng = random.Random(n)
         centre = (box.a_lo + box.a_hi) / 2, (box.b_lo + box.b_hi) / 2
         for centre_a, centre_b in [centre] * 3 + [(rng.randint(-2, 2), rng.randint(-2, 2))
-                                                  for _ in range(3)]:
+                                                  for _ in range(50)]:
             a, b = _non_dyadic(rng, centre_a), _non_dyadic(rng, centre_b)
             point = schur_cohn_box(pen.box_poly(ParamBox.of(a, a, b, b)), max_depth=0)
             assert point.signs == schur_cohn(pen.exact_poly(a, b)).signs
 
 
 def test_ratio_boxes_contained_in_published():
-    # The published boxes hold the image of the proven base-root disk; the
-    # single-cell image of the whole base box is wider than they are.
+    # The published boxes hold the image of the proven base-root disk, and
+    # the exact transport of the whole base box lies inside them too.
     base, _ = two_clique_reliability(TwoCliqueParams(3, 3, 1, 6)).deflate_unit_roots()
     disk = polished_root_disk(base, (BASE_ROOT_BOX.a_lo + BASE_ROOT_BOX.a_hi) / 2,
                               (BASE_ROOT_BOX.b_lo + BASE_ROOT_BOX.b_hi) / 2)
@@ -182,7 +184,7 @@ def test_ratio_boxes_contained_in_published():
     for k, published in ((9, PUBLISHED_BOX_K9), (7, PUBLISHED_BOX_K7)):
         assert published.contains(
             kth_root_ratio_box(square.a_lo, square.a_hi, square.b_lo, square.b_hi, k))
-        assert not published.contains(transported_box(k))
+        assert published.contains(transported_box(k))
 
 
 def test_ratio_box_point_and_errors():
@@ -196,9 +198,21 @@ def test_ratio_box_point_and_errors():
         kth_root_ratio_box(Fraction(-1), Fraction(1), Fraction(-1), Fraction(1), 3)
 
 
+def test_ratio_box_refuses_a_root_on_another_branch(monkeypatch):
+    # Started a third of a turn away, Newton converges to a cube root of
+    # the centre that is not principal, and the exact check that the root
+    # is principal must refuse to transport it.
+    to_fixed = stability._to_fixed
+    monkeypatch.setattr(stability, "_to_fixed",
+                        lambda z, bits: to_fixed(z * cmath.exp(2j * cmath.pi / 3), bits))
+    with pytest.raises(InputError, match="principal"):
+        transported_box(3)
+
+
 def test_ratio_box_point_images_are_tight():
     # A point box maps to a box around the exact image that is only as
-    # wide as the outward rounding of a few 256-bit interval operations.
+    # wide as the Newton error of the root and the 2^-256 grid it is
+    # rounded to.
     z1 = QComplex(Fraction(1, 3), Fraction(1, 5))
     z2 = QComplex(Fraction(1, 2), Fraction(1, 3))
     for w, z, k in ((z1, z1, 1), (z2 * z2, z2, 2)):
@@ -210,8 +224,9 @@ def test_ratio_box_point_images_are_tight():
 
 
 def test_ratio_box_ignores_global_precision():
-    # The transport and the sign checks run in their own interval context.
-    # At 10 bits mpmath's global interval context loses the last (6,6) sign.
+    # The transport and the sign checks run in exact integers, so mpmath's
+    # process-wide precisions cannot reach them.  At 10 bits its global
+    # interval context would lose the last (6,6) sign.
     import mpmath as mp
     reference = transported_box(6)
     pen = certificate_pencil(6)
@@ -227,6 +242,49 @@ def test_ratio_box_ignores_global_precision():
         assert mp.iv.prec == 10
     finally:
         mp.iv.prec = saved
+
+
+def _sweep_boxes(rng, k):
+    """Seeded boxes of half-width 1e-1 down to 1e-6, in both half-planes,
+    with centres of modulus 0.7 to 2 at |arg| 0.1 to 2.6 and at least 0.3
+    from 1: away from 1 and from the negative real axis."""
+    for digits in range(1, 7):
+        half = Fraction(1, 10 ** digits)
+        made = 0
+        while made < 6:
+            modulus, arg = rng.uniform(0.7, 2), rng.uniform(0.1, 2.6) * (-1) ** made
+            centre = complex(modulus * math.cos(arg), modulus * math.sin(arg))
+            if abs(centre - 1) < 0.3:
+                continue
+            re = Fraction(centre.real).limit_denominator(10 ** (digits + 3))
+            im = Fraction(centre.imag).limit_denominator(10 ** (digits + 3))
+            made += 1
+            yield re - half, re + half, im - half * Fraction(rng.uniform(0.2, 1)), im + half
+
+
+def test_ratio_box_encloses_a_seeded_sweep():
+    # Every corner and 40 random points of each box, mapped at 300 bits
+    # through the principal k-th root and z/(1-z), lie in the exact
+    # transported box.
+    import mpmath as mp
+    rng = random.Random(29)
+    boxes = points = 0
+    with mp.workprec(300):
+        for k in (1, 2, 3, 6, 7, 9, 12):
+            for re_lo, re_hi, im_lo, im_hi in _sweep_boxes(rng, k):
+                box = kth_root_ratio_box(re_lo, re_hi, im_lo, im_hi, k)
+                lo_a, hi_a, lo_b, hi_b = (mp.mpf(x.numerator) / x.denominator
+                                          for x in (box.a_lo, box.a_hi, box.b_lo, box.b_hi))
+                ws = [(re, im) for re in (re_lo, re_hi) for im in (im_lo, im_hi)]
+                ws += [(re_lo + (re_hi - re_lo) * Fraction(rng.random()),
+                        im_lo + (im_hi - im_lo) * Fraction(rng.random())) for _ in range(40)]
+                for re, im in ws:
+                    z = mp.root(mp.mpc(mp.mpf(re.numerator) / re.denominator,
+                                       mp.mpf(im.numerator) / im.denominator), k)
+                    image = z / (1 - z)
+                    assert lo_a <= image.real <= hi_a and lo_b <= image.imag <= hi_b
+                boxes, points = boxes + 1, points + len(ws)
+    assert (boxes, points) == (252, 11088)
 
 
 def test_box_degree_check_is_exact():
