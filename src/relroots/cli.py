@@ -15,7 +15,7 @@ import sys
 
 from .closed_forms import TwoCliqueParams, rel_complete_minus_edge, two_clique_reliability
 from .errors import IndeterminateError, InputError, NumericalError, ToolkitError
-from .fixed_point import DEFAULT_PRECISION_BITS, polished_root_disk
+from .fixed_point import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, polished_root_disk
 from .multigraph import edge_connectivity, parse_graph
 from .polynomials import RatPoly, parse_complex_rational
 from .stability import (BASE_ROOT_BOX, ParamBox, certificate_pencil, kth_root_ratio_box,
@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.digits < 1:
             raise InputError(f"--digits must be at least 1, got {args.digits}")
+        if not 0 <= args.precision_bits <= MAX_PRECISION_BITS:
+            raise InputError(f"--precision-bits must lie in 0..{MAX_PRECISION_BITS}, "
+                             f"got {args.precision_bits}")
         return _dispatch(args)
     except ToolkitError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -33,6 +33,8 @@ from .errors import InputError, NumericalError
 from .polynomials import QComplex, RatPoly, cpoly_normalize
 
 DEFAULT_PRECISION_BITS = 256
+# The root solver doubles its precision while roots fail, up to this cap.
+MAX_PRECISION_BITS = 4096
 # At working precision prec a point carries prec + 30 guard bits, and in the
 # root solver enough bits more that a lower bound on the root moduli below 1
 # still gets prec + 30 significant bits.
@@ -50,10 +52,17 @@ def _as_qcomplex_coeffs(p: PolyLike) -> list[QComplex]:
 
 
 def _log2_abs(c: QComplex) -> float | None:
-    a2 = c.abs2()
-    if a2 == 0:
+    """log2|c|, as half of log2 of |c|²'s numerator less its denominator's;
+    None for c = 0.  A real c's |c|² is num²/den², already in lowest terms."""
+    if c.im:
+        a2 = c.abs2()
+        num, den = a2.numerator, a2.denominator
+    else:
+        num, den = c.re.numerator, c.re.denominator
+        num, den = num * num, den * den
+    if num == 0:
         return None
-    return (math.log2(a2.numerator) - math.log2(a2.denominator)) / 2.0
+    return (math.log2(num) - math.log2(den)) / 2.0
 
 
 def _upper_hull(logs: list[float | None]) -> list[tuple[int, float]]:
@@ -71,9 +80,8 @@ def _upper_hull(logs: list[float | None]) -> list[tuple[int, float]]:
     return hull
 
 
-def _scaled_int(x: Fraction, t: int) -> int:
-    """x * 2^t rounded to the nearest integer."""
-    num, den = x.numerator, x.denominator
+def _rounded(num: int, den: int, t: int) -> int:
+    """num/den * 2^t, den > 0, rounded to the nearest integer (ties up)."""
     if t >= 0:
         num <<= t
     else:
@@ -81,8 +89,13 @@ def _scaled_int(x: Fraction, t: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _scaled_int(x: Fraction, t: int) -> int:
+    """x * 2^t rounded to the nearest integer."""
+    return _rounded(x.numerator, x.denominator, t)
+
+
 def _to_fixed(z: complex, bits: int) -> tuple[int, int]:
-    return _scaled_int(Fraction(z.real), bits), _scaled_int(Fraction(z.imag), bits)
+    return _rounded(*z.real.as_integer_ratio(), bits), _rounded(*z.imag.as_integer_ratio(), bits)
 
 
 def _slope(w: complex, e: int) -> tuple[int, int, int] | None:
@@ -118,24 +131,39 @@ def _b_pass(table: list[int], zr: int, r2: int, bits: int) -> list[int]:
     """b_d, ..., b_1, b_0 of ``FixedEval``'s first recurrence over one real
     coefficient table, highest degree first, at a point with real part
     zr / 2^bits and squared modulus r2 / 2^(2·bits)."""
-    two_bits, shift = 2 * bits, bits + 1
+    two_bits, s = 2 * bits, zr << bits + 1
     bs = []
     push = bs.append
     b1 = b2 = 0
     for c in table:
-        b1, b2 = c + ((((zr * b1) << shift) - r2 * b2) >> two_bits), b1
+        b1, b2 = c + ((s * b1 - r2 * b2) >> two_bits), b1
         push(b1)
     return bs
+
+
+def _value_pass(table: list[int], zr: int, r2: int, bits: int) -> tuple[int, int]:
+    """(b_0, b_1) of ``_b_pass`` at the same point, with no list of the b's."""
+    two_bits, s = 2 * bits, zr << bits + 1
+    b1 = b2 = 0
+    for c in table:
+        b1, b2 = c + ((s * b1 - r2 * b2) >> two_bits), b1
+    return b1, b2
 
 
 def _e_pass(bs: list[int], zr: int, r2: int, bits: int) -> tuple[int, int]:
     """(e_2, e_3) of ``FixedEval``'s second recurrence, over the b_d..b_2
     that ``_b_pass`` returned at the same point."""
-    two_bits, shift = 2 * bits, bits + 1
+    two_bits, s = 2 * bits, zr << bits + 1
     e1 = e2 = 0
     for b in bs[:-2]:
-        e1, e2 = b + ((((zr * e1) << shift) - r2 * e2) >> two_bits), e1
+        e1, e2 = b + ((s * e1 - r2 * e2) >> two_bits), e1
     return e1, e2
+
+
+def _combine(zr: int, zi: int, bits: int, b0: int, b1: int, f0: int, f1: int) -> tuple[int, int]:
+    """(p re, p im) from b_0, b_1 of the real table and f_0, f_1 of the
+    imaginary one: p = (b_0 − x·b_1 − y·f_1) + i·(f_0 + y·b_1 − x·f_1)."""
+    return b0 + ((-zr * b1 - zi * f1) >> bits), f0 + ((zi * b1 - zr * f1) >> bits)
 
 
 class FixedEval:
@@ -162,10 +190,13 @@ class FixedEval:
 
     so P(z) = (b_0 − x·b_1) + i·y·b_1 and P'(z) = b_1 + 2iy·Q(z).  The same
     recurrence over b_d..b_2, e_k = b_k + s·e_{k+1} − r·e_{k+2}, gives
-    Q(z) = (e_2 − x·e_3) + i·y·e_3.  The b's are kept (``_b_pass``) and the
-    e's run over them in a second pass (``_e_pass``), so that ``value``
-    gives p alone, bit for bit as ``evaluate`` gives it, for half the work.  A step costs two real products where
-    complex Horner costs four per value.  A complex table runs the loop on
+    Q(z) = (e_2 − x·e_3) + i·y·e_3.  ``evaluate`` keeps the b's
+    (``_b_pass``) and runs the e's over them in a second pass
+    (``_e_pass``); ``value`` runs the same steps but keeps only b_1 and b_0
+    (``_value_pass``), so it gives p alone, bit for bit as ``evaluate``
+    gives it, for half the work and no list.  With s·2^bits taken once, a
+    step costs two real products where complex Horner costs four per
+    value.  A complex table runs the loop on
     its real and its imaginary parts, p = P_re + i·P_im.  s and r are
     exact (r at 2·bits), so each step rounds once, by a floor.
 
@@ -235,33 +266,40 @@ class FixedEval:
         t = math.ceil((bits + math.log2(err_dp) + 1 - top) / _SCALE_STEP) * _SCALE_STEP
         return err_p, err_dp, t
 
-    def _b_passes(self, zr: int, zi: int, r2: int, bits: int, t: int
-                  ) -> tuple[int, int, list[int], list[int] | None]:
-        """(p re, p im) in units of 2^-t, and the b's of the real and the
-        imaginary table (None for a real polynomial)."""
-        re_table, im_table = self._table(t)
-        bs = _b_pass(re_table, zr, r2, bits)
-        # f: the imaginary part's remainders, zero for a real polynomial.
-        fs = _b_pass(im_table, zr, r2, bits) if im_table else None
-        b0, b1 = bs[-1], bs[-2]
-        f0, f1 = (fs[-1], fs[-2]) if fs else (0, 0)
-        return b0 + ((-zr * b1 - zi * f1) >> bits), f0 + ((zi * b1 - zr * f1) >> bits), bs, fs
+    def value_error(self, zr: int, zi: int, bits: int) -> int:
+        """``bounds``' err_p at z, with no square root or logarithm while
+        |z| < 1: there the integer modulus m < 2^bits has log2(m + 1) ≤ bits,
+        so e = 1 and err_p = 3n(d+1) + 2."""
+        if zr * zr + zi * zi < 1 << 2 * bits:
+            return 3 * (1 if self.real else 2) * (self.degree + 1) + 2
+        return self.bounds(zr, zi, bits)[0]
 
     def value(self, zr: int, zi: int, bits: int, t: int) -> tuple[int, int]:
         """(p re, p im) at z = (zr + i·zi) / 2^bits in units of 2^-t, from
-        the b pass alone: what ``evaluate`` returns at z when its scale is t.
-        The error bound is ``bounds``' err_p."""
-        return self._b_passes(zr, zi, zr * zr + zi * zi, bits, t)[:2]
+        b_1 and b_0 alone (``_value_pass``): what ``evaluate`` returns at z
+        when its scale is t.  The error bound is ``bounds``' err_p."""
+        re_table, im_table = self._table(t)
+        r2 = zr * zr + zi * zi
+        b0, b1 = _value_pass(re_table, zr, r2, bits)
+        f0, f1 = _value_pass(im_table, zr, r2, bits) if im_table else (0, 0)
+        return _combine(zr, zi, bits, b0, b1, f0, f1)
 
     def evaluate(self, zr: int, zi: int, bits: int) -> tuple[int, int, int, int, int, int, int]:
         """(p re, p im, p' re, p' im, err_p, err_dp, t) at z = (zr + i·zi) / 2^bits;
         all but t in units of 2^-t."""
         err_p, err_dp, t = self.bounds(zr, zi, bits)
+        re_table, im_table = self._table(t)
         r2 = zr * zr + zi * zi
-        pr, pi, bs, fs = self._b_passes(zr, zi, r2, bits, t)
+        bs = _b_pass(re_table, zr, r2, bits)
         e2, e3 = _e_pass(bs, zr, r2, bits)
-        f2, f3 = _e_pass(fs, zr, r2, bits) if fs else (0, 0)
-        b1, f1 = bs[-2], fs[-2] if fs else 0
+        b1 = bs[-2]
+        # f: the imaginary part's remainders, zero for a real polynomial.
+        f0 = f1 = f2 = f3 = 0
+        if im_table:
+            fs = _b_pass(im_table, zr, r2, bits)
+            f2, f3 = _e_pass(fs, zr, r2, bits)
+            f0, f1 = fs[-1], fs[-2]
+        pr, pi = _combine(zr, zi, bits, bs[-1], b1, f0, f1)
         # 2^bits (e_2 − x e_3) and 2^bits (f_2 − x f_3), exact.
         qr, qi = (e2 << bits) - zr * e3, (f2 << bits) - zr * f3
         dr = b1 + ((-2 * zi * (zi * e3 + qi)) >> (2 * bits))
@@ -319,9 +357,10 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
     when the caller has one.  When that step s₁ shows the start inside the
     basin, 2·d·s₁ ≤ |z| (K·s₁ ≤ 1/2 for the K below), every later half step
     is a secant step through the last two half-precision points, p·Δz/Δp,
-    with p at both points at one scale t: it runs the b pass of
+    with p at both points at one scale t: it runs the list-free b pass of
     ``FixedEval.value`` alone, about half of what an evaluation of p and p'
-    costs; otherwise the half steps stay Newton steps.  Near a simple
+    costs, and reads err_p from ``FixedEval.value_error``; otherwise the
+    half steps stay Newton steps.  Near a simple
     root the error contracts as e' ≈ K·e² under Newton and e' ≈ K·e·e₋
     under the secant, e₋ the error one point back (Ostrowski 1960; Traub
     1964), and a step is about the error it removes.  So with n₁ the step
@@ -398,7 +437,7 @@ def _newton(evaluator: FixedEval, z: tuple[int, int], bits: int, prec: int,
                 bound = bound and bound[0] << shift
             elif secant:
                 (lr, li), (lpr, lpi), t, _ = last
-                err_p = evaluator.bounds(hr, hi, half)[0]
+                err_p = evaluator.value_error(hr, hi, half)
                 pr, pi = evaluator.value(hr, hi, half, t)
                 # The step p·Δz/Δp, and F ≈ err_p·|Δz|/(|Δp| − 2·err_p).
                 dzr, dzi, dpr, dpi = hr - lr, hi - li, pr - lpr, pi - lpi

@@ -48,13 +48,11 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, mpc_abs, round_nearest
 
 from .errors import InputError, NumericalError, RootFindingError
-from .fixed_point import (_GUARD_BITS, DEFAULT_PRECISION_BITS, FixedEval, PolyLike,
-                          _as_qcomplex_coeffs, _dyadic, _modulus, _newton, _quotient, _slope,
+from .fixed_point import (_GUARD_BITS, DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, FixedEval,
+                          PolyLike, _as_qcomplex_coeffs, _dyadic, _modulus, _newton, _quotient, _slope,
                           _to_fixed)
 from .multigraph import Multigraph, blocks, is_connected
 from .polynomials import QComplex, RatPoly, squarefree_split
-
-MAX_PRECISION_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -185,11 +183,15 @@ def _newton_polygon_starts(hull: list[tuple[int, float]]) -> tuple[np.ndarray, n
     """
     import numpy as np
 
-    log_radii, angles = [], []
-    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
-        log_radii += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
-        angles.append(_start_angles(k2 - k1) + 2.0 * math.pi * k1 / _PHI)
-    return np.array(log_radii), np.concatenate(angles)
+    ks, ls = (np.array(v) for v in zip(*hull))
+    # Per start: its edge's left end k1, its length and slope, and its index on the edge.
+    lengths = np.diff(ks)
+    k1 = np.repeat(ks[:-1], lengths)
+    d = np.repeat(lengths, lengths)
+    j = np.arange(ks[0], ks[-1]) - k1
+    log_radii = np.repeat((ls[:-1] - ls[1:]) / lengths, lengths)
+    # _start_angles(d) + 2π·k1/φ per edge, with the same roundings per element.
+    return log_radii, 2.0 * math.pi * (j + 0.5) / d + 1.0 / _PHI + 2.0 * math.pi * k1 / _PHI
 
 
 def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
@@ -208,9 +210,11 @@ def _machine_coeffs(coeffs: list[QComplex], logs: list[float | None],
     shift = math.floor(max(lg + i * scale_log2 for i, lg in enumerate(logs) if lg is not None))
     out = np.zeros(len(coeffs), dtype=np.complex128)
     for i, c in enumerate(coeffs):
+        # c·2^e as a quotient of integers: true division rounds it correctly.
         e = i * scale_log2 - shift
-        factor = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-        out[i] = complex(float(c.re * factor), float(c.im * factor))
+        up, down = (1 << e, 1) if e >= 0 else (1, 1 << -e)
+        out[i] = complex(c.re.numerator * up / (c.re.denominator * down),
+                         c.im.numerator * up / (c.im.denominator * down))
     if min(abs(out[0]), abs(out[-1])) < np.finfo(float).tiny:
         return None
     return out, shift

@@ -330,6 +330,17 @@ def test_digits_below_one_are_rejected(capsys, digits):
     assert out == "" and err.startswith("error: --digits")
 
 
+@pytest.mark.parametrize("bits", ["-5", "-1", "4097", "100000"])
+def test_precision_bits_outside_the_solver_range_are_rejected(capsys, bits):
+    # A negative shift count and a base disk too long to print both used to
+    # end in a traceback; the range stops at the solver's escalation cap.
+    assert main(["--precision-bits", bits, "certify", "9", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --precision-bits must lie in 0..4096, got {bits}\n"
+    assert main(["table1", "3", "--precision-bits", bits]) == 1
+    assert capsys.readouterr().err.startswith("error: --precision-bits")
+
+
 @pytest.mark.parametrize("literal",
                          ["q^x", "2*q^", "(1+i", "1/0*q", "q^-1+2", "q^-1+q", "qq", "q*2"])
 def test_schur_cohn_rejects_a_bad_literal(capsys, literal):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -241,11 +242,12 @@ def _assert_freeze_bound(seen) -> None:
 
 
 def _recorded_passes(monkeypatch) -> list:
-    """Patch the two recurrence passes to record (pass, bits) for every run."""
+    """Patch the recurrence passes to record (pass, bits) for every run; the
+    list-free ``_value_pass`` is recorded as the b pass it runs."""
     passes = []
-    for name in ("_b_pass", "_e_pass"):
-        def recording(table, zr, r2, bits, run=getattr(fixed_point, name), name=name):
-            passes.append((name, bits))
+    for name, label in (("_b_pass", "_b_pass"), ("_value_pass", "_b_pass"), ("_e_pass", "_e_pass")):
+        def recording(table, zr, r2, bits, run=getattr(fixed_point, name), label=label):
+            passes.append((label, bits))
             return run(table, zr, r2, bits)
 
         monkeypatch.setattr(fixed_point, name, recording)
@@ -299,8 +301,8 @@ def test_table1_rows_need_no_multiprecision_sweep(monkeypatch):
         assert e_passes == sorted(proofs), n
         steps = sum(name == "_b_pass" for name, _ in passes) - len(proofs)
         full = sum(bits >= 256 + fixed_point._GUARD_BITS for bits in proofs)
-        assert len(proofs) <= budget[n][0] and full <= budget[n][1], (n, proofs)
-        assert steps <= budget[n][2] and sum(bits for _, bits in passes) <= budget[n][4], n
+        assert (len(proofs), full, steps) == budget[n][:3], (n, proofs)
+        assert sum(bits for _, bits in passes) == budget[n][4], n
         assert diag.mirrored == budget[n][3], (n, diag)
     _assert_freeze_bound(freezes)
 
@@ -390,8 +392,103 @@ def test_b_pass_gives_the_values_of_evaluate():
                     bs = fixed_point._b_pass(table, zr, r2, bits)
                     e2, e3 = fixed_point._e_pass(bs, zr, r2, bits)
                     assert (bs[-1], bs[-2], e2, e3) == _fused_remainders(table, zr, r2, bits)
+                    assert fixed_point._value_pass(table, zr, r2, bits) == (bs[-1], bs[-2])
                     tables += 1
     assert tables > 300
+
+
+def _fraction_scaled(x: float, t: int) -> int:
+    """x·2^t rounded to the nearest integer (ties up) through ``Fraction``."""
+    q = Fraction(x)
+    num, den = q.numerator, q.denominator
+    if t >= 0:
+        num <<= t
+    else:
+        den <<= -t
+    return (2 * num + den) // (2 * den)
+
+
+def _per_edge_starts(hull):
+    """The Newton-polygon starts built edge by edge, as one array per edge."""
+    log_radii, angles = [], []
+    for (k1, l1), (k2, l2) in zip(hull, hull[1:]):
+        log_radii += [(l1 - l2) / (k2 - k1)] * (k2 - k1)
+        angles.append(root_analysis._start_angles(k2 - k1)
+                      + 2.0 * math.pi * k1 / root_analysis._PHI)
+    return np.array(log_radii), np.concatenate(angles)
+
+
+def test_integer_conversions_match_their_fraction_routes():
+    # Each conversion around the fixed-point solve gives, bit for bit, what
+    # the Fraction arithmetic it replaced gives: float to fixed point,
+    # coefficients to scaled doubles, log2|c| of a real c, the batched
+    # Newton-polygon starts, and err_p read without a logarithm.  The inputs
+    # cover ±0.0, subnormals, 2^±1000 scales, negative shifts and exact ties.
+    rng = random.Random(2017)
+    tiny = math.ldexp(1.0, -1074)
+    floats = [0.0, -0.0, tiny, -tiny, 3 * tiny, math.ldexp(1.0, -1022), 0.5, -0.5, 1.5,
+              -2.5, 1.0 + 2.0 ** -52, math.ldexp(3.0, -60), -math.ldexp(3.0, -60)]
+    floats += [math.ldexp(rng.random() - 0.5, rng.randint(-1000, 1000)) for _ in range(200)]
+    floats += [math.ldexp(rng.randint(1, 2 ** 52), -1074) for _ in range(20)]
+    for x in floats:
+        y = rng.choice(floats)
+        for bits in (-1100, -300, -61, -1, 0, 1, 59, 60, 61, 290, 1100, 1200):
+            assert fixed_point._to_fixed(complex(x, y), bits) == (
+                _fraction_scaled(x, bits), _fraction_scaled(y, bits)), (x, y, bits)
+
+    # Coefficients whose scaled doubles are exact ties (1 + 2^-53 and 3·2^-1075
+    # round to even), subnormal or zero, around 2^±1000 and complex.
+    fixed = [Fraction(2 ** 53 + 1, 2 ** 53), -Fraction(2 ** 53 + 3, 2 ** 53), Fraction(3, 2 ** 1075),
+             Fraction(-5, 2 ** 1076), Fraction(7, 2 ** 1060), Fraction(0), Fraction(2) ** 1000,
+             Fraction(1, 3) * Fraction(2) ** -1000, Fraction(2 ** 54 + 1, 3)]
+    subnormals = 0
+    for trial in range(40):
+        middle = [rng.choice(fixed) if rng.random() < 0.5 else
+                  Fraction(rng.randint(-2 ** 80, 2 ** 80), rng.randint(1, 2 ** 80))
+                  * Fraction(2) ** rng.randint(-40, 40) for _ in range(rng.randint(1, 12))]
+        coeffs = [QComplex(Fraction(1))] + [
+            QComplex(c, rng.choice(middle) if trial % 3 == 0 else Fraction(0)) for c in middle
+        ] + [QComplex(Fraction(rng.choice([1, -3]), rng.choice([1, 7])))]
+        logs = [fixed_point._log2_abs(c) for c in coeffs]
+        for scale in (-1, 0, 1, rng.randint(-60, 60)):
+            machine = root_analysis._machine_coeffs(coeffs, logs, scale)
+            if machine is None:
+                continue
+            out, shift = machine
+            for i, c in enumerate(coeffs):
+                factor = Fraction(2) ** (i * scale - shift)
+                assert out[i] == complex(float(c.re * factor), float(c.im * factor)), (c, i, scale)
+                subnormals += 0 < abs(out[i].real) < sys.float_info.min
+    assert subnormals > 20
+
+    # log2|x| itself differs from the formula in about one x in a hundred.
+    reals = fixed + [Fraction(rng.randint(-2 ** 200, 2 ** 200), rng.randint(1, 2 ** 200))
+                     * Fraction(2) ** rng.randint(-5000, 5000) for _ in range(200)]
+    reals += [Fraction(rng.randint(-2 ** 120, 2 ** 120), rng.randint(1, 2 ** 120))
+              for _ in range(1000)]
+    for x in reals:
+        a2 = QComplex(x).abs2()
+        expected = (None if a2 == 0 else
+                    (math.log2(a2.numerator) - math.log2(a2.denominator)) / 2.0)
+        assert fixed_point._log2_abs(QComplex(x)) == expected, x
+
+    polys = [fixed_point._as_qcomplex_coeffs(
+        two_clique_reliability(TwoCliqueParams(n, n, 1, 6)).deflate_unit_roots()[0])
+        for n in range(3, 7)]
+    polys += [[QComplex(Fraction(rng.randint(1, 2 ** rng.randint(1, 400))))
+               if k in (0, d) or rng.random() < 0.8 else QComplex(Fraction(0))
+               for k in range(d + 1)] for d in (1, 2, 5, 40, 300)]
+    for coeffs in polys:
+        evaluator = FixedEval(coeffs)
+        batched = root_analysis._newton_polygon_starts(evaluator.hull)
+        for got, want in zip(batched, _per_edge_starts(evaluator.hull)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for bits in (0, 1, 158):
+            one = 1 << bits
+            for zr, zi in [(0, 0), (one - 1, 0), (one, 0), (0, -one), (one - 1, 1)] + [
+                    (rng.randint(-2 * one, 2 * one), rng.randint(-2 * one, 2 * one))
+                    for _ in range(20)]:
+                assert evaluator.value_error(zr, zi, bits) == evaluator.bounds(zr, zi, bits)[0]
 
 
 def test_seeded_slopes_carry_their_own_power_of_two(monkeypatch):
