@@ -49,8 +49,8 @@ from mpmath.libmp import from_man_exp, mpc_abs, round_nearest
 
 from .errors import InputError, NumericalError, RootFindingError
 from .fixed_point import (_GUARD_BITS, DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, FixedEval,
-                          PolyLike, _as_qcomplex_coeffs, _dyadic, _modulus, _newton, _quotient, _slope,
-                          _to_fixed)
+                          PolyLike, _as_qcomplex_coeffs, _dyadic, _modulus, _newton, _quotient,
+                          _slope, _to_fixed)
 from .multigraph import Multigraph, blocks, is_connected
 from .polynomials import QComplex, RatPoly, squarefree_split
 
